@@ -8,14 +8,18 @@ versus block-compiled, two ways:
 
 * a synthetic ALU-loop microbench (tight straight-line loop body, the
   best case for block compilation and the number the ``blockc``
-  acceptance floor is defined against), and
+  acceptance floor is defined against),
 * one uninstrumented golden run of each workload (the realistic mix of
-  ALU, memory and control instructions).
+  ALU, memory and control instructions), and
+* instrumented runs of Fig 3's permanent-fault programs: each program
+  under :class:`~repro.core.pf_injector.PermanentInjectorTool` at three
+  of its sites, where every launch of a kernel holding the target opcode
+  is hooked at that opcode's pcs and runs compiled blocks in between.
 
 Both sides of every comparison must agree exactly on instruction and
 cycle totals — the block-compiled tier is an execution *strategy*, not a
-semantics change — and the workload rows additionally diff stdout and
-output files.
+semantics change — and the workload and instrumented rows additionally
+diff stdout and output files (and fault activations).
 
 Wall clocks on a loaded box swing hard, so the microbench interleaves
 step/block rounds and keeps the best round per mode before computing the
@@ -26,12 +30,17 @@ speedup floor (CI smoke boxes are too noisy to assert throughput).
 from __future__ import annotations
 
 import json
+import os
 import time
 from pathlib import Path
 
 from benchmarks.harness import emit, quick_mode, workload_names
+from repro.core.campaign import CampaignConfig
+from repro.core.engine import CampaignEngine
+from repro.core.pf_injector import PermanentInjectorTool
 from repro.gpusim.device import Device
 from repro.runner.sandbox import SandboxConfig, run_app
+from repro.sass.isa import opcode_by_id
 from repro.sass import assemble
 from repro.utils.text import format_table
 from repro.workloads import get_workload
@@ -150,16 +159,87 @@ def _measure_workloads():
     return rows
 
 
+# Fig 3's permanent-fault programs, and the opcodes whose permanent-fault
+# sites the instrumented rows run: an FP ALU op, a compare and a load.
+_PERM_PROGRAMS = ("370.bt", "303.ostencil", "354.cg", "359.miniGhost")
+_PERM_OPCODES = ("FFMA", "ISETP", "LDG")
+
+
+def _permanent_sites(program: str):
+    engine = CampaignEngine(program, CampaignConfig(workload=program))
+    engine.run_profile()
+    return [
+        site for site in engine.select_permanent()
+        if opcode_by_id(site.opcode_id).name in _PERM_OPCODES
+    ]
+
+
+def _instrumented_run(program: str, sites, block_compile: bool):
+    """One program run per site; returns (totals, seconds, block hits)."""
+    config = SandboxConfig(block_compile=block_compile)
+    totals = []
+    seconds = 0.0
+    hits = 0
+    for site in sites:
+        tool = PermanentInjectorTool(site)
+        app = get_workload(program)
+        started = time.perf_counter()
+        artifacts = run_app(app, preload=[tool], config=config)
+        seconds += time.perf_counter() - started
+        totals.append((
+            artifacts.instructions_executed, artifacts.cycles,
+            artifacts.stdout, artifacts.files, tool.activations,
+        ))
+        hits += artifacts.blockc_block_hits
+    return totals, seconds, hits
+
+
+def _measure_instrumented():
+    programs = _PERM_PROGRAMS[:1] if quick_mode() else _PERM_PROGRAMS
+    rounds = 1 if quick_mode() else 3
+    rows = []
+    for program in programs:
+        sites = _permanent_sites(program)
+        best = {False: float("inf"), True: float("inf")}
+        for _ in range(rounds):
+            step, step_seconds, _ = _instrumented_run(program, sites, False)
+            blockc, blockc_seconds, hits = _instrumented_run(program, sites, True)
+            assert step == blockc, f"{program}: instrumented runs diverged"
+            best[False] = min(best[False], step_seconds)
+            best[True] = min(best[True], blockc_seconds)
+        executed = sum(totals[0] for totals in step)
+        rows.append({
+            "workload": program,
+            "tool": "PermanentInjectorTool",
+            "opcodes": [opcode_by_id(site.opcode_id).name for site in sites],
+            "warp_instructions": executed,
+            "cycles": sum(totals[1] for totals in step),
+            "activations": sum(totals[4] for totals in step),
+            "step_seconds": round(best[False], 3),
+            "blockc_seconds": round(best[True], 3),
+            "step_winstr_per_sec": round(executed / best[False], 1),
+            "blockc_winstr_per_sec": round(executed / best[True], 1),
+            "speedup": round(best[False] / best[True], 2),
+            "block_hits": hits,
+        })
+    return rows
+
+
 def test_interpreter_throughput(benchmark):
-    micro, workloads = benchmark.pedantic(
-        lambda: (_measure_micro(), _measure_workloads()), rounds=1, iterations=1
+    micro, workloads, instrumented = benchmark.pedantic(
+        lambda: (
+            _measure_micro(), _measure_workloads(), _measure_instrumented()
+        ),
+        rounds=1, iterations=1,
     )
 
     payload = {
         "benchmark": "gpusim_throughput",
         "quick": quick_mode(),
+        "cpu_count": os.cpu_count(),
         "microbench": micro,
         "workloads": workloads,
+        "instrumented": instrumented,
         "micro_speedup_floor": _MIN_MICRO_SPEEDUP,
         "counters_identical": True,
     }
@@ -184,6 +264,16 @@ def test_interpreter_throughput(benchmark):
             f"{row['block_hits']}",
         ]
         for row in workloads
+    ] + [
+        [
+            f"{row['workload']} + pf_injector",
+            row["warp_instructions"],
+            f"{row['step_winstr_per_sec'] / 1e3:.1f}k/s",
+            f"{row['blockc_winstr_per_sec'] / 1e3:.1f}k/s",
+            f"{row['speedup']:.2f}x",
+            f"{row['block_hits']}",
+        ]
+        for row in instrumented
     ]
     emit(
         "gpusim_throughput",
@@ -192,13 +282,16 @@ def test_interpreter_throughput(benchmark):
              "Block hits"],
             table_rows,
             title="Interpreter throughput: per-step vs block-compiled "
-                  "(instruction/cycle totals identical throughout)",
+                  "(instruction/cycle totals identical throughout; "
+                  f"{os.cpu_count()} CPUs)",
         ),
     )
 
     # Block compilation must actually engage on the workloads.
     assert all(row["blocks_compiled"] > 0 for row in workloads)
     assert all(row["block_hits"] > 0 for row in workloads)
+    assert all(row["block_hits"] > 0 for row in instrumented)
+    assert all(row["activations"] > 0 for row in instrumented)
     if not quick_mode():
         assert micro["speedup"] >= _MIN_MICRO_SPEEDUP, (
             f"block-compiled microbench speedup regressed: "

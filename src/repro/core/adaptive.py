@@ -282,7 +282,7 @@ class AdaptiveState:
 
     @property
     def drawn(self) -> int:
-        return int(self.overall.total)
+        return self.overall.samples
 
     def allocate(self, size: int) -> dict[str, int] | None:
         """Slots per stratum for the next batch (``None`` = uniform draw)."""
@@ -448,6 +448,7 @@ class AdaptiveState:
                     weighted.counts[outcome] += weight * tally.counts[outcome]
                 weighted.potential_due += weight * tally.potential_due
                 weighted.total += weight * tally.total
+                weighted.samples += tally.samples
         estimate = None
         if self.rule is not None and self.drawn:
             estimate = self.estimate(

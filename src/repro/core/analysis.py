@@ -55,7 +55,7 @@ def estimate_avf(tally: OutcomeTally, confidence: float = 0.90) -> AvfEstimate:
         avf=1.0 - tally.fraction(Outcome.MASKED),
         sdc_avf=tally.fraction(Outcome.SDC),
         due_avf=tally.fraction(Outcome.DUE),
-        samples=max(int(tally.total), 1),
+        samples=max(tally.samples, 1),
         confidence=confidence,
     )
 
@@ -131,7 +131,7 @@ def format_avf_report(
         estimate = estimate_avf(tally, confidence)
         rows.append([
             kernel,
-            int(tally.total),
+            tally.samples,
             f"{estimate.avf * 100:.0f}%",
             f"{estimate.sdc_avf * 100:.0f}%",
             f"{estimate.due_avf * 100:.0f}%",
@@ -146,7 +146,7 @@ def format_avf_report(
     for group, tally in sorted(per_group_breakdown(result).items()):
         estimate = estimate_avf(tally, confidence)
         group_rows.append(
-            [group.name, int(tally.total), f"{estimate.avf * 100:.0f}%"]
+            [group.name, tally.samples, f"{estimate.avf * 100:.0f}%"]
         )
     if group_rows:
         lines.append("")

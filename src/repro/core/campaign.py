@@ -87,8 +87,8 @@ class CampaignConfig:
 
     ``block_compile`` (default on) runs every sandbox device with the
     block-compiled interpreter (:mod:`repro.gpusim.blockc`): straight-line
-    SASS runs are fused into code-generated superhandlers on the
-    uninstrumented fast path.  Purely an interpreter-speed knob —
+    SASS runs are fused into code-generated superhandlers, in instrumented
+    launches between their hooked pcs.  Purely an interpreter-speed knob —
     ``results.csv`` and simulated-cycle totals are byte-identical either
     way — kept switchable for differential testing and benchmarking.  It
     is ANDed with ``sandbox.block_compile``: either knob can turn the

@@ -215,9 +215,10 @@ def _add_sandbox(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--block-compile", action=argparse.BooleanOptionalAction,
                         default=True,
                         help="block-compiled interpreter: fuse straight-line "
-                             "SASS into pre-compiled superhandlers on the "
-                             "uninstrumented fast path (results are "
-                             "byte-identical either way)")
+                             "SASS into pre-compiled superhandlers; "
+                             "instrumented launches step only their hooked "
+                             "instructions (results are byte-identical "
+                             "either way)")
     parser.add_argument("--env", action="append", default=[], metavar="KEY=VALUE",
                         help="extra sandbox environment entry (repeatable)")
 

@@ -62,19 +62,27 @@ def error_margin(n: int, confidence: float = 0.90, p_hat: float = 0.5) -> float:
 
 @dataclass
 class OutcomeTally:
-    """Aggregated outcome counts, optionally weighted."""
+    """Aggregated outcome counts, optionally weighted.
+
+    ``total`` is the weight sum the fractions divide by; ``samples`` counts
+    the records added, unweighted, and is the sample size of every
+    confidence interval.  The two differ for weighted (permanent) tallies,
+    whose weights sum to about 1.
+    """
 
     counts: dict[Outcome, float] = field(
         default_factory=lambda: {o: 0.0 for o in Outcome}
     )
     potential_due: float = 0.0
     total: float = 0.0
+    samples: int = 0
 
     def add(self, record: OutcomeRecord, weight: float = 1.0) -> None:
         self.counts[record.outcome] += weight
         if record.potential_due:
             self.potential_due += weight
         self.total += weight
+        self.samples += 1
 
     def fraction(self, outcome: Outcome) -> float:
         if self.total == 0:
@@ -93,6 +101,7 @@ class OutcomeTally:
             merged.counts[outcome] = self.counts[outcome] + other.counts[outcome]
         merged.potential_due = self.potential_due + other.potential_due
         merged.total = self.total + other.total
+        merged.samples = self.samples + other.samples
         return merged
 
     def report(self, confidence: float = 0.90, samples: int | None = None) -> str:
@@ -102,7 +111,7 @@ class OutcomeTally:
         results, say) renders ``n/a`` instead of raising out of
         :func:`confidence_interval`.
         """
-        n = int(samples if samples is not None else self.total)
+        n = self.samples if samples is None else int(samples)
         if n <= 0:
             return "  ".join(f"{outcome.value}=n/a" for outcome in Outcome)
         parts = []
@@ -126,7 +135,7 @@ def summarize_tally(tally: OutcomeTally, confidence: float = 0.95) -> dict:
     human-readable :meth:`OutcomeTally.report` line.  A zero-sample tally
     yields empty intervals rather than raising.
     """
-    n = int(tally.total)
+    n = tally.samples
     summary = {
         "n": n,
         "counts": {o.value: tally.counts[o] for o in Outcome},
@@ -193,7 +202,7 @@ def stratum_tallies_from_results(rows: list[dict]) -> dict[str, OutcomeTally]:
 
 
 def _ci_cell(tally: OutcomeTally, outcome: Outcome, confidence: float) -> str:
-    n = int(tally.total)
+    n = tally.samples
     if n <= 0:
         return "n/a"
     frac = tally.fraction(outcome)
@@ -223,8 +232,8 @@ def render_ci_report(source, confidence: float = 0.95) -> str:
         cells = "  ".join(
             f"{_ci_cell(tally, outcome, confidence):>22}" for outcome in Outcome
         )
-        lines.append(f"{name:<{width}}  {int(tally.total):>5}  {cells}")
-    if overall.total == 0:
+        lines.append(f"{name:<{width}}  {tally.samples:>5}  {cells}")
+    if overall.samples == 0:
         lines.append(
             "no completed injections yet (partial or empty results.csv)"
         )

@@ -35,17 +35,25 @@ round-robin interleaving of warps (atomics, shared memory) and the exact
 watchdog trap point are preserved and ``results.csv`` plus simulated-cycle
 totals are byte-identical with block compilation on or off.
 
-Caching is two-level.  The expensive part — partitioning plus
-``compile()`` of the generated source — is cached process-globally, keyed
-on :func:`content_fingerprint` (a hash of every instruction's canonical
-text plus resolved branch targets), so the thousands of per-run kernel
-objects a campaign assembles from the same source pay codegen once.  The
-cheap part — binding a kernel instance's handler table and instruction
-objects into block functions — is cached on the kernel object and
-validated against the *identity* of every instruction (strong references
-are held, so ids cannot be reused), which also fixes the historical
-``_gpusim_handlers`` staleness bug where an in-place rewrite of equal
-length kept serving the old dispatch table.
+Instrumented launches use the same tier.  Their hooked pcs are extra
+block boundaries: a hooked pc is never inside a block, so it always steps
+(tick, before-callbacks, execute, after-callbacks) and every callback
+sees exact ``instructions_executed`` and ``cycles``; the straight-line
+code between hooked pcs runs compiled.
+
+Caching is two-level.  The expensive part — ``compile()`` of each block's
+generated source — is cached process-globally per span, keyed on
+:func:`content_fingerprint` (a hash of every instruction's canonical text
+plus resolved branch targets) and the span's ``(start, end)``, so the
+thousands of per-run kernel objects a campaign assembles from the same
+source pay codegen once, and a layout split at hooked pcs recompiles only
+the blocks a hooked pc actually splits.  The cheap part — binding a
+kernel instance's handler table and instruction objects into block
+functions — is cached on the kernel object and validated against the
+*identity* of every instruction (strong references are held, so ids
+cannot be reused), which also fixes the historical ``_gpusim_handlers``
+staleness bug where an in-place rewrite of equal length kept serving the
+old dispatch table.
 """
 
 from __future__ import annotations
@@ -62,6 +70,7 @@ from repro.gpusim.exec_units import (
     reads_clock,
 )
 from repro.sass.operands import Imm, Pred, Reg
+from repro.sass.program import register_count
 
 # Must equal the SM scheduling quantum (repro.gpusim.sm imports it from
 # here): a block longer than one slice could never run whole, and capping
@@ -132,12 +141,14 @@ def _compilable(instr) -> bool:
     return not reads_clock(instr)
 
 
-def _block_spans(instructions) -> list[tuple[int, int]]:
+def _block_spans(instructions, breaks) -> list[tuple[int, int]]:
     """Partition into maximal compilable runs ``[start, end)``.
 
     Splits at control opcodes, branch targets (a jump must land on a block
     start or plain-stepped pc, never mid-block), non-compilable
-    instructions, and :data:`MAX_BLOCK_LEN`.
+    instructions, :data:`MAX_BLOCK_LEN`, and ``breaks`` — the hooked pcs
+    of an instrumented launch, which step so their callbacks run and see
+    exact counters.
     """
     starts = set()
     for instr in instructions:
@@ -150,7 +161,7 @@ def _block_spans(instructions) -> list[tuple[int, int]]:
     i = 0
     n = len(instructions)
     while i < n:
-        if not _compilable(instructions[i]):
+        if i in breaks or not _compilable(instructions[i]):
             i += 1
             continue
         j = i + 1
@@ -158,6 +169,7 @@ def _block_spans(instructions) -> list[tuple[int, int]]:
             j < n
             and j - i < MAX_BLOCK_LEN
             and j not in starts
+            and j not in breaks
             and _compilable(instructions[j])
         ):
             j += 1
@@ -664,34 +676,33 @@ def _gen_block_source(instructions, start: int, end: int, pool: _ConstPool) -> s
     return "\n".join(out)
 
 
-class _Layout:
-    """The content-keyed, kernel-instance-independent compilation product:
-    block spans, the compiled module of superhandler definitions, and the
-    constant pool (shared read-only immediate arrays) the code binds."""
+class _Span:
+    """The content-keyed, kernel-instance-independent compilation product
+    of one block: the compiled module holding its superhandler definition
+    and the constant pool (shared read-only immediate arrays) it binds."""
 
-    __slots__ = ("spans", "source", "code", "consts")
+    __slots__ = ("code", "consts")
 
-    def __init__(self, spans, source, code, consts) -> None:
-        self.spans = spans
-        self.source = source
+    def __init__(self, code, consts) -> None:
         self.code = code
         self.consts = consts
 
 
-# Process-global codegen cache: campaigns re-assemble the same kernels for
-# every run, so the partition + compile() cost is paid once per distinct
-# instruction content, not once per run.  Fork-based executors inherit it.
-_CODE_CACHE: dict[str, _Layout] = {}
+# Process-global codegen cache, content fingerprint -> {(start, end): span}.
+# Campaigns re-assemble the same kernels for every run, so the compile()
+# cost is paid once per distinct block, not once per run; keying per span
+# lets a hooked layout reuse every block that no hooked pc splits.
+# Fork-based executors inherit it.
+_CODE_CACHE: dict[str, dict[tuple[int, int], _Span]] = {}
+
+# The break set of an uninstrumented launch.
+_NO_BREAKS: frozenset[int] = frozenset()
 
 
-def _build_layout(instructions) -> _Layout:
-    spans = _block_spans(instructions)
+def _compile_span(instructions, start: int, end: int) -> _Span:
     pool = _ConstPool()
-    source = "\n\n".join(
-        _gen_block_source(instructions, start, end, pool) for start, end in spans
-    )
-    code = compile(source, "<gpusim-blockc>", "exec")
-    return _Layout(spans, source, code, pool.values)
+    source = _gen_block_source(instructions, start, end, pool)
+    return _Span(compile(source, "<gpusim-blockc>", "exec"), pool.values)
 
 
 class Block:
@@ -710,78 +721,101 @@ class CompiledKernel:
     """Per-kernel-instance execution tables.
 
     ``table`` is the per-pc dispatch table (handler / :func:`_CONTROL` /
-    ``None``); ``blocks`` maps each block-start pc to its :class:`Block`
-    (``None`` elsewhere, or entirely ``None`` when blocks were not
-    requested).  ``instructions`` holds strong references to the exact
+    ``None``) and ``num_regs`` the register-file size, both computed once
+    here instead of once per thread block.  ``layouts`` maps a break set
+    (the hooked pcs of a launch; empty for uninstrumented launches) to a
+    per-pc list holding each block-start pc's :class:`Block` and ``None``
+    elsewhere.  Layouts share the bound :class:`Block` of every span they
+    have in common.  ``instructions`` holds strong references to the exact
     instruction objects the code was bound to, making the identity check
     in :func:`compiled_for` sound (a freed id could otherwise be reused).
     """
 
-    __slots__ = ("ids", "fingerprint", "table", "blocks", "instructions")
+    __slots__ = (
+        "ids", "instructions", "table", "num_regs", "fingerprint",
+        "layouts", "_bound",
+    )
 
-    def __init__(self, ids, fingerprint, table, blocks, instructions) -> None:
+    def __init__(self, ids, instructions) -> None:
         self.ids = ids
-        self.fingerprint = fingerprint
-        self.table = table
-        self.blocks = blocks
         self.instructions = instructions
+        self.table = build_table(instructions)
+        self.num_regs = register_count(instructions)
+        self.fingerprint: str | None = None
+        self.layouts: dict[frozenset[int], list] = {}
+        self._bound: dict[tuple[int, int], Block] = {}
+
+    @property
+    def blocks(self) -> list | None:
+        """The uninstrumented layout, or ``None`` if never requested."""
+        return self.layouts.get(_NO_BREAKS)
 
     @property
     def num_blocks(self) -> int:
-        return 0 if self.blocks is None else sum(
-            1 for block in self.blocks if block is not None
+        blocks = self.blocks
+        return 0 if blocks is None else sum(
+            1 for block in blocks if block is not None
         )
 
+    def _build_layout(self, breaks: frozenset[int]) -> int:
+        """Bind the layout split at ``breaks``; return the new bindings."""
+        instructions = self.instructions
+        if self.fingerprint is None:
+            self.fingerprint = content_fingerprint(instructions)
+        code = _CODE_CACHE.setdefault(self.fingerprint, {})
+        namespace = {"_T": self.table, "_I": instructions, "_NP": np}
+        blocks: list = [None] * len(instructions)
+        bound = 0
+        for span in _block_spans(instructions, breaks):
+            block = self._bound.get(span)
+            if block is None:
+                compiled = code.get(span)
+                if compiled is None:
+                    compiled = code[span] = _compile_span(instructions, *span)
+                namespace["_C"] = compiled.consts
+                exec(compiled.code, namespace)
+                block = Block(*span, namespace[f"_b{span[0]}"])
+                self._bound[span] = block
+                bound += 1
+            blocks[span[0]] = block
+        self.layouts[breaks] = blocks
+        return bound
 
-def compiled_for(kernel, device=None, want_blocks: bool = True) -> CompiledKernel:
+
+def compiled_for(
+    kernel, device=None, want_blocks: bool = True, breaks=_NO_BREAKS,
+) -> CompiledKernel:
     """The (cached) compiled tables for a kernel instance.
 
     Cached on the kernel object, validated against the identity of every
-    instruction — an in-place rewrite (even of equal length) rebuilds both
-    the dispatch table and the blocks.  With ``want_blocks=False`` only the
-    dispatch table is built (hooked launches and ``block_compile=False``
-    devices never pay codegen); a later ``want_blocks=True`` call upgrades
-    the cache entry in place.
+    instruction — an in-place rewrite (even of equal length) rebuilds the
+    dispatch table, the register count and every layout.  With
+    ``want_blocks=False`` only the table and register count are built
+    (``block_compile=False`` devices never pay codegen); with it, the
+    layout for ``breaks`` is bound on first request — ``breaks`` are the
+    hooked pcs of an instrumented launch, which no block may contain.
 
     ``device`` (optional) receives the observability charges:
     ``blockc_blocks_compiled`` and ``blockc_compile_seconds``.
     """
     instructions = tuple(kernel.instructions)
     ids = tuple(map(id, instructions))
-    cached = getattr(kernel, "_gpusim_blockc", None)
-    if cached is not None and cached.ids == ids:
-        if cached.blocks is not None or not want_blocks:
-            return cached
-    started = perf_counter()
-    table = build_table(instructions)
-    if want_blocks:
-        fingerprint = content_fingerprint(instructions)
-        layout = _CODE_CACHE.get(fingerprint)
-        if layout is None:
-            layout = _build_layout(instructions)
-            _CODE_CACHE[fingerprint] = layout
-        namespace = {
-            "_T": table, "_I": instructions, "_C": layout.consts, "_NP": np,
-        }
-        exec(layout.code, namespace)
-        blocks: list | None = [None] * len(instructions)
-        for start, end in layout.spans:
-            blocks[start] = Block(start, end, namespace[f"_b{start}"])
-        compiled_count = len(layout.spans)
-    else:
-        fingerprint = None
-        blocks = None
-        compiled_count = 0
-    compiled = CompiledKernel(ids, fingerprint, table, blocks, instructions)
-    kernel._gpusim_blockc = compiled
-    if device is not None and compiled_count:
-        device.blockc_blocks_compiled += compiled_count
-        device.blockc_compile_seconds += perf_counter() - started
+    compiled = getattr(kernel, "_gpusim_blockc", None)
+    if compiled is None or compiled.ids != ids:
+        compiled = CompiledKernel(ids, instructions)
+        kernel._gpusim_blockc = compiled
+    if want_blocks and breaks not in compiled.layouts:
+        started = perf_counter()
+        bound = compiled._build_layout(breaks)
+        if device is not None and bound:
+            device.blockc_blocks_compiled += bound
+            device.blockc_compile_seconds += perf_counter() - started
     return compiled
 
 
 def invalidate(kernel) -> None:
-    """Drop a kernel's compiled tables (next launch rebuilds them).
+    """Drop a kernel's compiled tables, hooked layouts included (the next
+    launch rebuilds them).
 
     Called by :meth:`repro.nvbit.api.NVBitRuntime.invalidate_instrumented`:
     a tool that forces a fresh instrumented clone may have rewritten the

@@ -69,10 +69,11 @@ class Device:
         self.launch_count = 0
         self.active_sms: set[int] = set()
         self.cycles = 0  # simulated GPU time (includes instrumentation cost)
-        # Block-compiled interpreter (repro.gpusim.blockc): uninstrumented
-        # launches execute code-generated basic-block superhandlers instead
-        # of stepping per instruction.  Results are byte-identical either
-        # way; the knob exists for differential testing and benchmarking.
+        # Block-compiled interpreter (repro.gpusim.blockc): launches execute
+        # code-generated basic-block superhandlers instead of stepping per
+        # instruction (instrumented launches step their hooked pcs).
+        # Results are byte-identical either way; the knob exists for
+        # differential testing and benchmarking.
         self.block_compile = block_compile
         self.blockc_blocks_compiled = 0
         self.blockc_block_hits = 0
@@ -174,12 +175,16 @@ class Device:
         grid_id = self.launch_count
         self.launch_count += 1
         # Resolve the kernel's execution tables once per launch, not once
-        # per thread block.  Compiled blocks are only handed to hooks-free
-        # launches: instrumented launches (injection targets, profiling,
-        # counting passes) must observe every dynamic instruction.
-        use_blocks = self.block_compile and not hooks
-        compiled = blockc.compiled_for(kernel, self, want_blocks=use_blocks)
-        blocks = compiled.blocks if use_blocks else None
+        # per thread block.  An instrumented launch (injection target,
+        # profiling, counting pass) gets the layout split at its hooked
+        # pcs: those always step, so every callback fires at its exact
+        # dynamic instruction, and the code between them runs compiled.
+        hooks = hooks or None
+        breaks = frozenset(hooks or ())
+        compiled = blockc.compiled_for(
+            kernel, self, want_blocks=self.block_compile, breaks=breaks
+        )
+        blocks = compiled.layouts.get(breaks)
         recorder = self.replay_recorder
         if recorder is not None:
             recorder.begin_launch(self)
@@ -211,7 +216,7 @@ class Device:
                         clock=lambda: self.instructions_executed,
                     )
                     try:
-                        sm.run_block(kernel, ctx, hooks, compiled.table, blocks)
+                        sm.run_block(kernel, ctx, compiled, blocks, hooks)
                     except WatchdogTimeout:
                         raise
                     except DeviceException as exc:

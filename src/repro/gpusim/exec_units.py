@@ -254,38 +254,40 @@ def _h_sel(warp, instr, mask):
     write_u32(warp, instr, np.where(p, a, b), mask)
 
 
+def _full(value: int) -> np.ndarray:
+    return np.full(WARP_SIZE, value, dtype=_U32)
+
+
+# One reader per special register, so an S2R builds only the register it
+# reads.  The result is read-only to the caller (``write_u32`` copies it
+# into the destination), which lets the thread-id rows go out uncopied.
 _SREG_READERS = {
     "SR_LANEID": lambda warp: _LANES.astype(_U32),
-    "SR_WARPID": lambda warp: np.full(WARP_SIZE, warp.warp_id, dtype=_U32),
+    "SR_WARPID": lambda warp: _full(warp.warp_id),
     "SRZ": lambda warp: np.zeros(WARP_SIZE, dtype=_U32),
+    "SR_TID.X": lambda warp: warp.tid_x,
+    "SR_TID.Y": lambda warp: warp.tid_y,
+    "SR_TID.Z": lambda warp: warp.tid_z,
+    "SR_CTAID.X": lambda warp: _full(warp.ctx.ctaid[0]),
+    "SR_CTAID.Y": lambda warp: _full(warp.ctx.ctaid[1]),
+    "SR_CTAID.Z": lambda warp: _full(warp.ctx.ctaid[2]),
+    "SR_NTID.X": lambda warp: _full(warp.ctx.ntid[0]),
+    "SR_NTID.Y": lambda warp: _full(warp.ctx.ntid[1]),
+    "SR_NTID.Z": lambda warp: _full(warp.ctx.ntid[2]),
+    "SR_NCTAID.X": lambda warp: _full(warp.ctx.nctaid[0]),
+    "SR_NCTAID.Y": lambda warp: _full(warp.ctx.nctaid[1]),
+    "SR_NCTAID.Z": lambda warp: _full(warp.ctx.nctaid[2]),
+    "SR_SMID": lambda warp: _full(warp.ctx.sm_id),
+    "SR_GRIDID": lambda warp: _full(warp.ctx.grid_id),
+    "SR_CLOCK": lambda warp: _full(warp.ctx.clock() & 0xFFFFFFFF),
 }
 
 
 def _read_special(warp: Warp, name: str) -> np.ndarray:
-    if name in _SREG_READERS:
-        return _SREG_READERS[name](warp)
-    ctx = warp.ctx
-    table = {
-        "SR_TID.X": warp.tid_x,
-        "SR_TID.Y": warp.tid_y,
-        "SR_TID.Z": warp.tid_z,
-        "SR_CTAID.X": np.full(WARP_SIZE, ctx.ctaid[0], dtype=_U32),
-        "SR_CTAID.Y": np.full(WARP_SIZE, ctx.ctaid[1], dtype=_U32),
-        "SR_CTAID.Z": np.full(WARP_SIZE, ctx.ctaid[2], dtype=_U32),
-        "SR_NTID.X": np.full(WARP_SIZE, ctx.ntid[0], dtype=_U32),
-        "SR_NTID.Y": np.full(WARP_SIZE, ctx.ntid[1], dtype=_U32),
-        "SR_NTID.Z": np.full(WARP_SIZE, ctx.ntid[2], dtype=_U32),
-        "SR_NCTAID.X": np.full(WARP_SIZE, ctx.nctaid[0], dtype=_U32),
-        "SR_NCTAID.Y": np.full(WARP_SIZE, ctx.nctaid[1], dtype=_U32),
-        "SR_NCTAID.Z": np.full(WARP_SIZE, ctx.nctaid[2], dtype=_U32),
-        "SR_SMID": np.full(WARP_SIZE, ctx.sm_id, dtype=_U32),
-        "SR_GRIDID": np.full(WARP_SIZE, ctx.grid_id, dtype=_U32),
-        "SR_CLOCK": np.full(WARP_SIZE, ctx.clock() & 0xFFFFFFFF, dtype=_U32),
-    }
-    try:
-        return table[name].astype(_U32)
-    except KeyError:
-        raise DeviceTrap(f"unsupported special register {name}") from None
+    reader = _SREG_READERS.get(name)
+    if reader is None:
+        raise DeviceTrap(f"unsupported special register {name}")
+    return reader(warp)
 
 
 def _h_s2r(warp, instr, mask):
@@ -682,7 +684,7 @@ def _h_shfl(warp, instr, mask):
     else:
         raise DeviceTrap("SHFL requires .IDX/.UP/.DOWN/.BFLY")
     in_range = (source_lane >= 0) & (source_lane < WARP_SIZE)
-    clipped = np.clip(source_lane, 0, WARP_SIZE - 1)
+    clipped = np.minimum(np.maximum(source_lane, 0), WARP_SIZE - 1)
     gathered = value[clipped]
     # Out-of-range (or inactive-source) lanes keep their own value.
     source_inactive = ~mask[clipped]

@@ -11,7 +11,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import DeviceTrap
-from repro.gpusim.blockc import _CONTROL, MAX_BLOCK_LEN, compiled_for
+from repro.gpusim.blockc import (
+    _CONTROL,
+    MAX_BLOCK_LEN,
+    CompiledKernel,
+    compiled_for,
+)
 from repro.gpusim.context import ExecContext, InstrSite
 from repro.gpusim.warp import Warp
 from repro.sass.isa import WARP_SIZE
@@ -55,42 +60,26 @@ class SM:
         self,
         kernel: Kernel,
         ctx: ExecContext,
+        compiled: CompiledKernel,
+        blocks: list | None,
         hooks: Hooks | None,
-        table: list | None = None,
-        blocks: list | None = None,
     ) -> None:
         """Execute one thread block to completion.
 
-        ``table``/``blocks`` are normally resolved once per launch by
-        :meth:`Device.launch` and passed in; direct callers may omit them
-        and pay per-block resolution (cached on the kernel either way).
-        ``blocks`` is only ever non-``None`` on hooks-free launches.
+        ``compiled`` and ``blocks`` (the layout split at the launch's hooked
+        pcs, or ``None`` to step everything) are resolved once per launch
+        by :meth:`Device.launch`, not once per thread block.
         """
-        warps = _build_warps(kernel, ctx)
+        warps = _build_warps(kernel, ctx, compiled.num_regs)
         self.device.warps_launched += len(warps)
-        instrs = kernel.instructions
-        if table is None:
-            compiled = compiled_for(
-                kernel,
-                self.device,
-                want_blocks=self.device.block_compile and not hooks,
-            )
-            table = compiled.table
-            if not hooks and self.device.block_compile:
-                blocks = compiled.blocks
-        # Uninstrumented launches (the overwhelmingly common case: golden
-        # runs, and every non-target launch of an injection run) take the
-        # hooks-free fast path; ``not hooks`` also covers an empty dict.
-        fast = not hooks
+        instrs = compiled.instructions
+        table = compiled.table
         while True:
             progressed = False
             for warp in warps:
                 if warp.done or warp.at_barrier:
                     continue
-                if fast:
-                    self._run_slice_fast(warp, instrs, table, blocks)
-                else:
-                    self._run_slice(warp, instrs, table, hooks)
+                self._run_slice_fast(warp, instrs, table, blocks, hooks)
                 progressed = True
             live = [w for w in warps if not w.done]
             if not live:
@@ -105,8 +94,10 @@ class SM:
                     f"(block {ctx.ctaid})"
                 )
 
-    def _run_slice_fast(self, warp: Warp, instrs, table, blocks=None) -> None:
-        """Hooks-free hot loop: pre-resolved dispatch, whole compiled blocks.
+    def _run_slice_fast(
+        self, warp: Warp, instrs, table, blocks, hooks: Hooks | None,
+    ) -> None:
+        """The slice loop of every launch: compiled blocks, stepped pcs.
 
         When ``blocks`` is supplied (block compilation enabled), a block at
         the current pc executes whole **only** when it fits the warp's
@@ -115,7 +106,10 @@ class SM:
         headroom for every instruction in it (so the exact trap instruction
         of a budget exhaustion is unchanged).  Everything else — mid-block
         resume points, unknown opcodes, clock readers, budget-edge and
-        quantum-edge cases — steps per-instruction exactly as before.
+        quantum-edge cases, and the pcs in ``hooks`` — steps.  Blocks never
+        contain a hooked pc, so a hooked pc always steps: tick, guard mask,
+        before-callbacks (each charging its instrumentation cycles), the
+        handler or control op, then after-callbacks.
         """
         device = self.device
         num_instrs = len(instrs)
@@ -143,34 +137,7 @@ class SM:
             instr = instrs[pc]
             device.tick()
             exec_mask = warp.guard_mask(instr.guard)
-            handler = table[pc]
-            if handler is _CONTROL:
-                self._control(warp, instr, exec_mask)
-            else:
-                if exec_mask.any():
-                    if handler is None:
-                        raise DeviceTrap(
-                            f"opcode {instr.opcode} has no execution semantics"
-                        )
-                    handler(warp, instr, exec_mask)
-                warp.pc += 1
-            budget -= 1
-
-    def _run_slice(self, warp: Warp, instrs, table, hooks: Hooks) -> None:
-        device = self.device
-        for _ in range(_QUANTUM):
-            if warp.done or warp.at_barrier:
-                return
-            pc = warp.pc
-            if pc >= len(instrs):
-                raise DeviceTrap(
-                    f"warp {warp.warp_id} fell off the end of the kernel"
-                )
-            instr = instrs[pc]
-            device.tick()
-            exec_mask = warp.guard_mask(instr.guard)
-            pc_hooks = hooks.get(pc)
-            site = None
+            pc_hooks = None if hooks is None else hooks.get(pc)
             if pc_hooks is not None:
                 site = InstrSite(warp, instr, exec_mask)
                 executed = site.num_executed
@@ -192,6 +159,7 @@ class SM:
                 for callback in pc_hooks[1]:
                     device.charge_instrumentation(executed)
                     callback(site)
+            budget -= 1
 
     def _control(self, warp: Warp, instr, exec_mask: np.ndarray) -> None:
         opcode = instr.opcode
@@ -219,7 +187,7 @@ class SM:
             self.device.divergence_depth_high_water = depth
 
 
-def _build_warps(kernel: Kernel, ctx: ExecContext) -> list[Warp]:
+def _build_warps(kernel: Kernel, ctx: ExecContext, num_regs: int) -> list[Warp]:
     """Split a block's threads into warps with linearised thread ids.
 
     All three thread-id components (and the valid mask) are built once for
@@ -240,7 +208,6 @@ def _build_warps(kernel: Kernel, ctx: ExecContext) -> list[Warp]:
     valid = np.zeros(padded, dtype=bool)
     valid[:total] = True
     valid = valid.reshape(num_warps, WARP_SIZE)
-    num_regs = kernel.num_regs
     warps = []
     for warp_id in range(num_warps):
         warp = Warp(

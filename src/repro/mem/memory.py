@@ -9,6 +9,8 @@ early kernel termination plus a CUDA error + dmesg (Xid) record — the
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
 from repro.errors import MemoryViolation
@@ -34,8 +36,7 @@ class GlobalMemory:
         self.size = size
         self.data = np.zeros(size, dtype=np.uint8)
         self.allocator = Allocator(size)
-        self._starts = np.empty(0, dtype=np.int64)
-        self._ends = np.empty(0, dtype=np.int64)
+        self._rebuild_ranges()
         # Dirty-page tracking (repro.gpusim.replay): while a tracking window
         # is open, every write records the 256-byte pages it touches.  None
         # means tracking is off and the stores pay nothing.
@@ -79,7 +80,7 @@ class GlobalMemory:
         merely keeps the tail disarmed, never replays wrong state.
         """
         out = np.zeros(self.size, dtype=np.uint8)
-        for start, end in zip(self._starts.tolist(), self._ends.tolist()):
+        for start, end in zip(self._starts, self._ends):
             out[start:end] = self.data[start:end]
         return out
 
@@ -113,8 +114,8 @@ class GlobalMemory:
             (start, start + size)
             for start, size in self.allocator._allocated.items()
         )
-        self._starts = np.array([s for s, _ in spans], dtype=np.int64)
-        self._ends = np.array([e for _, e in spans], dtype=np.int64)
+        self._starts = [s for s, _ in spans]
+        self._ends = [e for _, e in spans]
 
     # -- host (memcpy) access -----------------------------------------------
 
@@ -136,18 +137,35 @@ class GlobalMemory:
     # -- device (warp) access -------------------------------------------------
 
     def validate(self, addresses: np.ndarray, mask: np.ndarray, width: int) -> None:
-        """MMU check: alignment and membership in a live allocation."""
+        """MMU check: alignment and membership in a live allocation.
+
+        Fast path for the common case, a warp access inside one
+        allocation: every lane aligned (``width`` is a power of two), and
+        the lowest and highest active addresses inside the allocation the
+        lowest one falls in.  Anything else goes to :meth:`_validate_lanes`,
+        the per-lane reference check, which alone decides what raises and
+        which address and reason a :class:`MemoryViolation` reports.
+        """
         active = addresses[mask]
         if active.size == 0:
             return
+        if not (active & (width - 1)).any():
+            slot = bisect_right(self._starts, int(active.min())) - 1
+            if slot >= 0 and int(active.max()) + width <= self._ends[slot]:
+                return
+        self._validate_lanes(active, width)
+
+    def _validate_lanes(self, active: np.ndarray, width: int) -> None:
+        """Per-lane reference check of the active lanes' addresses."""
         misaligned = active % width != 0
         if misaligned.any():
             bad = int(active[misaligned][0])
             raise MemoryViolation(bad, width, "global", "misaligned")
-        if self._starts.size == 0:
+        if not self._starts:
             raise MemoryViolation(int(active[0]), width, "global", "unmapped")
         slot = np.searchsorted(self._starts, active, side="right") - 1
-        in_range = (slot >= 0) & (active + width <= self._ends[np.clip(slot, 0, None)])
+        ends = np.array(self._ends, dtype=np.int64)
+        in_range = (slot >= 0) & (active + width <= ends[np.maximum(slot, 0)])
         if not in_range.all():
             bad = int(active[~in_range][0])
             raise MemoryViolation(bad, width, "global", "unmapped")

@@ -84,7 +84,7 @@ class NVBitRuntime:
 
         The kernel's block-compiled execution tables are dropped alongside:
         a tool forcing a fresh clone may have rewritten instructions, and
-        the next uninstrumented launch must not dispatch stale code.
+        the next launch, instrumented or not, must not dispatch stale code.
         """
         self._record(func).mark_dirty()
         blockc.invalidate(func.kernel)
@@ -103,7 +103,7 @@ class NVBitRuntime:
             tool.nvbit_at_cuda_event(driver, event, payload, is_exit)
 
     def active_hooks(self, func: CudaFunction) -> Hooks | None:
-        """Hook table for a launch, or None for the uninstrumented fast path."""
+        """Hook table for a launch, or None for an uninstrumented launch."""
         record = self._records.get(func)
         if record is None or not record.enabled:
             return None

@@ -37,11 +37,11 @@ class SandboxConfig:
     family: str = "volta"
     num_sms: int | None = None
     global_mem_bytes: int = 64 * 1024 * 1024
-    # Block-compiled interpreter (repro.gpusim.blockc) on the device's
-    # uninstrumented fast path.  Byte-identical results either way; the
-    # knob exists for differential testing and benchmarking.  Deliberately
-    # NOT part of the replay-cache key: a tape recorded under either
-    # setting is valid for both.
+    # Block-compiled interpreter (repro.gpusim.blockc) for every launch
+    # (instrumented ones step their hooked pcs).  Byte-identical results
+    # either way; the knob exists for differential testing and
+    # benchmarking.  Deliberately NOT part of the replay-cache key: a tape
+    # recorded under either setting is valid for both.
     block_compile: bool = True
     extra_env: dict[str, str] = field(default_factory=dict)
 

@@ -9,6 +9,25 @@ from repro.sass.instruction import Instruction
 from repro.sass.operands import MemRef, Reg
 
 
+def register_count(instructions) -> int:
+    """Highest GP register index an instruction sequence uses, plus one.
+
+    A full scan: launches read the count from their cached
+    :class:`~repro.gpusim.blockc.CompiledKernel` instead of rescanning the
+    kernel once per thread block.
+    """
+    highest = -1
+    for instr in instructions:
+        for reg in instr.dest_regs:
+            highest = max(highest, reg)
+        for op in instr.sources:
+            if isinstance(op, Reg) and not op.is_rz:
+                highest = max(highest, op.index)
+            if isinstance(op, MemRef) and op.reg is not None and op.reg != 255:
+                highest = max(highest, op.reg)
+    return highest + 1
+
+
 @dataclass
 class Kernel:
     """One GPU kernel: a named instruction sequence plus launch metadata.
@@ -35,16 +54,7 @@ class Kernel:
     @property
     def num_regs(self) -> int:
         """Highest GP register index used, plus one (for register-file sizing)."""
-        highest = -1
-        for instr in self.instructions:
-            for reg in instr.dest_regs:
-                highest = max(highest, reg)
-            for op in instr.sources:
-                if isinstance(op, Reg) and not op.is_rz:
-                    highest = max(highest, op.index)
-                if isinstance(op, MemRef) and op.reg is not None and op.reg != 255:
-                    highest = max(highest, op.reg)
-        return highest + 1
+        return register_count(self.instructions)
 
     def static_opcode_counts(self) -> dict[str, int]:
         """Static instruction histogram by mnemonic."""

@@ -24,7 +24,10 @@ fleet of cooperating processes over one :class:`~repro.service.faultdb.FaultDB`:
    (byte-identical to a single-process run) and marks the campaign done.
 
 ``worker_main`` is module-level so ``multiprocessing`` can import it under
-any start method.
+any start method.  Workers start with ``spawn``: the coordinator runs on a
+``repro serve`` thread beside other tenants' coordinators and the HTTP
+handlers, and a ``fork`` taken while one of those threads holds SQLite's
+process-wide mutex leaves the child deadlocked in ``sqlite3.connect``.
 """
 
 from __future__ import annotations
@@ -249,10 +252,11 @@ class CampaignScheduler:
         for proc in procs:
             proc.join()
 
-    def _spawn(self) -> list[multiprocessing.Process]:
+    def _spawn(self) -> list[multiprocessing.process.BaseProcess]:
         procs = []
+        context = multiprocessing.get_context("spawn")
         for n in range(self.workers):
-            proc = multiprocessing.Process(
+            proc = context.Process(
                 target=worker_main,
                 args=(
                     str(self.db.path),

@@ -10,6 +10,7 @@ from repro.core.report import (
     read_results_csv,
     render_ci_report,
     stratum_tallies_from_results,
+    summarize_tally,
     tally_from_results,
     z_value,
 )
@@ -135,6 +136,34 @@ class TestOutcomeTally:
         tally = OutcomeTally()
         tally.add(self._record(Outcome.SDC))
         assert "n/a" in tally.report(samples=0)
+
+    @pytest.mark.parametrize("last_weight", [0.2499, 0.25])
+    def test_weighted_tally_intervals_use_sample_count(self, last_weight):
+        """Regression: a permanent campaign's weights sum to about 1, and
+        n used to be int(weight sum) — 0.9999 gave n = 0 and an all-n/a
+        report, exactly 1.0 gave n = 1.  n is the number of runs."""
+        tally = OutcomeTally()
+        for outcome, weight in (
+            (Outcome.SDC, 0.25), (Outcome.MASKED, 0.25),
+            (Outcome.MASKED, 0.25), (Outcome.DUE, last_weight),
+        ):
+            tally.add(self._record(outcome), weight=weight)
+        assert tally.samples == 4
+        low, high = confidence_interval(tally.fraction(Outcome.SDC), 4, 0.90)
+        assert (
+            f"SDC={tally.fraction(Outcome.SDC) * 100:.1f}% "
+            f"[{low * 100:.1f}, {high * 100:.1f}]"
+        ) in tally.report()
+        summary = summarize_tally(tally, confidence=0.90)
+        assert summary["n"] == 4
+        assert summary["ci"]["SDC"] == [low, high]
+
+    def test_merge_sums_samples(self):
+        a, b = OutcomeTally(), OutcomeTally()
+        a.add(self._record(Outcome.SDC), weight=0.6)
+        b.add(self._record(Outcome.MASKED), weight=0.3999)
+        b.add(self._record(Outcome.MASKED), weight=0.0001)
+        assert a.merge(b).samples == 3
 
 
 _CSV_HEADER = (

@@ -1,8 +1,11 @@
-"""Harness for instruction-semantics tests.
+"""Harness for instruction-semantics and execution-tier tests.
 
 ``run_lanes`` wraps a SASS body in a one-warp kernel that stores R0 (or a
 register pair) per lane to an output buffer, and returns the 32 lane
 values.  The body sees the lane's thread id in R50.
+
+``run_tool_both_ways`` runs a workload under an NVBit tool stepped and
+block-compiled and checks that nothing observable differs.
 """
 
 from __future__ import annotations
@@ -10,8 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.gpusim import Device
+from repro.runner.sandbox import SandboxConfig, run_app
 from repro.sass import assemble
 from repro.utils.bits import f32_to_bits
+from repro.workloads import get_workload
 
 
 def run_lanes(
@@ -59,3 +64,32 @@ def lanes_f64(values: np.ndarray) -> np.ndarray:
 
 def fbits(value: float) -> int:
     return f32_to_bits(value)
+
+
+def observable(artifacts) -> tuple:
+    """Everything a run exposes that block compilation must not change."""
+    return (
+        artifacts.stdout, artifacts.files, artifacts.exit_status,
+        artifacts.instructions_executed, artifacts.cycles, artifacts.dmesg,
+        artifacts.cuda_errors, artifacts.warps_launched,
+        artifacts.divergence_depth_high_water,
+    )
+
+
+def run_tool_both_ways(program: str, make_tool) -> dict:
+    """Run ``program`` under a fresh tool, stepped and block-compiled.
+
+    Asserts identical observable artifacts; returns ``{block_compile:
+    (artifacts, tool)}`` for tool-specific assertions.
+    """
+    runs = {}
+    for block_compile in (False, True):
+        tool = make_tool()
+        artifacts = run_app(
+            get_workload(program), preload=[tool],
+            config=SandboxConfig(block_compile=block_compile),
+        )
+        runs[block_compile] = (artifacts, tool)
+    assert observable(runs[False][0]) == observable(runs[True][0])
+    assert runs[False][0].blockc_block_hits == 0
+    return runs

@@ -21,17 +21,26 @@ import pytest
 from repro.core.batch_injector import BatchExecutor
 from repro.core.campaign import CampaignConfig
 from repro.core.engine import CampaignEngine
+from repro.core.injector import TransientInjectorTool
+from repro.core.pf_injector import PermanentInjectorTool
 from repro.core.snapshot import SnapshotExecutor
 from repro.core.store import CampaignStore
+from repro.cuda.driver import CudaFunction
 from repro.errors import MemoryViolation, WatchdogTimeout
 from repro.gpusim import blockc
 from repro.gpusim.device import Device
+from repro.nvbit.api import NVBitRuntime
 from repro.runner.sandbox import SandboxConfig, run_app
 from repro.sass import assemble
+from repro.sass.isa import opcode_by_id
 from repro.workloads import WORKLOAD_CLASSES, get_workload
 from tests.conftest import read_u32
+from tests.gpusim.helpers import run_tool_both_ways
 
 WORKLOAD_NAMES = [cls.name for cls in WORKLOAD_CLASSES]
+
+# Fig 3's permanent-fault programs (the benchmark's perm-suite).
+PERM_PROGRAMS = ("370.bt", "303.ostencil", "354.cg", "359.miniGhost")
 
 
 def _device(block_compile: bool, **kwargs) -> Device:
@@ -372,3 +381,214 @@ class TestCampaignParity:
         assert self._run(
             tmp_path, "bc-batch", True, executor=BatchExecutor()
         ) == baseline
+
+
+class TestHookedLaunchParity:
+    """Instrumented launches run compiled blocks between their hooked pcs.
+
+    Hooked pcs always step, so callbacks fire at the same dynamic
+    instructions with the same counters, and every observable result is
+    identical with the tier on or off.
+    """
+
+    @pytest.mark.parametrize("program", PERM_PROGRAMS)
+    def test_permanent_injector(self, program):
+        engine = CampaignEngine(program, CampaignConfig(workload=program))
+        engine.run_profile()
+        sites = [
+            site for site in engine.select_permanent()
+            if opcode_by_id(site.opcode_id).name in ("FFMA", "ISETP", "LDG")
+        ]
+        assert len(sites) == 3
+        for site in sites:
+            runs = run_tool_both_ways(
+                program, lambda: PermanentInjectorTool(site)
+            )
+            step_tool, compiled_tool = runs[False][1], runs[True][1]
+            assert step_tool.activations > 0
+            assert step_tool.activations == compiled_tool.activations
+            assert step_tool.opportunities == compiled_tool.opportunities
+            assert runs[True][0].blockc_block_hits > 0
+
+    def test_transient_injector(self):
+        program = "303.ostencil"
+        engine = CampaignEngine(
+            program, CampaignConfig(workload=program, seed=5)
+        )
+        for params in engine.select_sites(4):
+            runs = run_tool_both_ways(
+                program, lambda: TransientInjectorTool(params)
+            )
+            step_record = runs[False][1].record
+            assert step_record.injected
+            assert step_record.to_text() == runs[True][1].record.to_text()
+
+
+# pc 1 and pc 7 are hooked below: the block [2, 7) holds the faulting
+# store and ends next to a hooked pc.
+_TRAP_NEXT_TO_HOOK = """
+.kernel trapper
+.params 1
+    MOV R1, c[0x0][0x0] ;
+    IADD R2, R1, 4 ;
+    MOV R3, 7 ;
+    MOV R4, 0x7f000000 ;
+    STG.32 [R1], R3 ;
+    STG.32 [R4], R3 ;
+    IADD R5, R3, 1 ;
+    FADD R6, R3, R3 ;
+    STG.32 [R2], R5 ;
+    EXIT ;
+"""
+
+# pc 4 is hooked below: the loop body's block [1, 4) ends next to it.
+_SPIN_NEXT_TO_HOOK = """
+.kernel spinner
+    MOV R1, RZ ;
+LOOP:
+    IADD R2, R1, 3 ;
+    IMAD R3, R2, R2, R1 ;
+    LOP.XOR R4, R3, R2 ;
+    IADD R1, R1, 1 ;
+    BRA LOOP ;
+"""
+
+
+def _hooked_launch(text, name, hooked_pcs, block_compile, block=32,
+                   out_words=0, **device_kwargs):
+    """Launch with a before and an after callback at each hooked pc.
+
+    Returns ``(device, raised, log, out)``: the exception (or ``None``),
+    one ``(point, pc, instructions_executed, cycles)`` entry per callback
+    and the first ``out_words`` words of the output buffer.
+    """
+    device = _device(block_compile, **device_kwargs)
+    log = []
+
+    def callback(point):
+        def record(site):
+            log.append((
+                point, site.instr.pc, device.instructions_executed,
+                device.cycles,
+            ))
+        return record
+
+    hooks = {
+        pc: ([callback("before")], [callback("after")]) for pc in hooked_pcs
+    }
+    out = device.malloc(4 * max(out_words, 1))
+    raised = None
+    try:
+        device.launch(assemble(text).get(name), 1, block, [out], hooks=hooks)
+    except (MemoryViolation, WatchdogTimeout) as exc:
+        raised = exc
+    return device, raised, log, bytes(read_u32(device, out, out_words))
+
+
+def _hooked_both_ways(*args, **kwargs):
+    """``_hooked_launch`` stepped and block-compiled: assert that the
+    outcome, counters, dmesg, callback log and output all match, and
+    return the block-compiled run."""
+    step = _hooked_launch(*args, block_compile=False, **kwargs)
+    compiled = _hooked_launch(*args, block_compile=True, **kwargs)
+    (s_dev, s_exc, s_log, s_out), (c_dev, c_exc, c_log, c_out) = step, compiled
+    assert type(s_exc) is type(c_exc) and str(s_exc) == str(c_exc)
+    assert s_dev.instructions_executed == c_dev.instructions_executed
+    assert s_dev.cycles == c_dev.cycles
+    assert s_dev.dmesg == c_dev.dmesg
+    assert s_log == c_log and s_log
+    assert s_out == c_out
+    assert s_dev.blockc_block_hits == 0
+    return compiled
+
+
+class TestHookedLaunchEdges:
+    def test_memory_violation_in_block_next_to_hooked_pc(self):
+        device, raised, _, _ = _hooked_both_ways(
+            _TRAP_NEXT_TO_HOOK, "trapper", {1, 7}, block=64, out_words=2,
+        )
+        assert isinstance(raised, MemoryViolation)
+        assert device.blockc_block_hits > 0
+
+    def test_watchdog_in_block_next_to_hooked_pc(self):
+        # 1 + 5k instructions precede each loop iteration; a budget of
+        # 5k + 2 crosses at the iteration's IMAD, inside the block [1, 4).
+        device, raised, log, _ = _hooked_both_ways(
+            _SPIN_NEXT_TO_HOOK, "spinner", {4}, instruction_budget=502,
+        )
+        assert isinstance(raised, WatchdogTimeout)
+        assert device.instructions_executed == 503
+        assert device.blockc_block_hits > 0
+        assert len(log) == 2 * 100  # 100 full iterations reached pc 4
+
+    def test_sparse_hooks_run_blocks(self):
+        """A launch hooked at one pc runs the rest of the kernel compiled,
+        with callbacks seeing the counters stepping would show."""
+        text = """
+.kernel sparse
+.params 1
+    S2R R1, SR_TID.X ;
+    MOV R9, c[0x0][0x0] ;
+    ISCADD R10, R1, R9, 2 ;
+    IADD R2, R1, 7 ;
+    IMAD R3, R2, R2, R1 ;
+    FADD R4, R3, R3 ;
+    IADD R5, R3, R2 ;
+    LOP.XOR R6, R5, R1 ;
+    STG.32 [R10], R6 ;
+    EXIT ;
+"""
+        device, raised, log, _ = _hooked_both_ways(
+            text, "sparse", {5}, block=96, out_words=96,
+        )
+        assert raised is None
+        assert len(log) == 2 * 3  # before and after, once per warp
+        assert device.blockc_block_hits == 2 * 3  # [0, 5) and [6, 9) per warp
+
+
+class TestHookedLayouts:
+    _SRC = """
+.kernel two
+.params 1
+    MOV R1, c[0x0][0x0] ;
+    IADD R2, R1, 1 ;
+    BRA NEXT ;
+NEXT:
+    IMAD R3, R2, R2, R1 ;
+    IADD R4, R3, 1 ;
+    STG.32 [R1], R4 ;
+    EXIT ;
+"""
+
+    def test_hooked_pcs_split_blocks(self):
+        kernel = assemble(self._SRC).get("two")
+        compiled = blockc.compiled_for(kernel, breaks=frozenset({4}))
+        hooked = compiled.layouts[frozenset({4})]
+        spans = [(b.start, b.end) for b in hooked if b is not None]
+        assert spans == [(0, 2), (3, 4), (5, 6)]
+
+    def test_unsplit_blocks_shared(self):
+        """A span no hooked pc splits is bound once per kernel instance and
+        compiled once per process."""
+        kernel = assemble(self._SRC).get("two")
+        plain = blockc.compiled_for(kernel).blocks
+        compiled = blockc.compiled_for(kernel, breaks=frozenset({4}))
+        hooked = compiled.layouts[frozenset({4})]
+        assert hooked[0] is plain[0]
+        assert hooked[3] is not plain[3]
+        code = blockc._CODE_CACHE[compiled.fingerprint]
+        cached = dict(code)
+        other = assemble(self._SRC).get("two")
+        device = _device(True)
+        blockc.compiled_for(other, device, breaks=frozenset({4}))
+        assert dict(code) == cached  # nothing recompiled
+        assert device.blockc_blocks_compiled == 3  # but bound afresh
+
+    def test_invalidate_instrumented_drops_hooked_layouts(self):
+        kernel = assemble(self._SRC).get("two")
+        compiled = blockc.compiled_for(kernel, breaks=frozenset({4}))
+        runtime = NVBitRuntime()
+        runtime.invalidate_instrumented(CudaFunction(kernel, module=None))
+        rebuilt = blockc.compiled_for(kernel, want_blocks=False)
+        assert rebuilt is not compiled
+        assert rebuilt.layouts == {}

@@ -93,7 +93,7 @@ def _reference_warps(kernel, ctx) -> list[Warp]:
 )
 def test_matches_reference_construction(ntid):
     ctx = _ctx(ntid)
-    built = _build_warps(_KERNEL, ctx)
+    built = _build_warps(_KERNEL, ctx, _KERNEL.num_regs)
     reference = _reference_warps(_KERNEL, ctx)
     assert len(built) == len(reference)
     for new, old in zip(built, reference):
@@ -112,7 +112,7 @@ def test_valid_masks_are_independent_per_warp():
     warp's execution state must never leak into another (Warp copies its
     ``valid_mask`` argument and derives ``exited`` freshly)."""
     ctx = _ctx((40, 1, 1))
-    first, second = _build_warps(_KERNEL, ctx)
+    first, second = _build_warps(_KERNEL, ctx, _KERNEL.num_regs)
     first.valid[:] = False
     first.active[:] = False
     first.exited[:] = True  # everything in warp 0 exits

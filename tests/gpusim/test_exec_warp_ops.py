@@ -1,8 +1,12 @@
 """Semantics tests: warp-wide ops (SHFL, VOTE), predicates, special registers."""
 
 import numpy as np
+import pytest
 
+from repro.errors import DeviceTrap
 from repro.sass import assemble
+from repro.sass.isa import SPECIAL_REGISTERS
+from repro.sass.operands import SpecialReg
 from tests.conftest import read_u32
 from tests.gpusim.helpers import run_lanes
 
@@ -176,6 +180,20 @@ class TestSpecialRegisters:
         body = "    CS2R R1, SR_CLOCK ;\n    NOP ;\n    CS2R R2, SR_CLOCK ;\n    IADD R0, R2, -R1 ;"
         out = run_lanes(device, body)
         assert (out.astype(np.int32) > 0).all()
+
+    def test_every_listed_register_readable(self, device):
+        for name in SPECIAL_REGISTERS:
+            run_lanes(device, f"    S2R R0, {name} ;")
+
+    def test_unknown_register_traps(self, device):
+        """The assembler rejects unknown names, but an instruction built
+        around the check must still trap when it executes."""
+        kernel = assemble(".kernel k\n    S2R R1, SR_TID.X ;\n    EXIT ;").get("k")
+        bogus = object.__new__(SpecialReg)
+        object.__setattr__(bogus, "name", "SR_BOGUS")
+        kernel.instructions[0].sources = (bogus,)
+        with pytest.raises(DeviceTrap, match="unsupported special register SR_BOGUS"):
+            device.launch(kernel, 1, 32, [])
 
     def test_writes_to_rz_discarded(self, device):
         body = "    MOV RZ, 123 ;\n    MOV R0, RZ ;"

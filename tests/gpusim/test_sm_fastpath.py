@@ -1,16 +1,18 @@
-"""The SM's hooks-free fast path and pre-resolved handler tables.
+"""The SM's slice loop and pre-resolved handler tables.
 
-Uninstrumented launches (golden runs, every non-target launch of an
-injection run) dispatch through ``_run_slice_fast``: no per-pc hook
-lookups, and each instruction's handler resolved once per kernel instead
-of ``HANDLERS.get(opcode)`` per dynamic instruction.  These tests pin the
-invariant that the fast path is an *optimisation only* — counts, state and
-trap behaviour are identical to the instrumented path.
+Every launch dispatches through ``_run_slice_fast``: each instruction's
+handler resolved once per kernel instead of ``HANDLERS.get(opcode)`` per
+dynamic instruction, compiled blocks where the tier is on, and hooked pcs
+stepped with their callbacks.  These tests pin the invariant that all of
+it is an *optimisation only* — counts, state and trap behaviour are
+identical with instrumentation on or off and with block compilation on
+or off.
 """
 
 import pytest
 
 from repro.core.profiler import ProfilerTool, ProfilingMode
+from repro.cuda.driver import CudaEvent
 from repro.errors import DeviceTrap
 from repro.gpusim.device import Device
 from repro.gpusim.sm import _CONTROL, _handler_table
@@ -19,6 +21,9 @@ from repro.nvbit.tool import NVBitTool
 from repro.runner.app import AppContext, Application
 from repro.runner.sandbox import run_app
 from repro.sass import assemble
+from repro.sass.operands import Reg
+from repro.workloads import get_workload
+from tests.gpusim.helpers import run_tool_both_ways
 
 _KERNEL = """
 .kernel mixed
@@ -53,8 +58,6 @@ class _NoopTool(NVBitTool):
     name = "noop"
 
     def nvbit_at_cuda_event(self, driver, event, payload, is_exit) -> None:
-        from repro.cuda.driver import CudaEvent
-
         if event is CudaEvent.LAUNCH_KERNEL and not is_exit:
             for instr in self.nvbit.get_instrs(payload.func):
                 instr.insert_call(lambda site: None, IPoint.AFTER)
@@ -84,6 +87,58 @@ class TestFastPathParity:
         run_app(MixedApp(), preload=[profiler_b])
         assert profiler_a.profile.to_text() == profiler_b.profile.to_text()
         assert profiler_a.profile.total_count() > 0
+
+
+class _SourceRewriteTool(NVBitTool):
+    """Before every FADD, flips the low bit of lane 5's first source
+    register: the instruction must consume the rewritten value whether
+    or not the code around it runs compiled."""
+
+    name = "source_rewrite"
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.rewrites = 0
+        self._instrumented = set()
+
+    def nvbit_at_cuda_event(self, driver, event, payload, is_exit) -> None:
+        if event is not CudaEvent.LAUNCH_KERNEL or is_exit:
+            return
+        func = payload.func
+        if func not in self._instrumented:
+            for instr in self.nvbit.get_instrs(func):
+                if instr.get_opcode_short() == "FADD":
+                    instr.insert_call(self._rewrite, IPoint.BEFORE)
+            self._instrumented.add(func)
+        self.nvbit.enable_instrumented(func, True)
+
+    def _rewrite(self, site) -> None:
+        source = site.instr.sources[0]
+        if isinstance(source, Reg) and not source.is_rz and site.exec_mask[5]:
+            site.write_reg(5, source.index, site.read_reg(5, source.index) ^ 1)
+            self.rewrites += 1
+
+
+class TestBlockCompileUnderTools:
+    """Instrumented launches run compiled blocks between hooked pcs; what
+    the tools see and what the program computes is unchanged."""
+
+    def test_profiler(self):
+        runs = run_tool_both_ways(
+            "354.cg", lambda: ProfilerTool(ProfilingMode.EXACT)
+        )
+        step_profile = runs[False][1].profile
+        assert step_profile.total_count() > 0
+        assert step_profile.to_text() == runs[True][1].profile.to_text()
+
+    def test_before_callback_rewriting_a_source(self):
+        program = "303.ostencil"
+        runs = run_tool_both_ways(program, _SourceRewriteTool)
+        assert runs[False][1].rewrites > 0
+        assert runs[False][1].rewrites == runs[True][1].rewrites
+        assert runs[True][0].blockc_block_hits > 0
+        golden = run_app(get_workload(program))
+        assert runs[True][0].files != golden.files  # the rewrites took effect
 
 
 class TestHandlerTable:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import MemoryViolation
 from repro.mem.memory import (
@@ -100,6 +102,118 @@ class TestGlobalMemory:
         block = mem.alloc(64)
         with pytest.raises(MemoryViolation, match="misaligned"):
             mem.load64(_lanes([block + 4]), _mask(1))
+
+
+_PROP_HEAP = 1 << 15
+
+
+@st.composite
+def _validate_case(draw):
+    """A random allocation map plus one warp access to check against it.
+
+    The map comes from random allocs and frees (the allocator packs
+    allocations back to back, so neighbours are adjacent).  Lanes land
+    inside one anchor allocation, where the fast path applies, except up
+    to three strays: misaligned, negative, anywhere in the heap (freed and
+    never-allocated space included), at or past the anchor's end, or
+    inside another allocation.
+    """
+    mem = GlobalMemory(_PROP_HEAP)
+    live = []
+    for _ in range(draw(st.integers(0, 12))):
+        if live and draw(st.booleans()):
+            mem.free(live.pop(draw(st.integers(0, len(live) - 1))))
+        else:
+            live.append(mem.alloc(draw(st.integers(1, 1024))))
+    spans = list(zip(mem._starts, mem._ends))
+    width = draw(st.sampled_from((4, 8)))
+    # Half the time the highest allocation, which has no live neighbour
+    # above it: lanes at or past its end must fault.
+    anchor = (
+        draw(st.one_of(st.just(spans[-1]), st.sampled_from(spans)))
+        if spans else (256, 512)
+    )
+
+    def aligned_in(span):
+        start, end = span
+        return start + width * draw(st.integers(0, (end - start) // width - 1))
+
+    kinds = st.sampled_from(
+        ("misaligned", "negative", "past_end", "other", "anywhere")
+    )
+    strays = draw(st.sets(st.integers(0, 31), max_size=3))
+    addresses = np.zeros(32, dtype=np.int64)
+    for lane in range(32):
+        kind = draw(kinds) if lane in strays else "anchor"
+        if kind == "anchor":
+            address = aligned_in(anchor)
+        elif kind == "misaligned":
+            address = aligned_in(anchor) + draw(st.integers(1, width - 1))
+        elif kind == "negative":
+            address = -draw(st.integers(1, 64))
+        elif kind == "past_end":
+            address = anchor[1] + draw(st.sampled_from((-width // 2, 0, width)))
+        elif kind == "other" and spans:
+            address = aligned_in(draw(st.sampled_from(spans)))
+        else:
+            address = draw(st.integers(-64, _PROP_HEAP + 64))
+        addresses[lane] = address
+    lanes = draw(st.sampled_from(("all", "none", "some", "some")))
+    if lanes == "some":
+        mask = np.array(draw(st.lists(st.booleans(), min_size=32, max_size=32)))
+    else:
+        mask = np.full(32, lanes == "all")
+    return mem, addresses, mask, width
+
+
+def _violation(check) -> tuple | None:
+    try:
+        check()
+    except MemoryViolation as exc:
+        return (exc.address, exc.width, exc.space, exc.reason)
+    return None
+
+
+class TestValidateFastPath:
+    """``GlobalMemory.validate`` accepts in-allocation accesses without
+    the per-lane check; everything else must behave exactly as the
+    per-lane reference check does."""
+
+    @given(_validate_case())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_lane_reference(self, case):
+        mem, addresses, mask, width = case
+        active = addresses[mask]
+
+        def reference():
+            if active.size:
+                mem._validate_lanes(active, width)
+
+        assert _violation(
+            lambda: mem.validate(addresses, mask, width)
+        ) == _violation(reference)
+
+    def test_in_allocation_access_skips_per_lane_check(self, monkeypatch):
+        mem = GlobalMemory(1 << 16)
+        mem.alloc(64)
+        block = mem.alloc(512)
+        mem.alloc(64)
+
+        def per_lane(*_args):
+            raise AssertionError("fast path not taken")
+
+        monkeypatch.setattr(mem, "_validate_lanes", per_lane)
+        mem.validate(block + 8 * np.arange(32, dtype=np.int64)[::-1],
+                     np.ones(32, dtype=bool), 8)
+
+    def test_lanes_in_adjacent_allocations_pass(self):
+        """Two live neighbours: the fast path declines, the reference
+        accepts."""
+        mem = GlobalMemory(1 << 16)
+        first = mem.alloc(256)
+        second = mem.alloc(256)
+        assert second == first + 256
+        mem.validate(_lanes([first + 252, second]), _mask(2), 4)
 
 
 class TestDirtyPageTracking:

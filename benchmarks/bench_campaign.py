@@ -4,23 +4,22 @@ The repo's perf north-star is campaign throughput: NVBitFI's headline
 claim (paper §III-C, Figures 4–5) is that injection runs cost barely more
 than uninstrumented runs.  This benchmark measures a real transient
 campaign end-to-end (golden + profile + select + inject) across serial
-{full, pre-target replay, pre + tail replay, snapshot execution with a
-cold/warm replay cache, batched multi-fault passes, resumed}, and
-parallel {full, pre + tail, snapshot × {2, 8} workers, batch × 2
-workers} configurations — and persists the numbers to
+{full, pre-target replay, pre + tail replay, batched multi-fault passes
+with a cold/warm replay cache, resumed}, and parallel {full, pre + tail,
+batch × {2, 8} workers} configurations — and persists the numbers to
 ``BENCH_campaign.json`` at the repo root so the trajectory is tracked
 across PRs.
 
-Fast-forward, snapshot forking and the persistent replay cache (see
-:mod:`repro.gpusim.replay`, :mod:`repro.core.snapshot` and
-``docs/performance.md``) must never change results: every
-configuration's ``results.csv`` is asserted byte-identical against the
-serial full-simulation baseline — snapshot on/off, cache cold/warm,
-serial/parallel/resumed, and the block-compiled execution tier on/off
-(the ``*-nobc`` rows re-run the full, snapshot and batch configurations
-with ``block_compile=False``) alike.  The tail rows additionally report how
-many faults re-converged with the golden run; snapshot rows report fork
-and cache counters.
+Fast-forward, fork-batched execution and the persistent replay cache
+(see :mod:`repro.gpusim.replay`, :mod:`repro.core.batch_injector`,
+:mod:`repro.core.snapshot` and ``docs/performance.md``) must never change
+results: every configuration's ``results.csv`` is asserted byte-identical
+against the serial full-simulation baseline — batch on/off, cache
+cold/warm, serial/parallel/resumed, and the block-compiled execution tier
+on/off (the ``*-nobc`` rows re-run the full and batch configurations
+with ``sandbox.block_compile=False``) alike.  The tail rows additionally
+report how many faults re-converged with the golden run; batch rows
+report fork and cache counters.
 
 Knobs: ``REPRO_QUICK=1`` shrinks to a CI-smoke size (parity still
 asserted); ``REPRO_BENCH_WORKLOAD`` / ``REPRO_BENCH_FAULTS`` override the
@@ -39,30 +38,27 @@ from benchmarks.harness import campaign_seed, emit, quick_mode
 from repro.core.batch_injector import BatchExecutor
 from repro.core.campaign import CampaignConfig
 from repro.core.engine import CampaignEngine, ParallelExecutor
-from repro.core.snapshot import SnapshotExecutor
 from repro.core.store import CampaignStore
 from repro.obs import MetricsRegistry
+from repro.runner.sandbox import SandboxConfig
 from repro.utils.text import format_table
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_campaign.json"
 
 # Wall-clock floors on the default (late-kernel-heavy) campaign: pre-target
 # replay vs full simulation, the additional factor the tail must buy on
-# top of pre-target replay, the total the snapshot executor + warm
-# replay cache must clear (the PR-8 headline: past the previous 3.36x),
-# and the total the batched multi-fault pass must clear (this PR's
-# headline: strictly past the snapshot executor's previous 4.27x —
-# batching amortizes the per-group host run and tape replay into one
-# chained counting pass, and pipelines every fault's divergent suffix
-# against it as concurrent copy-on-write children).  The pipelined
-# children need a second CPU to actually overlap; on a single-CPU box
-# they serialize behind the pass and the batch row is held to the
-# snapshot bar instead.  Quick/CI runs are too small to amortize the
-# fixed phases, so they assert parity only.
+# top of pre-target replay, and the total the batched multi-fault pass +
+# warm replay cache must clear (strictly past 4.27x — batching amortizes
+# the per-group host run and tape replay into one chained counting pass,
+# and pipelines every fault's divergent suffix against it as concurrent
+# copy-on-write children).  The pipelined children need a second CPU to
+# actually overlap; on a single-CPU box they serialize behind the pass
+# and the batch row is held to the 3.36x bar instead.  Quick/CI runs are
+# too small to amortize the fixed phases, so they assert parity only.
 _MIN_SPEEDUP = 2.0
 _MIN_TAIL_SPEEDUP = 1.3
-_MIN_SNAPSHOT_SPEEDUP = 3.36
 _MIN_BATCH_SPEEDUP = 4.27
+_MIN_BATCH_SPEEDUP_1CPU = 3.36
 # 8-worker wall clock vs 2-worker, normalized by how many of those workers
 # the machine can actually run concurrently (min(workers, cpu_count)):
 # on a box with >= 8 CPUs this demands real scaling; on smaller boxes it
@@ -90,12 +86,11 @@ def _config(fast_forward=True, tail=True, cache_dir=None, knobs=False,
         seed=campaign_seed(),
         fast_forward=fast_forward,
         tail_fast_forward=tail,
-        # The "knob" rows exercise the CLI-level combination
-        # (--snapshot --batch-launch with no explicit executor): the
-        # engine's default-executor resolution must pick the batch path.
-        snapshot=knobs,
+        # The "knob" rows exercise the CLI-level path (--batch-launch with
+        # no explicit executor): the engine's default-executor resolution
+        # must pick the batch path.
         batch_launch=knobs,
-        block_compile=block_compile,
+        sandbox=SandboxConfig(block_compile=block_compile),
         replay_cache=str(cache_dir) if cache_dir else None,
     )
 
@@ -103,8 +98,6 @@ def _config(fast_forward=True, tail=True, cache_dir=None, knobs=False,
 def _make_executor(kind, workers):
     if kind == "batch":
         return BatchExecutor(max_workers=workers)
-    if kind == "snapshot":
-        return SnapshotExecutor(max_workers=workers)
     if workers:
         return ParallelExecutor(max_workers=workers)
     return None
@@ -167,21 +160,18 @@ def test_campaign_wall_clock(benchmark, tmp_path):
         ("serial", "full-nobc", False, False, 0, "plain", False, False),
         ("serial", "ff", True, False, 0, "plain", False, True),
         ("serial", "ff+tail", True, True, 0, "plain", False, True),
-        # Cold first, warm second: the cold row stores the golden tape the
-        # warm row (and the parallel snapshot rows below) replay.
-        ("serial", "snap+cache-cold", True, True, 0, "snapshot", True, True),
-        ("serial", "snap+cache-warm", True, True, 0, "snapshot", True, True),
-        ("serial", "snap-warm-nobc", True, True, 0, "snapshot", True, False),
-        # Batched multi-fault passes ride the warm cache: one counting
-        # pass per target launch, every same-launch fault forked off it.
+        # Batched multi-fault passes: one counting pass per target launch,
+        # every same-launch fault forked off it.  Cold first, warm second:
+        # the cold row stores the golden tape the warm rows (and the
+        # parallel batch rows below) replay.
+        ("serial", "batch+cache-cold", True, True, 0, "batch", True, True),
         ("serial", "batch+cache-warm", True, True, 0, "batch", True, True),
         ("serial", "batch-warm-nobc", True, True, 0, "batch", True, False),
         ("serial", "knob-batch", True, True, 0, "knob-batch", True, True),
         ("parallel", "full", False, False, 2, "plain", False, True),
         ("parallel", "ff+tail", True, True, 2, "plain", False, True),
-        ("parallel", "snap-2w", True, True, 2, "snapshot", True, True),
-        ("parallel", "snap-8w", True, True, 8, "snapshot", True, True),
         ("parallel", "batch-2w", True, True, 2, "batch", True, True),
+        ("parallel", "batch-8w", True, True, 8, "batch", True, True),
     ]
     # Single-shot wall clocks on a loaded box swing by tens of percent —
     # enough to flip the floor assertions either way.  Repeat the whole
@@ -252,7 +242,7 @@ def test_campaign_wall_clock(benchmark, tmp_path):
             "workers": workers or 1,
             "fast_forward": fast_forward,
             "tail_fast_forward": tail,
-            "snapshot": kind == "snapshot",
+            "batch": kind in ("batch", "knob-batch"),
             "block_compile": bc,
             "seconds": round(seconds, 3),
             "simulated_cycles": int(counters.get("gpusim.cycles", 0)),
@@ -286,17 +276,18 @@ def test_campaign_wall_clock(benchmark, tmp_path):
     assert by_mode[("serial", "ff")]["faults_converged"] == 0  # tail off
     assert by_mode[("serial", "ff+tail")]["faults_converged"] > 0
     assert by_mode[("serial", "ff+tail")]["tail_launches_skipped"] > 0
-    # The snapshot rows must actually fork (not silently fall back), and
+    # The cold batch row must actually fork (not silently fall back), and
     # the replay cache must go exactly cold -> warm.
-    assert by_mode[("serial", "snap+cache-cold")]["snapshot_forks"] > 0
-    assert by_mode[("serial", "snap+cache-cold")]["cache_misses"] == 1
-    assert by_mode[("serial", "snap+cache-warm")]["cache_hits"] == 1
-    assert by_mode[("serial", "snap+cache-warm")]["cache_misses"] == 0
+    assert by_mode[("serial", "batch+cache-cold")]["snapshot_forks"] > 0
+    assert by_mode[("serial", "batch+cache-cold")]["cache_misses"] == 1
+    assert by_mode[("serial", "batch+cache-warm")]["cache_hits"] == 1
+    assert by_mode[("serial", "batch+cache-warm")]["cache_misses"] == 0
     # The batch rows must actually checkpoint every fault off a shared
     # counting pass (explicit executor and config-knob path alike).
     for batch_key in [("serial", "batch+cache-warm"),
                       ("serial", "batch-warm-nobc"),
-                      ("serial", "knob-batch"), ("parallel", "batch-2w")]:
+                      ("serial", "knob-batch"), ("parallel", "batch-2w"),
+                      ("parallel", "batch-8w")]:
         assert by_mode[batch_key]["batch_checkpoints"] == _faults(), batch_key
         assert by_mode[batch_key]["batch_launches_shared"] >= 1, batch_key
 
@@ -306,15 +297,12 @@ def test_campaign_wall_clock(benchmark, tmp_path):
     # runs serialize and the ideal ratio is 1.
     ideal = min(8, cpus) / min(2, cpus)
     scaling_efficiency = round(
-        best_ratio(("parallel", "snap-2w"), ("parallel", "snap-8w")) / ideal, 2
+        best_ratio(("parallel", "batch-2w"), ("parallel", "batch-8w")) / ideal, 2
     )
     speedup = {
         "serial": best_ratio(("serial", "full"), ("serial", "ff")),
         "serial_tail": best_ratio(("serial", "ff"), ("serial", "ff+tail")),
         "serial_total": best_ratio(("serial", "full"), ("serial", "ff+tail")),
-        "serial_snapshot": best_ratio(
-            ("serial", "full"), ("serial", "snap+cache-warm")
-        ),
         "serial_batch": best_ratio(
             ("serial", "full"), ("serial", "batch+cache-warm")
         ),
@@ -324,9 +312,6 @@ def test_campaign_wall_clock(benchmark, tmp_path):
             ("serial", "full-nobc"), ("serial", "full")
         ),
         "parallel": best_ratio(("parallel", "full"), ("parallel", "ff+tail")),
-        "parallel_snapshot": best_ratio(
-            ("parallel", "full"), ("parallel", "snap-2w")
-        ),
         "parallel_batch": best_ratio(
             ("parallel", "full"), ("parallel", "batch-2w")
         ),
@@ -361,7 +346,6 @@ def test_campaign_wall_clock(benchmark, tmp_path):
         ("speedup (serial ff/full)", f"{speedup['serial']:.2f}x"),
         ("speedup (serial tail/ff)", f"{speedup['serial_tail']:.2f}x"),
         ("speedup (serial total)", f"{speedup['serial_total']:.2f}x"),
-        ("speedup (serial snapshot)", f"{speedup['serial_snapshot']:.2f}x"),
         ("speedup (serial batch)", f"{speedup['serial_batch']:.2f}x"),
         ("speedup (serial blockc on/off)", f"{speedup['serial_blockc']:.2f}x"),
         ("speedup (parallel)", f"{speedup['parallel']:.2f}x"),
@@ -375,7 +359,8 @@ def test_campaign_wall_clock(benchmark, tmp_path):
              "Pre-replayed", "Faults converged", "Forks"],
             rows,
             title=f"Campaign wall clock: {_faults()} transient faults on "
-                  f"{_workload()} (results.csv byte-identical throughout)",
+                  f"{_workload()}, {cpus} CPU(s) (results.csv byte-identical "
+                  "throughout)",
         ),
     )
 
@@ -389,13 +374,8 @@ def test_campaign_wall_clock(benchmark, tmp_path):
             f"{speedup['serial_tail']:.2f}x < {_MIN_TAIL_SPEEDUP}x "
             f"(see {BENCH_PATH})"
         )
-        assert speedup["serial_snapshot"] > _MIN_SNAPSHOT_SPEEDUP, (
-            f"snapshot + warm-cache speedup regressed: "
-            f"{speedup['serial_snapshot']:.2f}x <= {_MIN_SNAPSHOT_SPEEDUP}x "
-            f"(see {BENCH_PATH})"
-        )
         batch_floor = (
-            _MIN_BATCH_SPEEDUP if cpus >= 2 else _MIN_SNAPSHOT_SPEEDUP
+            _MIN_BATCH_SPEEDUP if cpus >= 2 else _MIN_BATCH_SPEEDUP_1CPU
         )
         assert speedup["serial_batch"] > batch_floor, (
             f"batched multi-fault speedup regressed: "

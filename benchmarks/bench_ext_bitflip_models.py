@@ -34,7 +34,7 @@ def _measure():
                     model=model, num_transient=injections, seed=campaign_seed()
                 ),
             )
-            tally = campaign.run_transient().tally
+            tally = campaign.engine.run_transient().tally
             sdc += tally.fraction(Outcome.SDC)
             due += tally.fraction(Outcome.DUE)
             masked += tally.fraction(Outcome.MASKED)

@@ -25,7 +25,7 @@ def _measure():
     transient_total = OutcomeTally()
     for name in workload_names():
         campaign = make_campaign(name)
-        transient = campaign.run_transient()
+        transient = campaign.engine.run_transient()
         permanent = campaign.run_permanent()
         weighted_total = weighted_total.merge(permanent.tally)
         transient_total = transient_total.merge(transient.tally)

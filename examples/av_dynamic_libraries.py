@@ -36,7 +36,7 @@ def main() -> None:
         print(f"  {kernel:24} {instructions:8,} dynamic instructions")
 
     print("\n== 60-fault transient campaign across the pipeline ==")
-    result = campaign.run_transient()
+    result = campaign.engine.run_transient()
     print(result.tally.report(samples=60))
 
     by_kernel = Counter()

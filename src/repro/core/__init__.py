@@ -34,7 +34,6 @@ from repro.core.engine import (
 from repro.core.groups import InstructionGroup, base_group, in_group
 from repro.core.injector import InjectionRecord, TransientInjectorTool
 from repro.core.kinds import CampaignKind
-from repro.core.parallel import run_transient_parallel
 from repro.core.propagation import (
     MemoryTraceTool,
     PropagationTrace,
@@ -53,7 +52,7 @@ from repro.core.result_store import (
     ResultStore,
     render_results_csv,
 )
-from repro.core.store import CampaignStore, run_resumable_campaign
+from repro.core.store import CampaignStore
 from repro.core.thread_target import ThreadTarget, ThreadTargetedInjectorTool
 from repro.core.outcomes import Outcome, OutcomeRecord, classify
 from repro.core.params import IntermittentParams, PermanentParams, TransientParams
@@ -117,8 +116,6 @@ __all__ = [
     "ResultStore",
     "RESULTS_CSV_COLUMNS",
     "render_results_csv",
-    "run_resumable_campaign",
-    "run_transient_parallel",
     "AvfEstimate",
     "estimate_avf",
     "format_avf_report",

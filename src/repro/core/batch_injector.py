@@ -27,33 +27,32 @@ target's exit.  One host run and one pass over the tape then service
 every fault group that shares a tape, an opcode group and a sandbox.
 
 :class:`BatchExecutor` wires the tool into the engine's executor
-protocol.  It *is* a :class:`~repro.core.snapshot.SnapshotExecutor` —
-same grouping by fast-forward stop launch, same sharded mode, same
-fallbacks (no ``os.fork`` → plain executors, unreadable tape →
-per-task runs, dead child → in-process retry charged as attempt 1) —
-but where a snapshot group forks every child at the launch *boundary*
-and each child then re-simulates the whole target launch, a batch chain
-simulates the shared prefix of every targeted launch once for all
-siblings.  The amortization model and measurements live in
-``docs/performance.md``; ``results.csv`` and simulated-cycle totals are
-byte-identical to the serial path (asserted in
+protocol.  It groups tasks by fast-forward stop launch, chains the
+groups, and falls back safely everywhere: no ``os.fork`` → the plain
+executors, unreadable tape → per-task runs, dead child → in-process
+retry charged as attempt 1.  The amortization model and measurements
+live in ``docs/performance.md``; ``results.csv`` and simulated-cycle
+totals are byte-identical to the serial path (asserted in
 ``benchmarks/bench_campaign.py`` and ``tests/core/test_batch_injector.py``).
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
-from typing import Sequence
+import queue as queue_mod
+from typing import Iterator, Sequence
 
-from repro.core.engine import InjectionOutput, InjectionTask
-from repro.core.injector import TransientInjectorTool
-from repro.core.snapshot import (
-    _CHILD_FAILED,
-    SnapshotExecutor,
-    _ForkParentDone,
-    _group_tasks,
+from repro.core.engine import (
+    InjectionOutput,
+    InjectionTask,
+    ParallelExecutor,
+    SerialExecutor,
+    run_with_retries,
 )
+from repro.core.injector import TransientInjectorTool
+from repro.core.resilience import RetryPolicy, TaskFailure
 from repro.cuda.driver import CudaEvent
 from repro.errors import ReproError
 from repro.gpusim.context import InstrSite
@@ -66,8 +65,23 @@ from repro.gpusim.multifault import (
 from repro.gpusim.replay import ReplayCursor, load_replay_log
 from repro.obs.sink import MemorySink
 from repro.obs.trace import Tracer
+from repro.runner.app import Application
 from repro.runner.sandbox import run_app
 from repro.workloads import get_workload
+
+#: Exit status a fork child uses when it cannot produce a result; the
+#: parent charges the fork as attempt 1 and retries in-process.
+_CHILD_FAILED = 70
+
+
+class _ForkParentDone(BaseException):
+    """Unwinds the counting pass out of ``run_app`` once every fork is out.
+
+    Derives from ``BaseException`` so no handler between the fork point
+    (a launch callback or instruction visit) and the chain runner can
+    swallow it; ``run_app``'s ``finally`` still runs, so the interceptor
+    is torn down cleanly.
+    """
 
 
 class MultiFaultInjectorTool(TransientInjectorTool):
@@ -208,6 +222,40 @@ class MultiFaultInjectorTool(TransientInjectorTool):
             raise _ForkParentDone()
 
 
+def _group_tasks(
+    tasks: Sequence[InjectionTask],
+) -> tuple[list[list[InjectionTask]], list[InjectionTask]]:
+    """Partition tasks into fork groups and pass-through singles.
+
+    Groupable tasks are transient, carry a pre-target replay window, and
+    share (tape, stop launch, target kernel instance, opcode group) — the
+    preconditions for the post-fork params swap.  Everything else runs
+    through the plain per-task path.
+    """
+    groups: dict[tuple, list[InjectionTask]] = {}
+    solo: list[InjectionTask] = []
+    for task in tasks:
+        ref = task.replay
+        if task.kind != "transient" or ref is None:
+            solo.append(task)
+            continue
+        key = (
+            ref.path,
+            ref.stop_launch,
+            ref.pre,
+            ref.tail,
+            task.params.kernel_name,
+            task.params.kernel_count,
+            task.params.group,
+            task.sandbox,
+        )
+        groups.setdefault(key, []).append(task)
+    ordered = sorted(
+        groups.values(), key=lambda grp: (grp[0].replay.stop_launch, grp[0].index)
+    )
+    return ordered, solo
+
+
 def _chain_groups(
     groups: Sequence[Sequence[InjectionTask]],
 ) -> list[list[list[InjectionTask]]]:
@@ -236,37 +284,75 @@ def _chain_groups(
     return ordered
 
 
-class BatchExecutor(SnapshotExecutor):
-    """Snapshot execution with the chained shared counting pass.
+class BatchExecutor:
+    """Runs grouped injections as copy-on-write forks of chained counting passes.
 
-    ``max_workers >= 2`` shards fork groups across processes exactly as
-    the snapshot executor does (each shard worker is a serial
-    ``BatchExecutor`` chaining *its* groups); the scheduler's
+    Implements the standard executor protocol (``run(tasks, app=,
+    tracer=, retry=, on_retry=)`` yielding ``InjectionOutput`` |
+    ``TaskFailure``).  ``max_workers >= 2`` shards the fork groups across
+    that many processes: each shard worker is a serial ``BatchExecutor``
+    chaining *its* groups, results stream back over a queue, and a dead
+    worker's unfinished tasks re-run in the parent.  The scheduler's
     ``snapshot_order`` keeps leased units launch-coherent, so sharded
-    batch chains stay long.
+    chains stay long.  On platforms without ``os.fork`` the run delegates
+    wholesale to :class:`ParallelExecutor` / :class:`SerialExecutor`.
     """
 
     #: Marker the engine checks (without importing this module) to tag
     #: inject spans with ``batch=True``.
     batch_executor = True
 
+    def __init__(
+        self, max_workers: int = 0, retry: RetryPolicy | None = None
+    ) -> None:
+        self.max_workers = max_workers
+        self.retry = retry
+
+    def run(
+        self,
+        tasks: Sequence[InjectionTask],
+        app: Application | None = None,
+        tracer: Tracer | None = None,
+        retry: RetryPolicy | None = None,
+        on_retry=None,
+    ) -> Iterator[InjectionOutput | TaskFailure]:
+        policy = self.retry if self.retry is not None else (retry or RetryPolicy())
+        notify = on_retry or (lambda failure, delay: None)
+        tasks = list(tasks)
+        if not tasks:
+            return
+        sharded = bool(self.max_workers and self.max_workers > 1)
+        if not hasattr(os, "fork"):
+            fallback = (
+                ParallelExecutor(max_workers=self.max_workers)
+                if sharded
+                else SerialExecutor()
+            )
+            yield from fallback.run(
+                tasks, app=app, tracer=tracer, retry=policy, on_retry=notify
+            )
+        elif sharded:
+            yield from self._run_sharded(tasks, policy, notify)
+        else:
+            yield from self._run_local(tasks, app, tracer, policy, notify)
+
+    # -- serial (in-process) path -------------------------------------------
+
     def _run_local(self, tasks, app, tracer, policy, notify):
         groups, solo = _group_tasks(tasks)
         for task in solo:
-            yield from self._run_with_retries(task, app, tracer, policy, notify)
+            yield run_with_retries(task, app, tracer, policy, notify)
         for chain in _chain_groups(groups):
             outputs, leftover, failures = self._run_chain(chain, app)
             yield from outputs
             for task in leftover:
                 # Never ran (unreadable tape, early disarm, a target that
                 # never armed): fall back uncharged.
-                yield from self._run_with_retries(
-                    task, app, tracer, policy, notify
-                )
+                yield run_with_retries(task, app, tracer, policy, notify)
             for task, error in failures:
-                yield from self._run_with_retries(
+                yield run_with_retries(
                     task, app, tracer, policy, notify,
-                    first_error=error, first_reason="fork-child",
+                    failure=TaskFailure(task.index, 1, error, "fork-child"),
                 )
 
     def _run_chain(self, chain, app):
@@ -330,7 +416,6 @@ class BatchExecutor(SnapshotExecutor):
                     activations=getattr(injector, "activations", 0),
                     artifacts=artifacts,
                     events=buffer.events,
-                    forked=True,
                     batch=True,
                 )
                 forker.ship(pickle.dumps(output))
@@ -345,9 +430,9 @@ class BatchExecutor(SnapshotExecutor):
             return outputs, _left_over(tasks, outputs, failures), failures
         if len(chain) == 1:
             # Nothing ever forked and the chain was a single group: this
-            # run *is* the first sibling's injection run, exactly as in
-            # the snapshot executor's degraded path; the rest fall back
-            # per task.  (A multi-group chain's parent run mixes replayed
+            # run *is* the first sibling's injection run — the cursor
+            # degraded exactly like a plain ReplayCursor would — and the
+            # rest fall back per task.  (A multi-group chain's parent run mixes replayed
             # and instrumented launches, so it stands in for no task.)
             first = InjectionOutput(
                 index=chain[0][0].index,
@@ -387,6 +472,89 @@ class BatchExecutor(SnapshotExecutor):
                     (task, f"batch fork child exited with status {exitcode}")
                 )
         return outputs, failures
+
+
+    # -- sharded (multi-process) path ---------------------------------------
+
+    def _run_sharded(self, tasks, policy, notify):
+        groups, solo = _group_tasks(tasks)
+        units: list[list[InjectionTask]] = groups + [[task] for task in solo]
+        workers = min(self.max_workers, len(units)) or 1
+        shards: list[list[InjectionTask]] = [[] for _ in range(workers)]
+        for n, unit in enumerate(units):
+            shards[n % workers].extend(unit)
+        result_queue: multiprocessing.Queue = multiprocessing.Queue()
+        procs = [
+            multiprocessing.Process(
+                target=_shard_worker_main,
+                args=(shard, policy, result_queue),
+                daemon=True,
+            )
+            for shard in shards
+            if shard
+        ]
+        for proc in procs:
+            proc.start()
+        pending = {task.index for task in tasks}
+        done = 0
+        try:
+            while done < len(procs):
+                try:
+                    kind, payload = result_queue.get(timeout=0.2)
+                except queue_mod.Empty:
+                    if not any(proc.is_alive() for proc in procs):
+                        break
+                    continue
+                if kind == "done":
+                    done += 1
+                elif kind == "retry":
+                    failure, delay = payload
+                    notify(failure, delay)
+                else:
+                    pending.discard(payload.index)
+                    yield payload
+            while True:  # drain anything raced in after the last "done"
+                try:
+                    kind, payload = result_queue.get_nowait()
+                except queue_mod.Empty:
+                    break
+                if kind == "retry":
+                    failure, delay = payload
+                    notify(failure, delay)
+                elif kind != "done":
+                    pending.discard(payload.index)
+                    yield payload
+        finally:
+            for proc in procs:
+                proc.join(timeout=5.0)
+                if proc.is_alive():
+                    proc.terminate()
+                    proc.join()
+        if pending:
+            # A worker died mid-shard; its checkpointed siblings already
+            # streamed back, so only the unfinished tasks re-run here.
+            leftovers = [task for task in tasks if task.index in pending]
+            yield from self._run_local(leftovers, None, None, policy, notify)
+
+
+def _shard_worker_main(
+    tasks: list[InjectionTask],
+    policy: RetryPolicy,
+    result_queue: multiprocessing.Queue,
+) -> None:
+    """One shard worker: serial chain execution, queued results."""
+
+    def notify(failure: TaskFailure, delay: float) -> None:
+        result_queue.put(("retry", (failure, delay)))
+
+    try:
+        for item in BatchExecutor().run(tasks, retry=policy, on_retry=notify):
+            kind = "failure" if isinstance(item, TaskFailure) else "output"
+            result_queue.put((kind, item))
+    finally:
+        result_queue.put(("done", None))
+        result_queue.close()
+        result_queue.join_thread()
 
 
 def _left_over(tasks, outputs, failures):

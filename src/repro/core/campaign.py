@@ -10,16 +10,15 @@ A campaign automates Figure 1 end-to-end for one application:
 5. Table V classification and aggregation.
 
 The actual pipeline lives in :class:`repro.core.engine.CampaignEngine`;
-:class:`Campaign` is the serial-convenience facade over it (as
-``run_transient_parallel`` and ``run_resumable_campaign`` are the parallel
-and resumable facades).  Timing of every phase is recorded so the overhead
-figures (paper Figures 4 and 5) can be regenerated.
+:class:`Campaign` is a facade over its phases (transient campaigns run
+through :func:`repro.api.run_campaign` or ``campaign.engine``).  Timing
+of every phase is recorded so the overhead figures (paper Figures 4 and
+5) can be regenerated.
 """
 
 from __future__ import annotations
 
 import statistics
-import warnings
 from dataclasses import dataclass, field, fields, replace
 
 from repro.core.adaptive import AdaptiveSummary, SamplingPlan, StoppingRule
@@ -42,9 +41,9 @@ from repro.runner.sandbox import SandboxConfig
 class CampaignConfig:
     """Knobs of one campaign.
 
-    ``workload`` names the registered application to run; it is optional for
-    the legacy entry points (which take the application separately) but
-    required by :func:`repro.api.run_campaign`.
+    ``workload`` names the registered application to run; it is optional
+    when the application is passed separately (``CampaignEngine(app,
+    config)``) but required by :func:`repro.api.run_campaign`.
 
     ``retry`` governs harness resilience: how often a misbehaving injection
     task (worker raised, died or hung) is re-attempted, and whether
@@ -66,33 +65,15 @@ class CampaignConfig:
     ``fast_forward`` is on — ``fast_forward=False`` is the global kill
     switch that disables recording entirely.
 
-    ``snapshot`` executes grouped transient injections as copy-on-write
-    ``os.fork`` children of one replayed checkpoint (see
-    :class:`~repro.core.snapshot.SnapshotExecutor`): sites sharing a
-    fast-forward stop launch pay for the pre-target replay once instead of
-    once per injection.  Results stay byte-identical; on platforms without
-    ``os.fork`` the knob silently falls back to the ordinary executors.
-    It only takes effect when no explicit ``executor`` is passed.
-
-    ``batch_launch`` goes one step past ``snapshot``: grouped faults that
-    target the same dynamic launch are serviced by **one** simulator pass
-    of that launch (see :mod:`repro.core.batch_injector`).  The shared
-    pass counts group instructions once and takes an in-launch
-    copy-on-write checkpoint at each fault's ``instruction_count``; only
-    each fault's divergent suffix runs in its own fork.  Results stay
-    byte-identical; the same POSIX/fallback rules as ``snapshot`` apply,
-    and when both knobs are set, ``batch_launch`` wins (it subsumes
-    snapshot grouping).  It only takes effect when no explicit
-    ``executor`` is passed.
-
-    ``block_compile`` (default on) runs every sandbox device with the
-    block-compiled interpreter (:mod:`repro.gpusim.blockc`): straight-line
-    SASS runs are fused into code-generated superhandlers, in instrumented
-    launches between their hooked pcs.  Purely an interpreter-speed knob —
-    ``results.csv`` and simulated-cycle totals are byte-identical either
-    way — kept switchable for differential testing and benchmarking.  It
-    is ANDed with ``sandbox.block_compile``: either knob can turn the
-    tier off.
+    ``batch_launch`` runs grouped transient injections as copy-on-write
+    ``os.fork`` children (see :mod:`repro.core.batch_injector`): faults
+    that target the same dynamic launch share **one** simulator pass of
+    that launch, which takes an in-launch checkpoint at each fault's
+    ``instruction_count``; only each fault's divergent suffix runs in its
+    own fork.  Results stay byte-identical; without ``os.fork`` the knob
+    silently falls back to the ordinary executors.  It only takes effect
+    when no explicit ``executor`` is passed.  (The block-compiled
+    interpreter is the sandbox knob ``sandbox.block_compile``.)
 
     ``replay_cache`` persists the golden replay tape across campaigns:
     ``True`` uses ``~/.cache/repro/replay`` (or ``$REPRO_REPLAY_CACHE``),
@@ -126,9 +107,7 @@ class CampaignConfig:
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     fast_forward: bool = True
     tail_fast_forward: bool = True
-    snapshot: bool = False
     batch_launch: bool = False
-    block_compile: bool = True
     replay_cache: bool | str | None = None
     stopping: StoppingRule | None = None
     sampling: SamplingPlan | None = None  # None == the historic uniform draw
@@ -254,20 +233,6 @@ class Campaign:
 
     def select_sites(self, count: int | None = None) -> list[TransientParams]:
         return self.engine.select_sites(count)
-
-    def run_transient(self, sites: list[TransientParams] | None = None) -> TransientCampaignResult:
-        """The full transient campaign (Figure 1 for N faults).
-
-        .. deprecated::
-            Use :func:`repro.api.run_campaign`, which also covers parallel
-            execution, resumable stores and observability.
-        """
-        warnings.warn(
-            "Campaign.run_transient is deprecated; use repro.api.run_campaign",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.engine.run_transient(sites)
 
     def run_permanent(
         self, sites: list[PermanentParams] | None = None

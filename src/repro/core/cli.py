@@ -115,22 +115,15 @@ def build_parser() -> argparse.ArgumentParser:
                                "launches from the golden recording (needs "
                                "--fast-forward; results are byte-identical "
                                "either way)")
-    campaign.add_argument("--snapshot", action=argparse.BooleanOptionalAction,
-                          default=False,
-                          help="snapshot execution: fork copy-on-write "
-                               "children off one replayed checkpoint per "
-                               "fast-forward stop launch instead of "
-                               "replaying per injection (POSIX only; "
-                               "results are byte-identical either way)")
     campaign.add_argument("--batch-launch",
                           action=argparse.BooleanOptionalAction,
                           default=False,
                           help="batched multi-fault pass: simulate each "
                                "targeted launch once for all faults aimed "
                                "at it, forking a copy-on-write overlay at "
-                               "each fault's instruction count (implies "
-                               "snapshot grouping; POSIX only; results "
-                               "are byte-identical either way)")
+                               "each fault's instruction count (POSIX "
+                               "only; results are byte-identical either "
+                               "way)")
     campaign.add_argument("--replay-cache", nargs="?", const=True,
                           default=None, metavar="DIR",
                           help="persist the golden replay tape across "
@@ -405,7 +398,7 @@ def _main(argv: list[str] | None = None) -> int:
     if args.command == "campaign":
         from repro import api
         from repro.core.adaptive import SamplingPlan, StoppingRule
-        from repro.core.engine import EngineHooks, ParallelExecutor
+        from repro.core.engine import EngineHooks, choose_executor
         from repro.core.resilience import RetryPolicy
         from repro.core.store import CampaignStore
 
@@ -449,26 +442,12 @@ def _main(argv: list[str] | None = None) -> int:
             ),
             fast_forward=args.fast_forward,
             tail_fast_forward=args.tail_fast_forward,
-            snapshot=args.snapshot,
             batch_launch=args.batch_launch,
-            block_compile=args.block_compile,
             replay_cache=args.replay_cache,
         )
-
-        if args.batch_launch:
-            from repro.core.batch_injector import BatchExecutor
-
-            executor = BatchExecutor(max_workers=args.workers)
-        elif args.snapshot:
-            from repro.core.snapshot import SnapshotExecutor
-
-            executor = SnapshotExecutor(max_workers=args.workers)
-        elif args.workers:
-            executor = ParallelExecutor(
-                max_workers=args.workers, chunksize=args.chunksize
-            )
-        else:
-            executor = None
+        executor = choose_executor(
+            config, workers=args.workers, chunksize=args.chunksize
+        )
 
         class _Progress(EngineHooks):
             def on_injection(self, index, outcome, completed, total, tally):

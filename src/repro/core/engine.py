@@ -1,14 +1,11 @@
 """The campaign engine: the one place the injection-run loop lives.
 
-Historically the per-injection loop existed three times — in
-``Campaign.run_transient``, in ``run_transient_parallel`` and in
-``run_resumable_campaign`` — and the copies diverged (the parallel worker
-rebuilt its sandbox from ``seed`` + ``instruction_budget`` only, silently
-dropping ``family``, ``num_sms``, ``global_mem_bytes`` and ``extra_env``).
 :class:`CampaignEngine` owns the golden → profile → select → inject →
-classify pipeline exactly once; the legacy entry points are thin wrappers
-over it, so serial, parallel and resumed campaigns can never drift apart
-again.
+classify pipeline exactly once.  Serial, parallel, fork-batched and
+resumed campaigns all run through it, and every executor result —
+whether the engine runs the executor itself or a caller feeds results
+in through the v2 pump API — passes the same per-result step, so the
+execution paths cannot drift apart.
 
 Orthogonal knobs plug into the engine:
 
@@ -16,6 +13,9 @@ Orthogonal knobs plug into the engine:
   :class:`ParallelExecutor` fans frozen, picklable work items out over a
   ``ProcessPoolExecutor`` with configurable chunking, carrying the *full*
   :class:`~repro.runner.sandbox.SandboxSpec` to every worker;
+  :class:`~repro.core.batch_injector.BatchExecutor` forks same-launch
+  faults off one shared counting pass; :func:`choose_executor` picks one
+  from the config;
 * an optional **store** — a :class:`~repro.core.store.CampaignStore`; each
   injection is persisted the moment it completes (not at campaign end), so
   a killed campaign — serial or parallel — resumes where it stopped;
@@ -154,13 +154,10 @@ class InjectionOutput:
     activations: int
     artifacts: RunArtifacts
     events: list[dict] = field(default_factory=list)
-    #: True when the run was serviced by a snapshot fork child (a
-    #: copy-on-write resume from a shared replayed checkpoint); feeds the
-    #: ``engine.snapshot.forks`` counter.
-    forked: bool = False
-    #: True when the fork was an *in-launch* overlay checkpoint (batched
-    #: multi-fault pass, see :mod:`repro.core.batch_injector`); feeds the
-    #: ``engine.batch.checkpoints`` counter.
+    #: True when the run was serviced by an *in-launch* overlay fork child
+    #: of a batched multi-fault pass (see :mod:`repro.core.batch_injector`);
+    #: feeds the ``engine.snapshot.forks`` and ``engine.batch.checkpoints``
+    #: counters.
     batch: bool = False
     #: Tagged on exactly one sibling per batch group, marking "this
     #: group's target launch was simulated once for all its faults";
@@ -235,6 +232,38 @@ def _noop_retry(failure: TaskFailure, delay: float) -> None:
     return None
 
 
+def run_with_retries(
+    task: InjectionTask,
+    app: Application | None,
+    tracer: Tracer | None,
+    policy: RetryPolicy,
+    notify: OnRetry,
+    failure: TaskFailure | None = None,
+) -> InjectionOutput | TaskFailure:
+    """Run one task in-process under ``policy``: its output, or its last failure.
+
+    The one retry loop of the in-process executors.  ``failure`` is an
+    attempt that already failed elsewhere (a fork child that died); it is
+    charged before the first in-process attempt.  ``task_timeout`` cannot
+    preempt an in-process run; the in-sim instruction budget is the hang
+    detector here.
+    """
+    attempt = 0 if failure is None else failure.attempts
+    while True:
+        if failure is not None:
+            if not policy.should_retry(attempt):
+                return failure
+            delay = policy.delay(attempt, key=task.index)
+            notify(failure, delay)
+            if delay:
+                time.sleep(delay)
+        attempt += 1
+        try:
+            return execute_task(task, app, tracer=tracer)
+        except Exception as exc:
+            failure = TaskFailure(task.index, attempt, format_error(exc))
+
+
 class SerialExecutor:
     """Runs injections one after another in the calling process.
 
@@ -242,8 +271,7 @@ class SerialExecutor:
     executor: a task that raises is re-attempted under the
     :class:`~repro.core.resilience.RetryPolicy` and yielded as a
     :class:`~repro.core.resilience.TaskFailure` once attempts are
-    exhausted.  (``task_timeout`` cannot preempt an in-process run; the
-    in-sim instruction budget is the hang detector here.)
+    exhausted (see :func:`run_with_retries`).
     """
 
     def __init__(self, retry: RetryPolicy | None = None) -> None:
@@ -260,24 +288,7 @@ class SerialExecutor:
         policy = self.retry if self.retry is not None else (retry or RetryPolicy())
         notify = on_retry or _noop_retry
         for task in tasks:
-            attempt = 0
-            while True:
-                attempt += 1
-                try:
-                    output = execute_task(task, app, tracer=tracer)
-                except Exception as exc:
-                    failure = TaskFailure(task.index, attempt, format_error(exc))
-                    if policy.should_retry(attempt):
-                        delay = policy.delay(attempt, key=task.index)
-                        notify(failure, delay)
-                        if delay:
-                            time.sleep(delay)
-                        continue
-                    yield failure
-                    break
-                else:
-                    yield output
-                    break
+            yield run_with_retries(task, app, tracer, policy, notify)
 
 
 class _Flight:
@@ -527,6 +538,27 @@ class ParallelExecutor:
 Executor = SerialExecutor | ParallelExecutor
 
 
+def choose_executor(
+    config: CampaignConfig, workers: int | None = None, chunksize: int = 1
+) -> "Executor":
+    """The executor a campaign runs on: the one place that choice is made.
+
+    ``config.batch_launch`` selects the fork-based
+    :class:`~repro.core.batch_injector.BatchExecutor`, sharded over
+    ``workers`` processes, wherever ``os.fork`` exists.  Otherwise
+    ``workers`` selects a :class:`ParallelExecutor` and no workers a
+    :class:`SerialExecutor`.  The CLI and :class:`CampaignEngine`'s
+    default executor both come from here.
+    """
+    if config.batch_launch and hasattr(os, "fork"):
+        from repro.core.batch_injector import BatchExecutor
+
+        return BatchExecutor(max_workers=workers or 0)
+    if workers:
+        return ParallelExecutor(max_workers=workers, chunksize=chunksize)
+    return SerialExecutor()
+
+
 # -- progress hooks and metrics -----------------------------------------------
 
 
@@ -693,7 +725,7 @@ class CampaignEngine:
     ) -> None:
         self.app = get_workload(app) if isinstance(app, str) else app
         self.config = config or CampaignConfig()
-        self.executor = executor or self._default_executor()
+        self.executor = executor or choose_executor(self.config)
         self.store = store
         self.hooks = hooks or EngineHooks()
         self.tracer = NULL_TRACER if tracer is None else tracer
@@ -714,27 +746,6 @@ class CampaignEngine:
         self._replay_log = None  # repro.gpusim.replay.ReplayLog | None
         self._replay_path: str | None = None
 
-    def _default_executor(self) -> "Executor":
-        """Serial unless ``config.batch_launch``/``config.snapshot`` ask
-        for fork-based execution.
-
-        ``batch_launch`` wins when both are set: the batch executor *is*
-        a snapshot executor whose groups additionally share the target
-        launch's counting pass, so "snapshot + batch" means batch.
-        """
-        if getattr(self.config, "batch_launch", False):
-            from repro.core.batch_injector import BatchExecutor
-            from repro.core.snapshot import snapshot_supported
-
-            if snapshot_supported():
-                return BatchExecutor()
-        if getattr(self.config, "snapshot", False):
-            from repro.core.snapshot import SnapshotExecutor, snapshot_supported
-
-            if snapshot_supported():
-                return SnapshotExecutor()
-        return SerialExecutor()
-
     def _replay_cache(self):
         """The persistent cross-campaign replay cache, if configured.
 
@@ -745,7 +756,7 @@ class CampaignEngine:
             return None
         from repro.core.snapshot import ReplayCache
 
-        return ReplayCache.resolve(getattr(self.config, "replay_cache", None))
+        return ReplayCache.resolve(self.config.replay_cache)
 
     # -- pipeline phases --------------------------------------------------------
 
@@ -1006,11 +1017,9 @@ class CampaignEngine:
     def _transient_builders(self, sites: Sequence[TransientParams]):
         """The classify/quarantine result builders for a transient site plan.
 
-        ``sites`` is captured by reference, so the adaptive drive loop's
-        growing plan stays visible to builders created before a batch was
-        appended.  Quarantined runs carry only deterministic fields, so
-        campaigns containing failures still produce byte-identical
-        results.csv files across serial, parallel and resumed execution.
+        Quarantined runs carry only deterministic fields, so campaigns
+        containing failures still produce byte-identical results.csv files
+        across serial, parallel and resumed execution.
         """
 
         def build(output: InjectionOutput) -> TransientResult:
@@ -1044,31 +1053,56 @@ class CampaignEngine:
             sites = self.plan_transient()
         if self.golden is None:
             self.run_golden()
+        completed = self.store.completed_injections() if self.store else []
+        return self._transient_result(
+            self._transient_batch(sites, 0, completed, [])
+        )
 
+    def _transient_batch(
+        self,
+        sites: list[TransientParams],
+        start: int,
+        completed: Sequence[int],
+        done: list[TransientResult],
+        on_interrupt: Callable[[], None] | None = None,
+    ) -> list[TransientResult]:
+        """Inject ``sites[start:]``: the batch step of both transient loops.
+
+        Stored results listed in ``completed`` are resumed rather than
+        re-run.  On an interrupt, a store gets a partial ``results.csv``
+        holding ``done`` (the earlier batches' results) plus everything
+        this batch completed; then ``on_interrupt`` runs and
+        ``KeyboardInterrupt`` propagates.
+        """
         loaded = self._load_completed(
             sites,
-            completed=self.store.completed_injections() if self.store else [],
+            completed=[index for index in completed if index >= start],
             load=lambda index: self.store.load_injection(index),
         )
         build, build_failure = self._transient_builders(sites)
-
         try:
-            results = self._inject(
+            return self._inject(
                 sites,
                 kind="transient",
                 loaded=loaded,
                 build=build,
-                save=(
-                    (lambda index, item: self.store.save_injection(index, item))
-                    if self.store
-                    else None
-                ),
+                save=self.store.save_injection if self.store else None,
                 build_failure=build_failure,
+                start=start,
             )
         except CampaignInterrupted as interrupt:
             if self.store is not None:
-                self.store.save_partial_results_csv(interrupt.completed)
+                by_index = dict(enumerate(done))
+                by_index.update(interrupt.completed)
+                self.store.save_partial_results_csv(by_index)
+                if on_interrupt is not None:
+                    on_interrupt()
             raise KeyboardInterrupt from None
+
+    def _transient_result(
+        self, results: list[TransientResult], adaptive=None
+    ) -> TransientCampaignResult:
+        """Tally a finished transient campaign; a store gets its results.csv."""
         tally = OutcomeTally()
         for item in results:
             tally.add(item.outcome)
@@ -1078,6 +1112,7 @@ class CampaignEngine:
             golden_time=self.golden_time,
             profile_time=self.profile_time,
             median_injection_time=_median(r.wall_time for r in results),
+            adaptive=adaptive,
         )
         if self.store is not None:
             self.store.save_results_csv(result)
@@ -1125,29 +1160,11 @@ class CampaignEngine:
         completed = (
             set(self.store.completed_injections()) if self.store else set()
         )
-        spec = self._injection_spec()
-        fast_forward = self._replay_path is not None
-        tasks = [
-            InjectionTask(
-                index,
-                self.app.name,
-                CampaignKind.TRANSIENT.value,
-                sites[index],
-                spec,
-                replay=(
-                    self._replay_ref_for(sites[index]) if fast_forward else None
-                ),
-            )
-            for index in wanted
-            if index not in completed
-        ]
-        tasks.sort(
-            key=lambda t: (
-                t.replay.stop_launch if t.replay is not None else -1,
-                t.index,
-            )
+        return self._tasks(
+            sites,
+            CampaignKind.TRANSIENT.value,
+            [index for index in wanted if index not in completed],
         )
-        return tasks
 
     def ingest_results(
         self, results: Iterable[InjectionOutput | TaskFailure]
@@ -1156,57 +1173,25 @@ class CampaignEngine:
 
         The streaming half of the pump API: an external driver runs
         :meth:`draw_batch` tasks through any executor (in-process or not)
-        and feeds the outputs here.  Each result is checkpointed the moment
-        it is ingested, emits the same ``injection`` trace event and
-        counters as :meth:`run_transient`, and failures follow the
-        configured retry policy's terminal action (quarantine or raise).
-        Returns results keyed by plan index, in completion order.
+        and feeds the outputs here.  Each result takes the same per-result
+        step as in :meth:`run_transient` (checkpoint, ``injection`` trace
+        event, counters, inject seconds, progress hook), and failures
+        follow the configured retry policy's terminal action (quarantine
+        or raise).  Returns results keyed by plan index, in completion
+        order.
         """
         sites = self.plan_transient()
         build, build_failure = self._transient_builders(sites)
-        policy = self.config.retry
-        kind = CampaignKind.TRANSIENT.value
-        ingested: dict[int, TransientResult] = {}
-        for output in results:
-            if isinstance(output, TaskFailure):
-                if policy.on_failure == "raise":
-                    raise ReproError(
-                        f"injection task {output.index} failed after "
-                        f"{output.attempts} attempt(s) "
-                        f"[{output.reason}]: {output.error}"
-                    )
-                item = self._quarantine(output, build_failure, kind)
-            else:
-                item = build(output)
-                self.tracer.ingest(output.events)
-                self._record_run_metrics(
-                    output.artifacts,
-                    injection=True,
-                    forked=output.forked,
-                    batch=output.batch,
-                    batch_shared=output.batch_shared,
-                )
-            index = output.index
-            ingested[index] = item
-            if self.store is not None:
-                self.store.save_injection(index, item)
-            self._emit_injection_event(
-                index,
-                item,
-                kind,
-                output=output if isinstance(output, InjectionOutput) else None,
-            )
-            self._count_outcome(item)
-            self.metrics.injections_done += 1
-            self.metrics.tally.add(item.outcome)
-            self.hooks.on_injection(
-                index,
-                item.outcome,
-                self.metrics.injections_done,
-                len(sites),
-                self.metrics.tally,
-            )
-        return ingested
+        return self._ingest(
+            results,
+            CampaignKind.TRANSIENT.value,
+            build,
+            build_failure,
+            save=self.store.save_injection if self.store else None,
+            total=len(sites),
+            into={},
+            offset=self.metrics.injections_done,
+        )
 
     def run_batch(
         self,
@@ -1228,22 +1213,16 @@ class CampaignEngine:
         """
         tasks = self.draw_batch(indices)
         self.metrics.injections_total = len(self.plan_transient())
+        kind = CampaignKind.TRANSIENT.value
         started = time.perf_counter()
         with self.tracer.span(
             "inject",
-            kind=CampaignKind.TRANSIENT.value,
+            kind=kind,
             total=len(tasks),
             fresh=len(tasks),
-            snapshot=getattr(self.executor, "snapshot_executor", False),
             batch=getattr(self.executor, "batch_executor", False),
         ):
-            runs = self.executor.run(
-                tasks,
-                app=self.app,
-                tracer=self.tracer,
-                retry=self.config.retry,
-                on_retry=self._make_on_retry(CampaignKind.TRANSIENT.value),
-            )
+            runs = self._execute(tasks, kind)
             if stop is not None:
                 runs = _stop_when(runs, stop)
             results = self.ingest_results(runs)
@@ -1255,8 +1234,8 @@ class CampaignEngine:
 
         The scheduler shards this ordering into units, so every leased
         unit's sites cluster around the same fast-forward stop launches —
-        the grouping :class:`~repro.core.snapshot.SnapshotExecutor` turns
-        into shared fork checkpoints.  Without a replay log (fast-forward
+        the grouping :class:`~repro.core.batch_injector.BatchExecutor`
+        turns into shared counting passes.  Without a replay log (fast-forward
         off, or the golden run taped nothing) the order is unchanged.
         Pure reordering: results are keyed by index, so unit composition
         never changes ``results.csv``.
@@ -1330,10 +1309,7 @@ class CampaignEngine:
         rng = self._stream.child("sites").generator()
         sites: list[TransientParams] = []
         results: list[TransientResult] = []
-        total_loaded = 0
         stopped_early_at: int | None = None
-
-        build, build_failure = self._transient_builders(sites)
 
         with self.tracer.span(
             "campaign",
@@ -1374,35 +1350,15 @@ class CampaignEngine:
                             "the re-derived decision sequence; use a fresh "
                             "study directory"
                         )
-                loaded = self._load_completed(
+                batch_results = self._transient_batch(
                     sites,
-                    completed=[i for i in completed if i >= start],
-                    load=lambda index: self.store.load_injection(index),
+                    start,
+                    completed,
+                    results,
+                    on_interrupt=lambda: self.store.save_adaptive_state(
+                        checkpoint.to_dict()
+                    ),
                 )
-                total_loaded += len(loaded)
-                try:
-                    batch_results = self._inject(
-                        sites,
-                        kind="transient",
-                        loaded=loaded,
-                        build=build,
-                        save=(
-                            (lambda index, item:
-                             self.store.save_injection(index, item))
-                            if self.store
-                            else None
-                        ),
-                        build_failure=build_failure,
-                        start=start,
-                    )
-                except CampaignInterrupted as interrupt:
-                    if self.store is not None:
-                        by_index = dict(enumerate(results))
-                        by_index.update(interrupt.completed)
-                        self.store.save_partial_results_csv(by_index)
-                        self.store.save_adaptive_state(checkpoint.to_dict())
-                    raise KeyboardInterrupt from None
-                self.metrics.injections_loaded = total_loaded
                 results.extend(batch_results)
                 for site, item in zip(batch, batch_results):
                     state.record(site.kernel_name, item.outcome)
@@ -1456,20 +1412,7 @@ class CampaignEngine:
                         summary.estimate.half_width
                     )
 
-        tally = OutcomeTally()
-        for item in results:
-            tally.add(item.outcome)
-        result = TransientCampaignResult(
-            results=results,
-            tally=tally,
-            golden_time=self.golden_time,
-            profile_time=self.profile_time,
-            median_injection_time=_median(r.wall_time for r in results),
-            adaptive=summary,
-        )
-        if self.store is not None:
-            self.store.save_results_csv(result)
-        return result
+        return self._transient_result(results, adaptive=summary)
 
     def run_permanent(
         self, sites: list[PermanentParams] | None = None
@@ -1520,11 +1463,7 @@ class CampaignEngine:
                 kind="permanent",
                 loaded=loaded,
                 build=build,
-                save=(
-                    (lambda index, item: self.store.save_permanent_injection(index, item))
-                    if self.store
-                    else None
-                ),
+                save=self.store.save_permanent_injection if self.store else None,
                 build_failure=build_failure,
             )
         except CampaignInterrupted:
@@ -1588,7 +1527,7 @@ class CampaignEngine:
         loaded: dict[int, object],
         build: Callable[[InjectionOutput], object],
         save: Callable[[int, object], None] | None,
-        build_failure: Callable[[TaskFailure], object] | None = None,
+        build_failure: Callable[[TaskFailure], object],
         start: int = 0,
     ) -> list:
         """Run every site not already in ``loaded``; return results in site order.
@@ -1598,60 +1537,28 @@ class CampaignEngine:
         are run — everything before was completed by earlier batches.  The
         returned list covers exactly ``sites[start:]``.
 
-        Completed injections are handed to ``save`` the moment they finish
-        (chunk-by-chunk under the parallel executor), so an interrupted
-        campaign loses at most the in-flight chunk.  Every injection —
-        resumed and quarantined ones included — emits one ``injection``
-        trace event, so the events in a trace sum to the campaign's final
-        tally exactly.
-
-        Tasks the harness could not complete (worker raised, died or hung
-        past every retry) arrive as :class:`TaskFailure` records; per
-        ``config.retry.on_failure`` they either abort the campaign or are
-        *quarantined* — turned into synthesized DUE results by
-        ``build_failure``, persisted like any other result (so a resume
-        skips them) and surfaced via ``injection_quarantined`` events and
-        the ``engine.quarantined`` counter.  ``KeyboardInterrupt`` raises
-        :class:`CampaignInterrupted` carrying everything completed so far.
+        Every injection — resumed and quarantined ones included — emits
+        one ``injection`` trace event, so the events in a trace sum to the
+        campaign's final tally exactly.  Results go through
+        :meth:`_ingest` as they arrive (chunk-by-chunk under the parallel
+        executor), so an interrupted campaign loses at most the in-flight
+        chunk: ``KeyboardInterrupt`` raises :class:`CampaignInterrupted`
+        carrying everything completed so far.
         """
-        policy = self.config.retry
-        spec = self._injection_spec()
-        fast_forward = kind == "transient" and self._replay_path is not None
-        tasks = [
-            InjectionTask(
-                index,
-                self.app.name,
-                kind,
-                site,
-                spec,
-                replay=self._replay_ref_for(site) if fast_forward else None,
-            )
-            for index, site in enumerate(sites)
-            if index >= start and index not in loaded
-        ]
-        if fast_forward:
-            # Group tasks by target launch: neighbours share the replay
-            # log's page cache and (under the parallel executor) chunks stay
-            # launch-coherent.  Results are keyed by index, so the ordering
-            # cannot change results.csv.
-            tasks.sort(
-                key=lambda t: (
-                    t.replay.stop_launch if t.replay is not None else -1,
-                    t.index,
-                )
-            )
+        tasks = self._tasks(
+            sites,
+            kind,
+            [index for index in range(start, len(sites)) if index not in loaded],
+        )
         by_index: dict[int, object] = dict(loaded)
         self.metrics.injections_total = len(sites)
-        self.metrics.injections_loaded = len(loaded)
+        self.metrics.injections_loaded += len(loaded)
         started = time.perf_counter()
-        on_retry = self._make_on_retry(kind)
-
         with self.tracer.span(
             "inject",
             kind=kind,
             total=len(sites),
             fresh=len(tasks),
-            snapshot=getattr(self.executor, "snapshot_executor", False),
             batch=getattr(self.executor, "batch_executor", False),
         ):
             for index in sorted(loaded):
@@ -1661,56 +1568,17 @@ class CampaignEngine:
                 )
                 self._count_outcome(item)
                 self._emit_injection_event(index, item, kind, resumed=True)
-            runs = self.executor.run(
-                tasks,
-                app=self.app,
-                tracer=self.tracer,
-                retry=policy,
-                on_retry=on_retry,
-            )
             try:
-                for output in runs:
-                    if isinstance(output, TaskFailure):
-                        if policy.on_failure == "raise" or build_failure is None:
-                            raise ReproError(
-                                f"injection task {output.index} failed after "
-                                f"{output.attempts} attempt(s) "
-                                f"[{output.reason}]: {output.error}"
-                            )
-                        item = self._quarantine(output, build_failure, kind)
-                    else:
-                        item = build(output)
-                        self.tracer.ingest(output.events)
-                        self._record_run_metrics(
-                            output.artifacts,
-                            injection=True,
-                            forked=getattr(output, "forked", False),
-                            batch=getattr(output, "batch", False),
-                            batch_shared=getattr(output, "batch_shared", False),
-                        )
-                    index = output.index
-                    by_index[index] = item
-                    if save is not None:
-                        save(index, item)
-                    self._emit_injection_event(
-                        index,
-                        item,
-                        kind,
-                        output=output if isinstance(output, InjectionOutput) else None,
-                    )
-                    self._count_outcome(item)
-                    self.metrics.injections_done += 1
-                    self.metrics.inject_seconds = time.perf_counter() - started
-                    self.metrics.tally.add(
-                        item.outcome, weight=getattr(item, "weight", 1.0)
-                    )
-                    self.hooks.on_injection(
-                        index,
-                        item.outcome,
-                        start + len(by_index),
-                        len(sites),
-                        self.metrics.tally,
-                    )
+                self._ingest(
+                    self._execute(tasks, kind),
+                    kind,
+                    build,
+                    build_failure,
+                    save=save,
+                    total=len(sites),
+                    into=by_index,
+                    offset=start,
+                )
             except KeyboardInterrupt:
                 # Everything in ``by_index`` is already checkpointed (``save``
                 # runs per completion); hand the partial state to the caller
@@ -1718,6 +1586,122 @@ class CampaignEngine:
                 raise CampaignInterrupted(by_index, len(sites)) from None
         self._phase("inject", time.perf_counter() - started)
         return [by_index[index] for index in range(start, len(sites))]
+
+    def _tasks(
+        self, sites: Sequence, kind: str, indices: Iterable[int]
+    ) -> list[InjectionTask]:
+        """Frozen, executor-ready tasks for ``indices`` of ``sites``.
+
+        Transient tasks carry their fast-forward reference.  Tasks are
+        grouped by target launch: neighbours share the replay log's page
+        cache and (under the parallel executor) chunks stay
+        launch-coherent.  Results are keyed by index, so the ordering
+        cannot change results.csv.
+        """
+        spec = self._injection_spec()
+        transient = kind == CampaignKind.TRANSIENT.value
+        tasks = [
+            InjectionTask(
+                index,
+                self.app.name,
+                kind,
+                sites[index],
+                spec,
+                replay=self._replay_ref_for(sites[index]) if transient else None,
+            )
+            for index in indices
+        ]
+        tasks.sort(
+            key=lambda t: (
+                t.replay.stop_launch if t.replay is not None else -1,
+                t.index,
+            )
+        )
+        return tasks
+
+    def _execute(
+        self, tasks: list[InjectionTask], kind: str
+    ) -> Iterator[InjectionOutput | TaskFailure]:
+        return self.executor.run(
+            tasks,
+            app=self.app,
+            tracer=self.tracer,
+            retry=self.config.retry,
+            on_retry=self._make_on_retry(kind),
+        )
+
+    def _ingest(
+        self,
+        runs: Iterable[InjectionOutput | TaskFailure],
+        kind: str,
+        build: Callable[[InjectionOutput], object],
+        build_failure: Callable[[TaskFailure], object],
+        save: Callable[[int, object], None] | None,
+        total: int,
+        into: dict[int, object],
+        offset: int = 0,
+    ) -> dict[int, object]:
+        """The one per-result step: classify, persist and account each result.
+
+        Tasks the harness could not complete (worker raised, died or hung
+        past every retry) arrive as :class:`TaskFailure` records; per
+        ``config.retry.on_failure`` they either abort the campaign or are
+        *quarantined* — turned into synthesized DUE results by
+        ``build_failure``, persisted like any other result (so a resume
+        skips them) and surfaced via ``injection_quarantined`` events and
+        the ``engine.quarantined`` counter.
+
+        Results land in ``into`` by index.  The progress hook reports
+        ``offset + len(into)`` completed of ``total``, and
+        ``engine.inject.seconds`` accumulates the time spent here.
+        """
+        policy = self.config.retry
+        base_seconds = self.metrics.inject_seconds
+        started = time.perf_counter()
+        for output in runs:
+            if isinstance(output, TaskFailure):
+                if policy.on_failure == "raise":
+                    raise ReproError(
+                        f"injection task {output.index} failed after "
+                        f"{output.attempts} attempt(s) "
+                        f"[{output.reason}]: {output.error}"
+                    )
+                item = self._quarantine(output, build_failure, kind)
+            else:
+                item = build(output)
+                self.tracer.ingest(output.events)
+                self._record_run_metrics(
+                    output.artifacts,
+                    injection=True,
+                    batch=output.batch,
+                    batch_shared=output.batch_shared,
+                )
+            index = output.index
+            into[index] = item
+            if save is not None:
+                save(index, item)
+            self._emit_injection_event(
+                index,
+                item,
+                kind,
+                output=output if isinstance(output, InjectionOutput) else None,
+            )
+            self._count_outcome(item)
+            self.metrics.injections_done += 1
+            self.metrics.inject_seconds = (
+                base_seconds + time.perf_counter() - started
+            )
+            self.metrics.tally.add(
+                item.outcome, weight=getattr(item, "weight", 1.0)
+            )
+            self.hooks.on_injection(
+                index,
+                item.outcome,
+                offset + len(into),
+                total,
+                self.metrics.tally,
+            )
+        return into
 
     def _make_on_retry(self, kind: str) -> OnRetry:
         """The retry-accounting callback handed to the executor."""
@@ -1826,21 +1810,17 @@ class CampaignEngine:
         self,
         artifacts: RunArtifacts,
         injection: bool = False,
-        forked: bool = False,
         batch: bool = False,
         batch_shared: bool = False,
     ) -> None:
         """Fold one sandboxed run's device counters into the registry."""
         reg = self.registry
         reg.counter("sandbox.runs").inc()
-        if forked:
-            # The run was serviced by a snapshot fork child resuming from
-            # a shared replayed checkpoint.
-            reg.counter("engine.snapshot.forks").inc()
         if batch:
-            # ... and the fork was an in-launch overlay checkpoint: the
+            # The run was serviced by an in-launch overlay fork child: the
             # batched pass counted this run's target launch and forked at
             # its instruction_count instead of re-simulating the prefix.
+            reg.counter("engine.snapshot.forks").inc()
             reg.counter("engine.batch.checkpoints").inc()
         if batch_shared:
             # One per batch group: its target launch was simulated once
@@ -1897,12 +1877,7 @@ class CampaignEngine:
         return arch_by_name(sandbox.family).num_sms
 
     def _sandbox_config(self) -> SandboxConfig:
-        sandbox = self.config.sandbox.clone()
-        # Either knob disables the block-compiled interpreter; getattr
-        # tolerates configs pickled before the field existed.
-        if not getattr(self.config, "block_compile", True):
-            sandbox.block_compile = False
-        return sandbox
+        return self.config.sandbox.clone()
 
     def _injection_config(self) -> SandboxConfig:
         config = self._sandbox_config()

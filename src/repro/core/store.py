@@ -276,29 +276,3 @@ class CampaignStore:
             self.save_injection(index, item)
         self.save_results_csv(result)
 
-
-def run_resumable_campaign(
-    campaign, store: CampaignStore
-) -> TransientCampaignResult:
-    """Run (or resume) a transient campaign against a study directory.
-
-    A thin facade over :class:`~repro.core.engine.CampaignEngine`: the
-    campaign's engine is pointed at ``store``, which makes it persist each
-    injection as it completes and load completed injections instead of
-    re-running them — a crashed or interrupted campaign continues where it
-    stopped, exactly like restarting the real package's
-    ``run_injections.py`` over an existing ``logs/`` tree.  Site selection
-    is deterministic from the campaign seed, so stored and fresh runs line
-    up index-for-index; a parallel engine resumes the same way.
-
-    .. deprecated::
-        Use :func:`repro.api.run_campaign` with ``store=...``.
-    """
-    warnings.warn(
-        "run_resumable_campaign is deprecated; use repro.api.run_campaign "
-        "with store=CampaignStore(...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    campaign.engine.store = store
-    return campaign.engine.run_transient()

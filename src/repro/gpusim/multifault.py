@@ -67,11 +67,6 @@ from typing import Iterable, Sequence
 from repro.gpusim.replay import TAIL_PATIENCE, ReplayCursor, ReplayLog
 
 
-def overlay_fork_supported() -> bool:
-    """In-launch overlays need a POSIX ``os.fork`` (same bar as snapshots)."""
-    return hasattr(os, "fork")
-
-
 @dataclass(frozen=True)
 class FaultPoint:
     """One armed fault target inside the shared launch.

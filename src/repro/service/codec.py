@@ -6,6 +6,13 @@ HTTP; both need one canonical JSON shape.  Enums travel as their stable
 names/values (``group``/``model`` by name, matching ``results.csv``;
 ``profiling`` and ``target_outcome`` by value), nested policies as plain
 objects.  ``config_from_dict(config_to_dict(c)) == c`` for every config.
+
+Rows written by earlier releases carry two retired keys, which
+:func:`config_from_dict` maps onto today's fields: ``snapshot: true``
+(the removed snapshot executor) becomes ``batch_launch: true``, and a
+campaign-level ``block_compile: false`` becomes
+``sandbox.block_compile = false``; the other values of both keys were
+defaults and are dropped.
 """
 
 from __future__ import annotations
@@ -33,9 +40,7 @@ def config_to_dict(config: CampaignConfig) -> dict:
         "hang_budget_factor": config.hang_budget_factor,
         "fast_forward": config.fast_forward,
         "tail_fast_forward": config.tail_fast_forward,
-        "snapshot": config.snapshot,
         "batch_launch": config.batch_launch,
-        "block_compile": config.block_compile,
         "replay_cache": config.replay_cache,
         "sandbox": _sandbox_to_dict(config.sandbox),
         "retry": _retry_to_dict(config.retry),
@@ -52,6 +57,7 @@ def config_from_dict(payload: dict) -> CampaignConfig:
     """
     if not isinstance(payload, dict):
         raise ParamError(f"campaign config must be an object, got {payload!r}")
+    payload = _upgrade_retired_keys(payload)
     decoders = {
         "workload": lambda v: v,
         "group": _decode_group,
@@ -62,9 +68,7 @@ def config_from_dict(payload: dict) -> CampaignConfig:
         "hang_budget_factor": int,
         "fast_forward": bool,
         "tail_fast_forward": bool,
-        "snapshot": bool,
         "batch_launch": bool,
-        "block_compile": bool,
         "replay_cache": _decode_replay_cache,
         "sandbox": _sandbox_from_dict,
         "retry": _retry_from_dict,
@@ -95,7 +99,18 @@ def decode_overrides(payload: dict) -> dict:
     single override mechanism the API and CLI use.
     """
     decoded = config_from_dict(payload)
-    return {key: getattr(decoded, key) for key in payload}
+    return {key: getattr(decoded, key) for key in _upgrade_retired_keys(payload)}
+
+
+def _upgrade_retired_keys(payload: dict) -> dict:
+    """Map the retired keys of earlier releases onto today's fields."""
+    payload = dict(payload)
+    if payload.pop("snapshot", False):
+        payload["batch_launch"] = True
+    sandbox = payload.get("sandbox") or {}
+    if not payload.pop("block_compile", True) and isinstance(sandbox, dict):
+        payload["sandbox"] = {**sandbox, "block_compile": False}
+    return payload
 
 
 # -- nested pieces -------------------------------------------------------------

@@ -213,8 +213,7 @@ class CampaignScheduler:
                 - set(self.db.completed_injections(self.campaign_id))
             )
             # Order units stop-launch-coherently: sites sharing a
-            # fast-forward checkpoint land in the same unit, so snapshot
-            # workers fork siblings off one restored state and batch
+            # fast-forward checkpoint land in the same unit, so batch
             # workers (config.batch_launch) service whole same-launch
             # groups from one shared counting pass.
             remaining = engine.snapshot_order(remaining)

@@ -54,7 +54,7 @@ class TestBreakdowns:
     def result(self):
         campaign = Campaign(get_workload("314.omriq"),
                             CampaignConfig(num_transient=15, seed=9))
-        return campaign.run_transient()
+        return campaign.engine.run_transient()
 
     def test_per_kernel_totals_sum_to_campaign(self, result):
         breakdown = per_kernel_breakdown(result)

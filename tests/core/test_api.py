@@ -1,8 +1,9 @@
 """Tests for the stable :mod:`repro.api` facade.
 
 The core property: the facade is a thin skin over the engine, so api-driven
-campaigns are byte-identical (results.csv) to the legacy entry points, and
-api site selection reproduces the engine's RNG stream exactly.
+campaigns are byte-identical (results.csv) to campaigns driven through
+:class:`~repro.core.engine.CampaignEngine` directly, and api site selection
+reproduces the engine's RNG stream exactly.
 """
 
 import pytest
@@ -11,7 +12,7 @@ import repro
 from repro import api
 from repro.core.campaign import Campaign, CampaignConfig
 from repro.core.params import PermanentParams
-from repro.core.store import CampaignStore, run_resumable_campaign
+from repro.core.store import CampaignStore
 from repro.errors import ReproError
 from repro.workloads import get_workload
 
@@ -88,12 +89,12 @@ class TestRunCampaign:
         api_store = CampaignStore(tmp_path / "api")
         api_result = api.run_campaign(config, store=api_store)
 
+        # The Campaign facade's engine, run without a store; the study is
+        # saved afterwards in one call.
         legacy = Campaign(get_workload(WORKLOAD), config)
-        with pytest.warns(DeprecationWarning):
-            legacy_result = legacy.run_transient()
-        legacy.engine.store = CampaignStore(tmp_path / "legacy")
-        legacy.engine.store.save_campaign(
-            legacy.engine.golden, legacy.engine.profile, legacy_result
+        legacy_result = legacy.engine.run_transient()
+        CampaignStore(tmp_path / "legacy").save_campaign(
+            legacy.golden, legacy.profile, legacy_result
         )
 
         assert api_result.tally.counts == legacy_result.tally.counts
@@ -111,33 +112,6 @@ class TestRunCampaign:
         with pytest.raises(ReproError, match="kind"):
             api.run_campaign(
                 CampaignConfig(workload=WORKLOAD), kind="cosmic"
-            )
-
-
-class TestDeprecations:
-    def test_legacy_run_transient_warns(self):
-        campaign = Campaign(
-            get_workload(WORKLOAD), CampaignConfig(num_transient=1, seed=1)
-        )
-        with pytest.warns(DeprecationWarning, match="run_campaign"):
-            campaign.run_transient()
-
-    def test_run_resumable_campaign_warns(self, tmp_path):
-        campaign = Campaign(
-            get_workload(WORKLOAD), CampaignConfig(num_transient=1, seed=1)
-        )
-        with pytest.warns(DeprecationWarning, match="run_campaign"):
-            run_resumable_campaign(campaign, CampaignStore(tmp_path))
-
-    @pytest.mark.slow
-    def test_run_transient_parallel_warns(self):
-        from repro.core.parallel import run_transient_parallel
-
-        with pytest.warns(DeprecationWarning, match="run_campaign"):
-            run_transient_parallel(
-                WORKLOAD,
-                CampaignConfig(num_transient=1, seed=1),
-                max_workers=1,
             )
 
 
@@ -171,36 +145,6 @@ class TestCampaignKinds:
                 CampaignConfig(workload=WORKLOAD),
                 kind=repro.CampaignKind.INTERMITTENT,
             )
-
-
-class TestLegacyOverrideKwargs:
-    def test_each_legacy_kwarg_warns(self):
-        from repro.core.resilience import RetryPolicy
-
-        for kwarg, value in [
-            ("retry", RetryPolicy(max_attempts=2)),
-            ("fast_forward", False),
-            ("tail_fast_forward", False),
-        ]:
-            config = CampaignConfig(workload=WORKLOAD, num_transient=1, seed=1)
-            with pytest.warns(DeprecationWarning, match="with_overrides"):
-                api.run_campaign(config, **{kwarg: value})
-
-    def test_legacy_kwargs_match_with_overrides(self, tmp_path):
-        config = CampaignConfig(workload=WORKLOAD, num_transient=3, seed=5)
-
-        legacy_store = CampaignStore(tmp_path / "legacy")
-        with pytest.warns(DeprecationWarning, match="with_overrides"):
-            api.run_campaign(config, store=legacy_store, fast_forward=False)
-
-        modern_store = CampaignStore(tmp_path / "modern")
-        api.run_campaign(
-            config.with_overrides(fast_forward=False), store=modern_store
-        )
-
-        assert (tmp_path / "legacy" / "results.csv").read_bytes() == (
-            tmp_path / "modern" / "results.csv"
-        ).read_bytes()
 
 
 class TestUnstampedProfiles:

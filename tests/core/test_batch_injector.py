@@ -1,7 +1,7 @@
 """Batched multi-fault execution: one counting pass per target launch.
 
-Same contract as the snapshot tests: *results are byte-identical, only
-wall-clock changes*.  The batch executor must reproduce the serial
+Same contract as the fork tests in ``test_snapshot.py``: *results are
+byte-identical, only wall-clock changes*.  The batch executor must reproduce the serial
 campaign bit for bit — records, outcomes, simulated-cycle totals —
 while servicing every same-launch fault from one shared counting pass
 (``engine.batch.checkpoints`` / ``engine.batch.launches_shared`` prove
@@ -24,7 +24,6 @@ from repro.core.resilience import (
     RetryPolicy,
     TaskFailure,
 )
-from repro.core.snapshot import SnapshotExecutor
 from repro.core.store import CampaignStore
 from repro.obs import MetricsRegistry
 
@@ -110,16 +109,18 @@ class TestBatchParity:
         assert registry.counter_values()["engine.batch.checkpoints"] == _N
 
     def test_snapshot_plus_batch_knobs_mean_batch(self, tmp_path, serial_csv):
-        """The ISSUE's "snapshot+batch" CLI combination: batch subsumes."""
-        engine = CampaignEngine(
-            _WORKLOAD, _config(snapshot=True, batch_launch=True)
-        )
+        """A stored config with both the retired ``snapshot`` knob and
+        ``batch_launch`` set decodes to the batch executor."""
+        from repro.service.codec import config_from_dict, config_to_dict
+
+        row = config_to_dict(_config(batch_launch=True))
+        row["snapshot"] = True
+        config = config_from_dict(row)
+        engine = CampaignEngine(_WORKLOAD, config)
         assert isinstance(engine.executor, BatchExecutor)
         registry = MetricsRegistry()
         csv = _campaign_csv(
-            tmp_path, "snap-batch",
-            config=_config(snapshot=True, batch_launch=True),
-            registry=registry,
+            tmp_path, "snap-batch", config=config, registry=registry,
         )
         assert csv == serial_csv
         assert registry.counter_values()["engine.batch.checkpoints"] == _N
@@ -341,7 +342,7 @@ class TestShardedBatch:
 
 @pytest.mark.slow
 class TestBigWorkloadParity:
-    """370.bt parity across serial / batch / sharded batch / snapshot."""
+    """370.bt parity across serial / batch / sharded batch."""
 
     def test_370bt_byte_identical(self, tmp_path, monkeypatch):
         config = CampaignConfig(workload="370.bt", num_transient=10, seed=7)
@@ -362,10 +363,6 @@ class TestBigWorkloadParity:
             tmp_path, "bt-batch2", executor=BatchExecutor(max_workers=2),
             config=config,
         )
-        snap = _campaign_csv(
-            tmp_path, "bt-snap", executor=SnapshotExecutor(), config=config
-        )
         assert batch == serial
         assert sharded == serial
-        assert snap == serial
         assert registry.counter_values()["engine.batch.checkpoints"] == 10

@@ -46,7 +46,7 @@ class TestPhases:
 
 class TestTransientCampaign:
     def test_full_run(self, campaign):
-        result = campaign.run_transient()
+        result = campaign.engine.run_transient()
         assert len(result.results) == 12
         assert result.tally.total == 12
         fractions = result.tally.fractions()
@@ -55,7 +55,7 @@ class TestTransientCampaign:
         assert result.total_time > result.profile_time
 
     def test_every_result_has_outcome_and_record(self, campaign):
-        result = campaign.run_transient(campaign.select_sites(4))
+        result = campaign.engine.run_transient(campaign.select_sites(4))
         for item in result.results:
             assert item.outcome.outcome in Outcome
             assert item.params.kernel_name in ("computePhiMag", "computeQ")
@@ -66,7 +66,7 @@ class TestTransientCampaign:
                 get_workload("360.ilbdc"),
                 CampaignConfig(num_transient=6, seed=5),
             )
-            result = instance.run_transient()
+            result = instance.engine.run_transient()
             return [r.outcome.outcome for r in result.results]
 
         assert run() == run()

@@ -179,7 +179,7 @@ class TestHelpSnapshots:
             "--format", "--max-attempts", "--task-timeout", "--on-failure",
             "--fast-forward", "--no-fast-forward",
             "--tail-fast-forward", "--no-tail-fast-forward",
-            "--snapshot", "--no-snapshot", "--replay-cache",
+            "--batch-launch", "--no-batch-launch", "--replay-cache",
             "--seed", "--trace", "--metrics",
             "--target-outcome", "--confidence", "--half-width",
             "--sampling", "--batch-size",
@@ -228,6 +228,12 @@ class TestCampaignCommand:
     def test_unknown_workload(self):
         with pytest.raises(KeyError, match="unknown workload"):
             main(["profile", "999.nope"])
+
+    def test_retired_snapshot_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", "314.omriq", "--snapshot"])
+        assert exc.value.code == 2
+        assert "--snapshot" in capsys.readouterr().err
 
 
 class TestAdaptiveCampaignCommand:

@@ -124,6 +124,31 @@ class TestHooksAndMetrics:
         assert "inj/s" in engine.metrics.summary()
 
 
+class TestPumpMatchesRunTransient:
+    """The v2 pump and ``run_transient`` share one per-result step."""
+
+    @staticmethod
+    def _engine(seen):
+        class Hooks(EngineHooks):
+            def on_injection(self, index, outcome, completed, total, tally):
+                seen.append((completed, total))
+
+        return CampaignEngine(
+            _WORKLOAD, CampaignConfig(num_transient=4, seed=3), hooks=Hooks()
+        )
+
+    def test_run_batch_reports_inject_seconds_and_progress(self):
+        pumped, driven = [], []
+        pump = self._engine(pumped)
+        pump.run_batch()
+        assert pump.metrics.inject_seconds > 0
+        assert pump.metrics.injections_per_second > 0
+        assert not pump.metrics.summary().endswith(" 0.0 inj/s")
+        engine = self._engine(driven)
+        engine.run_transient(pump.plan_transient())
+        assert pumped == driven == [(1, 4), (2, 4), (3, 4), (4, 4)]
+
+
 class TestPermanentEngine:
     def test_permanent_checkpoint_and_resume(self, tmp_path):
         store = CampaignStore(tmp_path)

@@ -268,7 +268,7 @@ class TestReplayObservability:
         )
 
     def test_api_override(self, tmp_path):
-        """run_campaign(tail_fast_forward=...) overrides the config knob."""
+        """``with_overrides(tail_fast_forward=...)`` overrides the knob."""
         store = CampaignStore(tmp_path / "api-override")
         registry = MetricsRegistry()
         config = CampaignConfig(
@@ -276,8 +276,9 @@ class TestReplayObservability:
             tail_fast_forward=True,
         )
         repro.run_campaign(
-            config, store=CampaignStore(tmp_path / "api-override"),
-            metrics=registry, tail_fast_forward=False,
+            config.with_overrides(tail_fast_forward=False),
+            store=CampaignStore(tmp_path / "api-override"),
+            metrics=registry,
         )
         assert "engine.replay.tail_hits" not in registry.snapshot()["counters"]
         baseline = _results_csv(tmp_path, "api-baseline", True)

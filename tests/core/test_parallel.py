@@ -2,9 +2,17 @@
 
 import pytest
 
-from repro.core.campaign import Campaign, CampaignConfig
-from repro.core.parallel import run_transient_parallel
-from repro.workloads import get_workload
+import repro
+from repro.core.campaign import CampaignConfig
+from repro.core.engine import ParallelExecutor
+
+
+def _run(config, workers=None):
+    """``run_campaign`` on 314.omriq, serial or over ``workers`` processes."""
+    return repro.run_campaign(
+        config.with_overrides(workload="314.omriq"),
+        executor=ParallelExecutor(max_workers=workers) if workers else None,
+    )
 
 _CONFIG = dict(num_transient=6, seed=13)
 
@@ -13,12 +21,8 @@ _CONFIG = dict(num_transient=6, seed=13)
 class TestParallelCampaign:
     @pytest.fixture(scope="class")
     def serial_and_parallel(self):
-        serial = Campaign(
-            get_workload("314.omriq"), CampaignConfig(**_CONFIG)
-        ).run_transient()
-        parallel = run_transient_parallel(
-            "314.omriq", CampaignConfig(**_CONFIG), max_workers=2
-        )
+        serial = _run(CampaignConfig(**_CONFIG))
+        parallel = _run(CampaignConfig(**_CONFIG), workers=2)
         return serial, parallel
 
     def test_same_number_of_results(self, serial_and_parallel):
@@ -69,8 +73,8 @@ class TestNonDefaultSandboxPropagation:
                 ),
             )
 
-        serial = Campaign(get_workload("314.omriq"), config()).run_transient()
-        parallel = run_transient_parallel("314.omriq", config(), max_workers=2)
+        serial = _run(config())
+        parallel = _run(config(), workers=2)
         return serial, parallel
 
     def test_same_sites(self, runs):

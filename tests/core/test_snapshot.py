@@ -1,13 +1,17 @@
-"""Snapshot execution + persistent replay cache.
+"""Fork-at-checkpoint execution + persistent replay cache.
 
 The contract under test is the usual one: *results are byte-identical,
-only wall-clock changes*.  Fork-based snapshot children must reproduce
-the serial campaign bit for bit — including the quarantine/retry paths,
-where a child dying at the injection point must charge the same attempt
-counts and synthesize the same DUE rows as a serial task raising.  The
-persistent :class:`~repro.core.snapshot.ReplayCache` must likewise never
-change artifacts: a hit only swaps simulated golden launches for replayed
-ones.
+only wall-clock changes*.  The fork suite below predates the batch
+executor — it was written for the removed snapshot executor, which forked
+one child per fault at the target launch boundary — and now runs on
+:class:`~repro.core.batch_injector.BatchExecutor`, the one fork executor:
+fork children must reproduce the serial campaign bit for bit, including
+the quarantine/retry paths, where a child dying at the injection point
+must charge the same attempt counts and synthesize the same DUE rows as a
+serial task raising.  Configs stored with the retired ``snapshot`` key
+must still select fork execution.  The persistent
+:class:`~repro.core.snapshot.ReplayCache` must likewise never change
+artifacts: a hit only swaps simulated golden launches for replayed ones.
 """
 
 from __future__ import annotations
@@ -19,15 +23,11 @@ import numpy as np
 import pytest
 
 import repro
+from repro.core.batch_injector import BatchExecutor
 from repro.core.campaign import CampaignConfig
-from repro.core.engine import CampaignEngine, SerialExecutor
+from repro.core.engine import CampaignEngine, SerialExecutor, choose_executor
 from repro.core.resilience import HARNESS_FAILURE_SYMPTOM, RetryPolicy
-from repro.core.snapshot import (
-    ReplayCache,
-    SnapshotExecutor,
-    default_cache_root,
-    snapshot_supported,
-)
+from repro.core.snapshot import ReplayCache, default_cache_root
 from repro.core.store import CampaignStore
 from repro.obs import MetricsRegistry
 from repro.runner.sandbox import SandboxConfig
@@ -49,6 +49,15 @@ def _config(**overrides) -> CampaignConfig:
     ).with_overrides(**overrides)
 
 
+def _stored_snapshot_config() -> CampaignConfig:
+    """A config as a FaultDB row written before ``snapshot`` was retired."""
+    from repro.service.codec import config_from_dict, config_to_dict
+
+    row = config_to_dict(_config())
+    row["snapshot"] = True
+    return config_from_dict(row)
+
+
 def _campaign_csv(tmp_path, label, executor=None, config=None,
                   registry=None) -> bytes:
     store = CampaignStore(tmp_path / label)
@@ -68,12 +77,13 @@ def serial_csv(tmp_path_factory) -> bytes:
 
 class TestForkParity:
     def test_supported_on_posix(self):
-        assert snapshot_supported()
+        executor = choose_executor(_config(batch_launch=True), workers=2)
+        assert isinstance(executor, BatchExecutor)
 
     def test_snapshot_matches_serial_byte_for_byte(self, tmp_path, serial_csv):
         registry = MetricsRegistry()
         csv = _campaign_csv(
-            tmp_path, "snap", executor=SnapshotExecutor(), registry=registry
+            tmp_path, "snap", executor=BatchExecutor(), registry=registry
         )
         assert csv == serial_csv
         # Every transient injection must have been serviced by a fork
@@ -82,14 +92,15 @@ class TestForkParity:
 
     def test_sharded_snapshot_matches_serial(self, tmp_path, serial_csv):
         csv = _campaign_csv(
-            tmp_path, "snap2", executor=SnapshotExecutor(max_workers=2)
+            tmp_path, "snap2", executor=BatchExecutor(max_workers=2)
         )
         assert csv == serial_csv
 
     def test_config_knob_selects_snapshot_executor(self, tmp_path, serial_csv):
         registry = MetricsRegistry()
         csv = _campaign_csv(
-            tmp_path, "knob", config=_config(snapshot=True), registry=registry
+            tmp_path, "knob", config=_stored_snapshot_config(),
+            registry=registry,
         )
         assert csv == serial_csv
         assert registry.counter_values()["engine.snapshot.forks"] == _N
@@ -98,15 +109,13 @@ class TestForkParity:
                                                       serial_csv):
         store = CampaignStore(tmp_path / "resumed")
         engine = CampaignEngine(
-            _WORKLOAD, _config(), executor=SnapshotExecutor(), store=store
+            _WORKLOAD, _config(), executor=BatchExecutor(), store=store
         )
         engine.plan_transient()
         engine.run_batch([0, 1, 2])
         # Resume in a fresh engine: the three checkpointed runs are loaded,
-        # the remaining seven go through the snapshot path.
-        repro.run_campaign(
-            _config(), executor=SnapshotExecutor(), store=store
-        )
+        # the remaining seven go through the fork path.
+        repro.run_campaign(_config(), executor=BatchExecutor(), store=store)
         assert (tmp_path / "resumed" / "results.csv").read_bytes() == serial_csv
 
     def test_fast_forward_off_falls_back_per_task(self, tmp_path, serial_csv):
@@ -115,7 +124,7 @@ class TestForkParity:
         csv = _campaign_csv(
             tmp_path,
             "noff",
-            executor=SnapshotExecutor(),
+            executor=BatchExecutor(),
             config=_config(fast_forward=False, tail_fast_forward=False),
             registry=registry,
         )
@@ -128,18 +137,15 @@ class TestNonPosixFallback:
                                           monkeypatch):
         import os
 
-        import repro.core.snapshot as snapshot_mod
-
         monkeypatch.delattr(os, "fork")
-        assert not snapshot_mod.snapshot_supported()
-        csv = _campaign_csv(tmp_path, "nofork", executor=SnapshotExecutor())
+        csv = _campaign_csv(tmp_path, "nofork", executor=BatchExecutor())
         assert csv == serial_csv
 
     def test_engine_default_executor_degrades_to_serial(self, monkeypatch):
         import os
 
         monkeypatch.delattr(os, "fork")
-        engine = CampaignEngine(_WORKLOAD, _config(snapshot=True))
+        engine = CampaignEngine(_WORKLOAD, _stored_snapshot_config())
         assert isinstance(engine.executor, SerialExecutor)
 
 
@@ -174,7 +180,7 @@ class SnapChaosOMriq(OMriq):
 
     The failure is a deterministic function of the injected fault (seed 7
     corrupts exactly 2 of 12 outputs for this workload name — the site RNG
-    stream is keyed by it), so serial and snapshot campaigns fail — and
+    stream is keyed by it), so serial and forked campaigns fail — and
     quarantine — exactly the same tasks.
     """
 
@@ -218,7 +224,7 @@ class TestQuarantineParity:
         )
         store = CampaignStore(tmp_path / "chaos-snap")
         result = repro.run_campaign(
-            self._chaos_config(), executor=SnapshotExecutor(), store=store
+            self._chaos_config(), executor=BatchExecutor(), store=store
         )
         assert (tmp_path / "chaos-snap" / "results.csv").read_bytes() == serial
         quarantined = [
@@ -331,11 +337,11 @@ class TestReplayCache:
         registry = MetricsRegistry()
         _campaign_csv(
             tmp_path, "compose-cold",
-            config=_config(snapshot=True, replay_cache=str(cache_dir)),
+            config=_config(batch_launch=True, replay_cache=str(cache_dir)),
         )
         csv = _campaign_csv(
             tmp_path, "compose-warm",
-            config=_config(snapshot=True, replay_cache=str(cache_dir)),
+            config=_config(batch_launch=True, replay_cache=str(cache_dir)),
             registry=registry,
         )
         assert csv == serial_csv
@@ -344,21 +350,21 @@ class TestReplayCache:
         assert values["engine.snapshot.forks"] == _N
 
 
-# -- multi-process snapshot shards (slow) --------------------------------------
+# -- multi-process fork shards (slow) ------------------------------------------
 
 
 @pytest.mark.slow
 class TestShardedSnapshot:
     def test_four_worker_snapshot_matches_serial(self, tmp_path, serial_csv):
         csv = _campaign_csv(
-            tmp_path, "snap4", executor=SnapshotExecutor(max_workers=4)
+            tmp_path, "snap4", executor=BatchExecutor(max_workers=4)
         )
         assert csv == serial_csv
 
 
 @pytest.mark.slow
 class TestBigWorkloadParity:
-    """Satellite: 370.bt parity across serial / snapshot / sharded snapshot."""
+    """370.bt parity across serial / forked / sharded forked execution."""
 
     def test_370bt_byte_identical(self, tmp_path):
         config = CampaignConfig(workload="370.bt", num_transient=10, seed=7)
@@ -367,11 +373,11 @@ class TestBigWorkloadParity:
         )
         registry = MetricsRegistry()
         snap = _campaign_csv(
-            tmp_path, "bt-snap", executor=SnapshotExecutor(), config=config,
+            tmp_path, "bt-snap", executor=BatchExecutor(), config=config,
             registry=registry,
         )
         sharded = _campaign_csv(
-            tmp_path, "bt-snap2", executor=SnapshotExecutor(max_workers=2),
+            tmp_path, "bt-snap2", executor=BatchExecutor(max_workers=2),
             config=config,
         )
         assert snap == serial

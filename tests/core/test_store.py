@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro
 from repro.core.campaign import Campaign, CampaignConfig
 from repro.core.outcomes import Outcome
 from repro.core.store import CampaignStore
@@ -13,7 +14,7 @@ from repro.workloads import get_workload
 def campaign_result():
     campaign = Campaign(get_workload("314.omriq"),
                         CampaignConfig(num_transient=5, seed=3))
-    result = campaign.run_transient()
+    result = campaign.engine.run_transient()
     return campaign, result
 
 
@@ -84,23 +85,22 @@ class TestRoundTrips:
 
 
 class TestResume:
-    def _make_campaign(self):
-        return Campaign(get_workload("314.omriq"),
-                        CampaignConfig(num_transient=4, seed=21))
+    @staticmethod
+    def _run(store, seed=21):
+        return repro.run_campaign(
+            CampaignConfig(workload="314.omriq", num_transient=4, seed=seed),
+            store=store,
+        )
 
     def test_fresh_run_populates_store(self, tmp_path):
-        from repro.core.store import run_resumable_campaign
-
         store = CampaignStore(tmp_path)
-        result = run_resumable_campaign(self._make_campaign(), store)
+        result = self._run(store)
         assert len(result.results) == 4
         assert store.completed_injections() == [0, 1, 2, 3]
 
     def test_resume_skips_completed_and_matches(self, tmp_path):
-        from repro.core.store import run_resumable_campaign
-
         store = CampaignStore(tmp_path)
-        first = run_resumable_campaign(self._make_campaign(), store)
+        first = self._run(store)
 
         # Simulate an interruption: drop the last two runs from disk.
         import shutil
@@ -109,21 +109,17 @@ class TestResume:
             shutil.rmtree(tmp_path / "injections" / f"run_{index:05d}")
         assert store.completed_injections() == [0, 1]
 
-        second = run_resumable_campaign(self._make_campaign(), store)
+        second = self._run(store)
         assert store.completed_injections() == [0, 1, 2, 3]
         assert [r.outcome.outcome for r in second.results] == [
             r.outcome.outcome for r in first.results
         ]
 
     def test_mismatched_store_rejected(self, tmp_path):
-        from repro.core.store import run_resumable_campaign
-
         store = CampaignStore(tmp_path)
-        run_resumable_campaign(self._make_campaign(), store)
-        other = Campaign(get_workload("314.omriq"),
-                         CampaignConfig(num_transient=4, seed=999))
+        self._run(store)
         with pytest.raises(ReproError, match="different"):
-            run_resumable_campaign(other, store)
+            self._run(store, seed=999)
 
 
 class TestErrors:

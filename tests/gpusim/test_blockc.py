@@ -7,7 +7,7 @@ stdout, output files, trap identity, dmesg — is identical.  Coverage
 follows the fallback matrix in ``docs/performance.md``: straight-line
 blocks, guarded instructions inside blocks, mid-block memory traps,
 watchdog exhaustion at a block-interior instruction, clock readers,
-and campaign-level results.csv parity across serial/snapshot/batch
+and campaign-level results.csv parity across serial/batch
 executors (a fault injected at a block-interior dynamic instruction
 rides the instrumented step path while every other launch runs
 compiled blocks).
@@ -23,7 +23,6 @@ from repro.core.campaign import CampaignConfig
 from repro.core.engine import CampaignEngine
 from repro.core.injector import TransientInjectorTool
 from repro.core.pf_injector import PermanentInjectorTool
-from repro.core.snapshot import SnapshotExecutor
 from repro.core.store import CampaignStore
 from repro.cuda.driver import CudaFunction
 from repro.errors import MemoryViolation, WatchdogTimeout
@@ -350,7 +349,7 @@ class TestCampaignParity:
     """A full injection campaign — faults land at block-interior dynamic
     instructions; the instrumented target launch steps while every other
     launch runs compiled blocks — must produce byte-identical results.csv
-    with the tier on or off, across serial, snapshot and batch executors."""
+    with the tier on or off, across the serial and batch executors."""
 
     _WORKLOAD = "314.omriq"
     _FAULTS = 6
@@ -364,7 +363,7 @@ class TestCampaignParity:
                 workload=self._WORKLOAD,
                 num_transient=self._FAULTS,
                 seed=self._SEED,
-                block_compile=block_compile,
+                sandbox=SandboxConfig(block_compile=block_compile),
             ),
             store=CampaignStore(store_dir),
             executor=executor,
@@ -375,9 +374,6 @@ class TestCampaignParity:
     def test_results_csv_byte_identical_across_executors(self, tmp_path):
         baseline = self._run(tmp_path, "step-serial", block_compile=False)
         assert self._run(tmp_path, "bc-serial", True) == baseline
-        assert self._run(
-            tmp_path, "bc-snapshot", True, executor=SnapshotExecutor()
-        ) == baseline
         assert self._run(
             tmp_path, "bc-batch", True, executor=BatchExecutor()
         ) == baseline

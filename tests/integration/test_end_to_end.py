@@ -102,7 +102,7 @@ class TestOutcomeDiversity:
             model=BitFlipModel.RANDOM_VALUE,
         )
         campaign = Campaign(get_workload("356.sp"), config)
-        result = campaign.run_transient()
+        result = campaign.engine.run_transient()
         fractions = result.tally.fractions()
         assert fractions["SDC"] > 0
         assert fractions["Masked"] > 0

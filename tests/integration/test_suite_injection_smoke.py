@@ -15,7 +15,7 @@ from repro.workloads import WORKLOAD_CLASSES
 @pytest.mark.parametrize("cls", WORKLOAD_CLASSES, ids=lambda c: c.name)
 def test_one_injection_lands(cls):
     campaign = Campaign(cls(), CampaignConfig(num_transient=1, seed=31))
-    result = campaign.run_transient()
+    result = campaign.engine.run_transient()
     item = result.results[0]
     assert item.record.injected, item.params
     assert item.outcome.outcome in Outcome
@@ -32,5 +32,5 @@ def test_fp32_group_reachable(cls):
         num_transient=1, seed=5, group=InstructionGroup.G_FP32
     )
     campaign = Campaign(cls(), config)
-    result = campaign.run_transient()
+    result = campaign.engine.run_transient()
     assert result.results[0].record.injected

@@ -265,7 +265,7 @@ def test_codec_round_trips_default_and_rich_configs():
         seed=9,
         hang_budget_factor=12,
         fast_forward=False,
-        snapshot=True,
+        batch_launch=True,
         replay_cache="/tmp/replay-cache",
         sandbox=SandboxConfig(seed=4, num_sms=2, extra_env={"X": "1"}),
         retry=RetryPolicy(max_attempts=5, task_timeout=1.5, on_failure="raise"),
@@ -274,6 +274,61 @@ def test_codec_round_trips_default_and_rich_configs():
     )
     for config in (repro.CampaignConfig(workload="360.ilbdc"), rich):
         assert config_from_dict(config_to_dict(config)) == config
+
+
+def test_codec_decodes_rows_with_retired_keys():
+    """A row in the exact shape earlier releases wrote still decodes:
+    ``snapshot: true`` means batch execution, and a campaign-level
+    ``block_compile: false`` moves onto the sandbox."""
+    row = {
+        "workload": "360.ilbdc",
+        "group": "G_GP",
+        "model": "FLIP_SINGLE_BIT",
+        "num_transient": 7,
+        "seed": 9,
+        "profiling": "exact",
+        "hang_budget_factor": 10,
+        "fast_forward": True,
+        "tail_fast_forward": True,
+        "snapshot": True,
+        "batch_launch": False,
+        "block_compile": False,
+        "replay_cache": None,
+        "sandbox": {
+            "seed": 4,
+            "instruction_budget": 20000000,
+            "family": "volta",
+            "num_sms": None,
+            "global_mem_bytes": 67108864,
+            "block_compile": True,
+            "extra_env": {},
+        },
+        "retry": {
+            "max_attempts": 3,
+            "backoff_base": 0.05,
+            "backoff_factor": 2.0,
+            "backoff_max": 2.0,
+            "jitter": 0.1,
+            "seed": 0,
+            "task_timeout": None,
+            "on_failure": "quarantine",
+        },
+        "stopping": None,
+        "sampling": None,
+    }
+    config = config_from_dict(row)
+    assert config.batch_launch is True
+    assert config.sandbox.block_compile is False
+    assert config.sandbox.seed == 4
+    assert "snapshot" not in config_to_dict(config)
+    assert "block_compile" not in config_to_dict(config)
+    # The defaults of both retired keys are simply dropped.
+    row.update(snapshot=False, block_compile=True)
+    config = config_from_dict(row)
+    assert config.batch_launch is False
+    assert config.sandbox.block_compile is True
+    # A submission naming a retired key overrides the mapped field.
+    assert decode_overrides({"snapshot": True}) == {"batch_launch": True}
 
 
 def test_codec_rejects_unknown_keys_and_bad_values():

@@ -75,7 +75,7 @@ class TestInjectionIntoLibrary:
 
     def test_full_campaign_over_library_app(self):
         campaign = Campaign(AvPipeline(), CampaignConfig(num_transient=6, seed=4))
-        result = campaign.run_transient()
+        result = campaign.engine.run_transient()
         assert len(result.results) == 6
         injected_kernels = {
             r.record.kernel_name for r in result.results if r.record.injected

@@ -52,6 +52,9 @@ BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_gpusim.json"
 # unloaded box; 1.5x leaves headroom for slower hosts.
 _MIN_MICRO_SPEEDUP = 1.5
 
+# No workload's golden run may be slower block-compiled than stepped.
+_MIN_WORKLOAD_SPEEDUP = 1.0
+
 # Tight ALU loop: one ISETP/BRA pair of control per 9 straight-line
 # instructions, so almost the whole dynamic stream is block-compilable.
 _MICRO_SRC = """
@@ -241,6 +244,7 @@ def test_interpreter_throughput(benchmark):
         "workloads": workloads,
         "instrumented": instrumented,
         "micro_speedup_floor": _MIN_MICRO_SPEEDUP,
+        "workload_speedup_floor": _MIN_WORKLOAD_SPEEDUP,
         "counters_identical": True,
     }
     BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
@@ -296,5 +300,13 @@ def test_interpreter_throughput(benchmark):
         assert micro["speedup"] >= _MIN_MICRO_SPEEDUP, (
             f"block-compiled microbench speedup regressed: "
             f"{micro['speedup']:.2f}x < {_MIN_MICRO_SPEEDUP}x "
+            f"(see {BENCH_PATH})"
+        )
+        slower = [
+            f"{row['workload']} {row['speedup']:.2f}x" for row in workloads
+            if row["speedup"] < _MIN_WORKLOAD_SPEEDUP
+        ]
+        assert not slower, (
+            f"block-compiled golden runs slower than stepping: {slower} "
             f"(see {BENCH_PATH})"
         )

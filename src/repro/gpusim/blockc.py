@@ -1,32 +1,37 @@
 """Block-compiled warp interpreter: straight-line SASS fused into superhandlers.
 
-After the replay/snapshot/batch work, campaign wall-clock is dominated by
-launches that must be simulated instruction-by-instruction (golden runs and
-never-reconverging divergent suffixes), and profiling shows the cost there
-is not the numpy lane math but the per-dynamic-instruction Python constant
-in ``SM._run_slice_fast``: one dispatch index, one ``Warp.guard_mask`` call
-(which copies ``active``), one ``device.tick()``, and one
-``exec_mask.any()`` per warp-instruction.  This module removes that
-constant for straight-line code:
+Simulating a launch instruction by instruction pays a Python constant per
+dynamic warp-instruction in ``SM._run_slice_fast`` on top of the numpy
+lane math: a dispatch index, one ``Warp.guard_mask`` call (which copies
+``active``), one ``device.tick()`` and one ``exec_mask.any()``.  This
+module removes that constant for straight-line code:
 
 * each kernel is partitioned once into **basic blocks** — maximal runs of
   non-control instructions, split at branch targets, unknown opcodes,
   ``SR_CLOCK`` readers (they observe the tick counter mid-block) and at
   :data:`MAX_BLOCK_LEN` so a block always fits one scheduling quantum;
 * each block is code-generated into one Python **superhandler** via a
-  source template + ``compile()``: the handler calls are inlined in
-  sequence with the handler and instruction objects bound as keyword
-  defaults (LOAD_FAST, no per-instruction table indexing), ``warp.active``
-  / ``warp.preds`` hoisted out of the loop, guard masks still evaluated
-  per-instruction (predicates mutate mid-block) but resolved to the
-  no-copy ``_a`` fast path when the instruction is unguarded, the
-  per-instruction ``exec_mask.any()`` / ``handler is None`` checks
-  resolved at compile time, and the ``device.tick()`` calls replaced by a
+  source template + ``compile()``: ``warp.active`` / ``warp.preds`` /
+  ``warp.regs`` are hoisted out of the block, guard masks are still
+  evaluated per instruction (predicates mutate mid-block) but resolve to
+  the no-copy ``_a`` fast path when the instruction is unguarded, the
+  per-instruction ``exec_mask.any()`` / ``handler is None`` checks are
+  resolved at compile time, and the ``device.tick()`` calls become a
   single bulk :meth:`~repro.gpusim.device.Device.tick_n` charge;
 * a mid-block trap rolls the bulk tick charge back to the faulting
   instruction and restores ``warp.pc`` to it, so device counters, memory
   and warp state at the trap are exactly what per-instruction stepping
   would have produced.
+
+Both tiers come from the same opcode templates
+(:data:`repro.gpusim.exec_units.LANE_OPS`): :func:`build_table` binds each
+templated pc to the stepping handler generated from its template (compiled
+once per distinct template per process), and a block inlines the same
+template's expression as statements — register reads as views of the
+hoisted register file, immediates as shared read-only arrays, the one
+masked store last.  A shape the inliner does not take (a ``c[..]``
+operand, an FP64 read, a malformed instruction) calls the stepping
+handler, as does every opcode with a hand-written handler.
 
 The scheduler (``SM._run_slice_fast``) only executes a block whole when it
 fits the warp's remaining quantum **and** the watchdog budget has headroom
@@ -61,11 +66,15 @@ from __future__ import annotations
 import hashlib
 from time import perf_counter
 
-import numpy as np
-
+from repro.errors import DeviceTrap
 from repro.gpusim.exec_units import (
     CONTROL_OPCODES,
+    EXPR_NAMES,
     HANDLERS,
+    LANE_OPS,
+    READERS,
+    WRITERS,
+    LaneOp,
     _imm_array,
     reads_clock,
 )
@@ -118,12 +127,68 @@ def build_table(instructions) -> list:
 
     Entries are the handler function, :func:`_CONTROL` for control-flow
     opcodes, or ``None`` for unknown opcodes — which still trap only when
-    (and if) they are actually executed.
+    (and if) they are actually executed.  A templated opcode's handler is
+    generated from its template; a malformed one gets a handler that
+    raises the template's trap.
     """
-    return [
-        _CONTROL if instr.opcode in CONTROL_OPCODES else HANDLERS.get(instr.opcode)
-        for instr in instructions
-    ]
+    return [_dispatch(instr) for instr in instructions]
+
+
+def _dispatch(instr):
+    if instr.opcode in CONTROL_OPCODES:
+        return _CONTROL
+    template = LANE_OPS.get(instr.opcode)
+    if template is None:
+        return HANDLERS.get(instr.opcode)
+    try:
+        return _stepping_handler(template(instr))
+    except DeviceTrap as trap:
+        return _trapping(str(trap))
+
+
+def _trapping(message: str):
+    def handler(warp, instr, mask):
+        raise DeviceTrap(message)
+
+    return handler
+
+
+# Process-global stepping handlers, one per distinct template.
+_HANDLER_CACHE: dict[LaneOp, object] = {}
+
+# Globals of a generated stepping handler: the expression names plus
+# ``_read_<kind>`` / ``_write_<kind>`` for every reader and writer.
+_STEP_GLOBALS = {
+    **EXPR_NAMES,
+    **{f"_read_{kind}": read for kind, read in READERS.items()},
+    **{f"_write_{kind}": write for kind, write in WRITERS.items()},
+}
+
+
+def _stepping_handler(op: LaneOp):
+    """The ``handler(warp, instr, mask)`` generated from ``op``.
+
+    It reads each needed source with the generic reader (so every operand
+    shape the reader takes works, and one it cannot take traps), evaluates
+    the expression and stores through the writer.  The source depends on
+    the template only, not on register numbers, so it is compiled once per
+    distinct template for the whole process.
+    """
+    handler = _HANDLER_CACHE.get(op)
+    if handler is None:
+        args = [None if kind is None else f"_v{i}" for i, kind in enumerate(op.reads)]
+        lines = ["def _h(warp, instr, mask):", "    _s = instr.sources"]
+        lines.extend(
+            f"    _v{i} = _read_{kind}(warp, _s[{i}])"
+            for i, kind in enumerate(op.reads) if kind is not None
+        )
+        lines.append(
+            f"    _write_{op.writer}(warp, instr, {op.expr.format(*args)}, mask)"
+        )
+        namespace = dict(_STEP_GLOBALS)
+        exec(compile("\n".join(lines), "<gpusim-step>", "exec"), namespace)
+        handler = _HANDLER_CACHE[op] = namespace["_h"]
+    return handler
 
 
 def _compilable(instr) -> bool:
@@ -136,7 +201,7 @@ def _compilable(instr) -> bool:
     """
     if instr.opcode in CONTROL_OPCODES:
         return False
-    if instr.opcode not in HANDLERS:
+    if instr.opcode not in HANDLERS and instr.opcode not in LANE_OPS:
         return False
     return not reads_clock(instr)
 
@@ -184,43 +249,41 @@ def _is_unguarded(guard) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Inline opcode specialization
+# Inlining a template into block code
 # ---------------------------------------------------------------------------
-#
-# For the hottest ALU opcodes the generated block does not call the generic
-# handler at all: it emits the handler's numpy computation directly, with
-# everything that is static per-instruction resolved at codegen time —
-# modifier branches (``.HI``, ``.S32``, ``.U32``, the compare/combine ops),
-# immediate operands (bound as shared read-only broadcast arrays, see
-# ``exec_units._imm_array``), immediate *shift counts* (folded to Python
-# ints), and register numbers (baked indices into the hoisted ``_r =
-# warp.regs`` row table).  Register sources are read as numpy *views*
-# where the handler's defensive copy is value-equivalent (every emitted
-# expression allocates a fresh result before the terminal masked
-# ``np.copyto`` store, so no view is ever mutated and read-modify-write
-# instructions like ``IADD R1, R1, 1`` stay exact).  Each specialization
-# mirrors its handler statement for statement — bit-identical results,
-# and the single mutating store comes last so mid-block trap rollback
-# semantics are unchanged.  Any operand/modifier shape outside the
-# specialized pattern falls back to the generic handler call.
 
-_CMP_SYMS = {"LT": "<", "LE": "<=", "GT": ">", "GE": ">=", "EQ": "==", "NE": "!="}
+# A register read as an expression over the hoisted ``_r = warp.regs``:
+# views where the reader's copy is value-equivalent (no template
+# expression mutates a read, and the one store comes last, so
+# ``IADD R1, R1, 1`` stays exact).  The kinds in ``_SIGNED`` apply -/|..|
+# as their readers do; RZ reads zero unmodified.
+_REG_READS = {
+    "u32": "_r[{}]",
+    "i64": "_r[{}].view(_I32).astype(_I64)",
+    "zx64": "_r[{}].astype(_I64)",
+    "f32": "_r[{}].view(_F32)",
+}
+_SIGNED = frozenset({"i64", "f32"})
 
-# numpy module + dtype objects bound as keyword defaults of every
-# specialized superhandler (LOAD_FAST instead of global lookups).
-_DTYPE_PARAMS = (
-    "_np=_NP, _I32=_NP.int32, _I64=_NP.int64, _U32=_NP.uint32, "
-    "_U64=_NP.uint64, _F32=_NP.float32, _F64=_NP.float64"
-)
+_STORES = {
+    "u32": "_np.copyto(_r[{dest}], {value}, where={mask})",
+    "int": "_np.copyto(_r[{dest}], ({value}).astype(_U32), where={mask})",
+    "f32": "_np.copyto(_r[{dest}], ({value}).view(_U32), where={mask})",
+    "pred": "_np.copyto(_p[{dest}], {value}, where={mask}, casting='unsafe')",
+}
+
+# The expression names, bound as keyword defaults of a block that inlines
+# (LOAD_FAST instead of global lookups).
+_EXPR_PARAMS = ", ".join(f"{name}={name}" for name in EXPR_NAMES)
 
 
 class _ConstPool:
     """Layout-level constants referenced by generated code as ``_C[i]``.
 
-    Holds the shared read-only immediate arrays (and any other
-    pre-computed objects) a layout's blocks bind as keyword defaults.
-    Everything in the pool is derived from instruction *text* only, so a
-    pool is as shareable across kernel instances as the source itself.
+    Holds the shared read-only immediate arrays a layout's blocks bind as
+    keyword defaults.  Everything in the pool is derived from instruction
+    *text* only, so a pool is as shareable across kernel instances as the
+    source itself.
     """
 
     def __init__(self) -> None:
@@ -236,345 +299,64 @@ class _ConstPool:
         return idx
 
 
-def _imm_scalar(bits: int) -> int:
-    """The signed-int64 lane value of an immediate (sign-extended int32)."""
-    return bits - 0x100000000 if bits >= 0x80000000 else bits
-
-
-class _Spec:
-    """Per-block specializer: emits inline statements for one instruction.
-
-    ``lines(instr, mask)`` returns the statement list (mask variable name
-    already substituted) or ``None`` when the instruction must go through
-    its generic handler.  Constants allocated along the way are recorded
-    in ``used`` so the block generator can bind them as parameters.
-    """
-
-    def __init__(self, pool: _ConstPool) -> None:
-        self.pool = pool
-        self.used: set[int] = set()
-
-    def _const(self, value) -> str:
-        idx = self.pool.add(value)
-        self.used.add(idx)
-        return f"_c{idx}"
-
-    def _imm(self, kind: str, bits: int) -> str:
-        return self._const(_imm_array(kind, bits))
-
-    # -- operand expressions (mirroring exec_units read helpers) ----------
-
-    def _u32(self, op) -> str | None:
-        """``read_raw``: raw uint32 bits, modifiers ignored (as the helper
-        does).  Register reads are views — callers never mutate."""
-        if isinstance(op, Reg):
-            if op.is_rz:
-                return self._imm("u32", 0)
-            return f"_r[{op.index}]"
-        if isinstance(op, Imm):
-            return self._imm("u32", op.bits)
+def _read_expr(op, kind: str, const) -> str | None:
+    """One source read as an expression, or ``None`` if not inlinable."""
+    if kind == "pred":
+        if not isinstance(op, Pred) or op.is_pt:
+            return None
+        return f"(~_p[{op.index}])" if op.negate else f"_p[{op.index}]"
+    if kind not in _REG_READS:
         return None
-
-    def _i64(self, op) -> str | None:
-        """``read_int``: sign-extended int64 with integer -/|| modifiers."""
-        if isinstance(op, Reg):
-            if op.is_rz:
-                expr = self._imm("i64", 0)
-            else:
-                expr = f"_r[{op.index}].view(_I32).astype(_I64)"
-            if op.absolute:
-                expr = f"_np.abs({expr})"
-            if op.negate:
-                expr = f"(-{expr})"
-            return expr
-        if isinstance(op, Imm):
-            return self._imm("i64", op.bits)
+    if isinstance(op, Imm):
+        return const(_imm_array(kind, op.bits))
+    if not isinstance(op, Reg):
         return None
+    if op.is_rz:
+        return const(_imm_array(kind, 0))
+    expr = _REG_READS[kind].format(op.index)
+    if kind in _SIGNED:
+        if op.absolute:
+            expr = f"_np.abs({expr})"
+        if op.negate:
+            expr = f"(-{expr})"
+    return expr
 
-    def _zx64(self, op) -> str | None:
-        """``read_raw(...).astype(int64)``: zero-extended (U32 compares)."""
-        if isinstance(op, Reg):
-            if op.is_rz:
-                return self._imm("zx64", 0)
-            return f"_r[{op.index}].astype(_I64)"
-        if isinstance(op, Imm):
-            return self._imm("zx64", op.bits)
+
+def _inline(instr, mask: str, const) -> list[str] | None:
+    """The statements of a templated instruction under ``mask``, or
+    ``None`` when the block must call its stepping handler instead."""
+    template = LANE_OPS.get(instr.opcode)
+    if template is None:
         return None
-
-    def _f32(self, op) -> str | None:
-        """``read_f32``: float32 view with FP -/|| modifiers."""
-        if isinstance(op, Reg):
-            if op.is_rz:
-                expr = self._imm("f32", 0)
-            else:
-                expr = f"_r[{op.index}].view(_F32)"
-            if op.absolute:
-                expr = f"_np.abs({expr})"
-            if op.negate:
-                expr = f"(-{expr})"
-            return expr
-        if isinstance(op, Imm):
-            return self._imm("f32", op.bits)
+    try:
+        op = template(instr)
+    except DeviceTrap:
         return None
-
-    # -- destination stores ------------------------------------------------
-
-    @staticmethod
-    def _dest_reg(instr):
-        dest = instr.dest
-        if isinstance(dest, Reg) and not dest.is_rz:
-            return dest.index
-        return None
-
-    def _store_i64(self, instr, expr: str, mask: str) -> list[str] | None:
-        d = self._dest_reg(instr)
-        if d is None:
-            return ["pass"] if isinstance(instr.dest, Reg) else None
-        return [f"_np.copyto(_r[{d}], ({expr}).astype(_U32), where={mask})"]
-
-    def _store_u32(self, instr, expr: str, mask: str) -> list[str] | None:
-        d = self._dest_reg(instr)
-        if d is None:
-            return ["pass"] if isinstance(instr.dest, Reg) else None
-        return [f"_np.copyto(_r[{d}], {expr}, where={mask})"]
-
-    def _store_f32(self, instr, expr: str, mask: str) -> list[str] | None:
-        d = self._dest_reg(instr)
-        if d is None:
-            return ["pass"] if isinstance(instr.dest, Reg) else None
-        return [f"_np.copyto(_r[{d}], ({expr}).view(_U32), where={mask})"]
-
-    # -- per-opcode specializations ---------------------------------------
-
-    def lines(self, instr, mask: str) -> list[str] | None:
-        method = getattr(self, f"_op_{instr.opcode.lower()}", None)
-        if method is None:
+    args = []
+    for i, kind in enumerate(op.reads):
+        if kind is None:
+            args.append(None)
+            continue
+        expr = _read_expr(instr.sources[i], kind, const)
+        if expr is None:
             return None
-        return method(instr, mask)
-
-    def _binary(self, instr, read):
-        if len(instr.sources) != 2:
-            return None, None
-        return read(instr.sources[0]), read(instr.sources[1])
-
-    def _op_mov(self, instr, mask):
-        if len(instr.sources) != 1:
-            return None
-        a = self._u32(instr.sources[0])
-        if a is None:
-            return None
-        return self._store_u32(instr, a, mask)
-
-    def _op_iadd(self, instr, mask):
-        a, b = self._binary(instr, self._i64)
-        if a is None or b is None:
-            return None
-        return self._store_i64(instr, f"{a} + {b}", mask)
-
-    def _op_iadd3(self, instr, mask):
-        if len(instr.sources) != 3:
-            return None
-        a, b, c = (self._i64(op) for op in instr.sources)
-        if a is None or b is None or c is None:
-            return None
-        return self._store_i64(instr, f"{a} + {b} + {c}", mask)
-
-    def _op_imul(self, instr, mask):
-        a, b = self._binary(instr, self._i64)
-        if a is None or b is None:
-            return None
-        expr = f"{a} * {b}"
-        if instr.has_modifier("HI"):
-            expr = f"({expr}) >> 32"
-        return self._store_i64(instr, expr, mask)
-
-    def _op_imad(self, instr, mask):
-        if len(instr.sources) != 3:
-            return None
-        a, b, c = (self._i64(op) for op in instr.sources)
-        if a is None or b is None or c is None:
-            return None
-        return self._store_i64(instr, f"{a} * {b} + {c}", mask)
-
-    def _op_iscadd(self, instr, mask):
-        if len(instr.sources) != 3:
-            return None
-        a = self._i64(instr.sources[0])
-        b = self._i64(instr.sources[1])
-        shift_op = instr.sources[2]
-        if a is None or b is None or not isinstance(shift_op, Imm):
-            return None
-        shift = _imm_scalar(shift_op.bits) & 31
-        return self._store_i64(instr, f"({a} << {shift}) + {b}", mask)
-
-    def _op_shl(self, instr, mask):
-        # Immediate shift counts only: the handler's >=32 / cap-at-63
-        # clamping folds to either a zero result or a plain shift.
-        if len(instr.sources) != 2 or not isinstance(instr.sources[1], Imm):
-            return None
-        a = self._u32(instr.sources[0])
-        if a is None:
-            return None
-        shift = _imm_scalar(instr.sources[1].bits) & 0xFF
-        if shift >= 32:
-            return self._store_u32(instr, self._imm("u32", 0), mask)
-        return self._store_i64(instr, f"{a}.astype(_U64) << {shift}", mask)
-
-    def _op_shr(self, instr, mask):
-        if len(instr.sources) != 2 or not isinstance(instr.sources[1], Imm):
-            return None
-        shift = _imm_scalar(instr.sources[1].bits) & 0xFF
-        if instr.has_modifier("S32"):
-            a = self._i64(instr.sources[0])
-            if a is None:
-                return None
-            return self._store_i64(instr, f"{a} >> {min(shift, 31)}", mask)
-        a = self._u32(instr.sources[0])
-        if a is None:
-            return None
-        if shift >= 32:
-            return self._store_u32(instr, self._imm("u32", 0), mask)
-        return self._store_i64(instr, f"{a}.astype(_U64) >> {shift}", mask)
-
-    def _op_lop(self, instr, mask):
-        if not instr.sources:
-            return None
-        a = self._u32(instr.sources[0])
-        if a is None:
-            return None
-        if instr.has_modifier("NOT"):
-            return self._store_u32(instr, f"~{a}", mask)
-        if len(instr.sources) != 2:
-            return None
-        b = self._u32(instr.sources[1])
-        if b is None:
-            return None
-        for mod, sym in (("AND", "&"), ("OR", "|"), ("XOR", "^")):
-            if instr.has_modifier(mod):
-                return self._store_u32(instr, f"{a} {sym} {b}", mask)
-        return None
-
-    def _op_fadd(self, instr, mask):
-        a, b = self._binary(instr, self._f32)
-        if a is None or b is None:
-            return None
-        return self._store_f32(instr, f"{a} + {b}", mask)
-
-    def _op_fmul(self, instr, mask):
-        a, b = self._binary(instr, self._f32)
-        if a is None or b is None:
-            return None
-        return self._store_f32(instr, f"{a} * {b}", mask)
-
-    def _op_ffma(self, instr, mask):
-        if len(instr.sources) != 3:
-            return None
-        a, b, c = (self._f32(op) for op in instr.sources)
-        if a is None or b is None or c is None:
-            return None
-        expr = (
-            f"({a}).astype(_F64) * ({b}).astype(_F64) + ({c}).astype(_F64)"
-        )
-        return self._store_f32(instr, f"({expr}).astype(_F32)", mask)
-
-    def _op_fmnmx(self, instr, mask):
-        a, b = self._binary(instr, self._f32)
-        if a is None or b is None:
-            return None
-        fn = "fmax" if instr.has_modifier("MAX") else "fmin"
-        return self._store_f32(instr, f"_np.{fn}({a}, {b})", mask)
-
-    def _setp(self, instr, mask, a, b):
-        """Shared ISETP/FSETP tail: compare, combine, store predicate."""
-        cmp_sym = None
-        for mod in instr.modifiers:
-            if mod in _CMP_SYMS:
-                cmp_sym = _CMP_SYMS[mod]
-                break
-        if cmp_sym is None:
-            return None
-        expr = f"({a}) {cmp_sym} ({b})"
-        if len(instr.sources) > 2:
-            psrc = instr.sources[2]
-            if not isinstance(psrc, Pred):
-                return None
-            if instr.has_modifier("OR"):
-                sym = "|"
-            elif instr.has_modifier("XOR"):
-                sym = "^"
-            else:
-                sym = "&"
-            if psrc.is_pt:
-                # Constant pred source: resolve the combination statically.
-                value = not psrc.negate
-                if sym == "&":
-                    if not value:
-                        expr = f"_np.zeros_like({expr})"
-                elif sym == "|":
-                    if value:
-                        expr = f"_np.ones_like({expr})"
-                else:  # XOR
-                    if value:
-                        expr = f"~({expr})"
-            else:
-                pexpr = f"_p[{psrc.index}]"
-                if psrc.negate:
-                    pexpr = f"~{pexpr}"
-                expr = f"({expr}) {sym} {pexpr}"
-        dest = instr.dest
-        if not isinstance(dest, Pred):
-            return None
-        if dest.is_pt:
-            return ["pass"]
-        return [
-            f"_np.copyto(_p[{dest.index}], {expr}, "
-            f"where={mask}, casting='unsafe')"
-        ]
-
-    def _op_isetp(self, instr, mask):
-        if len(instr.sources) < 2:
-            return None
-        read = self._zx64 if instr.has_modifier("U32") else self._i64
-        a = read(instr.sources[0])
-        b = read(instr.sources[1])
-        if a is None or b is None:
-            return None
-        return self._setp(instr, mask, a, b)
-
-    def _op_fsetp(self, instr, mask):
-        if len(instr.sources) < 2:
-            return None
-        a = self._f32(instr.sources[0])
-        b = self._f32(instr.sources[1])
-        if a is None or b is None:
-            return None
-        return self._setp(instr, mask, a, b)
-
-    def _op_sel(self, instr, mask):
-        return self._sel(instr, mask, self._u32, self._store_u32)
-
-    def _op_fsel(self, instr, mask):
-        return self._sel(instr, mask, self._f32, self._store_f32)
-
-    def _sel(self, instr, mask, read, store):
-        if len(instr.sources) != 3 or not isinstance(instr.sources[2], Pred):
-            return None
-        a = read(instr.sources[0])
-        b = read(instr.sources[1])
-        if a is None or b is None:
-            return None
-        p = instr.sources[2]
-        if p.is_pt:
-            # Constant selector: the chosen source's bits are the result
-            # (f32 values round-trip to their original register bits).
-            chosen = b if p.negate else a
-            if store is self._store_f32:
-                return self._store_u32(instr, f"({chosen}).view(_U32)", mask)
-            return self._store_u32(instr, chosen, mask)
-        pexpr = f"_p[{p.index}]"
-        if p.negate:
-            a, b = b, a
-        return store(instr, f"_np.where({pexpr}, {a}, {b})", mask)
+        args.append(expr)
+    dest = instr.dest
+    if op.writer == "pred":
+        dropped = not isinstance(dest, Pred) or dest.is_pt
+    else:
+        dropped = not isinstance(dest, Reg) or dest.is_rz
+    if dropped:
+        return ["pass"]  # the writer stores nothing
+    lines = []
+    for i, expr in enumerate(args):
+        if expr is not None and op.expr.count(f"{{{i}}}") > 1:
+            lines.append(f"_x{i} = {expr}")
+            args[i] = f"_x{i}"
+    lines.append(_STORES[op.writer].format(
+        dest=dest.index, value=op.expr.format(*args), mask=mask,
+    ))
+    return lines
 
 
 def _gen_block_source(instructions, start: int, end: int, pool: _ConstPool) -> str:
@@ -593,9 +375,9 @@ def _gen_block_source(instructions, start: int, end: int, pool: _ConstPool) -> s
     * guarded instructions compute ``_a & [~]warp.preds[i]`` inline (the
       one mask that must stay per-instruction: predicates mutate
       mid-block) and keep the ``any()`` gate;
-    * hot ALU opcodes are inlined by :class:`_Spec` instead of calling
-      their generic handler (register file hoisted as ``_r``, immediates
-      bound as shared read-only arrays, modifier branches resolved here);
+    * templated opcodes are inlined by :func:`_inline` instead of calling
+      their stepping handler (register file hoisted as ``_r``, immediates
+      bound as shared read-only arrays, modifiers resolved by the template);
     * on a mid-block raise, the over-charged ticks are rolled back and
       ``warp.pc`` is set to the faulting instruction, leaving device
       counters and warp state exactly as stepping would at the trap.
@@ -603,50 +385,46 @@ def _gen_block_source(instructions, start: int, end: int, pool: _ConstPool) -> s
     n = end - start
     params = ["warp", "device"]
     stmts: list[list[str]] = []
-    spec = _Spec(pool)
-    specialized = False
+    used: set[int] = set()
+
+    def const(value) -> str:
+        idx = pool.add(value)
+        used.add(idx)
+        return f"_c{idx}"
+
+    inlined = False
     need_active = False
-    need_preds = False
     for pc in range(start, end):
         idx = pc - start
         instr = instructions[pc]
         guard = instr.guard
-        lines = []
-        if _is_unguarded(guard):
-            inline = spec.lines(instr, "_a")
-            if inline is not None:
-                lines.extend(inline)
-                specialized = True
-            else:
-                params.append(f"_h{idx}=_T[{pc}]")
-                params.append(f"_i{idx}=_I[{pc}]")
-                lines.append(f"_h{idx}(warp, _i{idx}, _a)")
-            need_active = True
-        elif guard.is_pt:
+        unguarded = _is_unguarded(guard)
+        if not unguarded and guard.is_pt:
             # @!PT: statically never executes — only the tick is charged.
-            lines.append(f"pass  # @!PT {instr.opcode}")
+            stmts.append([f"pass  # @!PT {instr.opcode}"])
+            continue
+        need_active = True
+        mask = "_a" if unguarded else "_m"
+        lines = _inline(instr, mask, const)
+        if lines is None:
+            params.append(f"_h{idx}=_T[{pc}]")
+            params.append(f"_i{idx}=_I[{pc}]")
+            lines = [f"_h{idx}(warp, _i{idx}, {mask})"]
         else:
+            inlined = True
+        if not unguarded:
             invert = "~" if guard.negate else ""
-            lines.append(f"_m = _a & {invert}_p[{guard.index}]")
-            lines.append("if _m.any():")
-            inline = spec.lines(instr, "_m")
-            if inline is not None:
-                lines.extend("    " + inner for inner in inline)
-                specialized = True
-            else:
-                params.append(f"_h{idx}=_T[{pc}]")
-                params.append(f"_i{idx}=_I[{pc}]")
-                lines.append(f"    _h{idx}(warp, _i{idx}, _m)")
-            need_active = True
-            need_preds = True
+            lines = [f"_m = _a & {invert}_p[{guard.index}]", "if _m.any():"] + [
+                "    " + line for line in lines
+            ]
         stmts.append(lines)
 
     body = [line for lines in stmts for line in lines]
     need_regs = any("_r[" in line for line in body)
-    need_preds = need_preds or any("_p[" in line for line in body)
-    if specialized:
-        params.append(_DTYPE_PARAMS)
-        params.extend(f"_c{idx}=_C[{idx}]" for idx in sorted(spec.used))
+    need_preds = any("_p[" in line for line in body)
+    if inlined:
+        params.append(_EXPR_PARAMS)
+        params.extend(f"_c{idx}=_C[{idx}]" for idx in sorted(used))
 
     out = [f"def _b{start}({', '.join(params)}):"]
     out.append(f"    device.tick_n({n})")
@@ -763,7 +541,7 @@ class CompiledKernel:
         if self.fingerprint is None:
             self.fingerprint = content_fingerprint(instructions)
         code = _CODE_CACHE.setdefault(self.fingerprint, {})
-        namespace = {"_T": self.table, "_I": instructions, "_NP": np}
+        namespace = {"_T": self.table, "_I": instructions, **EXPR_NAMES}
         blocks: list = [None] * len(instructions)
         bound = 0
         for span in _block_spans(instructions, breaks):

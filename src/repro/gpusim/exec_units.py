@@ -6,20 +6,31 @@ written back masked.  Integer arithmetic is performed in int64/uint64 and
 wrapped to 32 bits, matching hardware wrap-around without numpy overflow
 noise; FP32/FP64 use IEEE float32/float64 views of the register file.
 
-Calling convention (relied on by the block-compiled interpreter,
-:mod:`repro.gpusim.blockc`): every handler is ``handler(warp, instr, mask)``
-where ``mask`` is **read-only** — handlers may index with it but must never
-mutate it or retain a reference past the call.  That contract lets
-block-compiled callers pass ``warp.active`` itself for unguarded
-instructions instead of the defensive copy ``Warp.guard_mask`` makes, and
-lets them skip the per-instruction ``mask.any()`` test (``active`` is
-non-empty whenever a warp is scheduled, and only control opcodes — which
-never appear inside a compiled block — can drain it).  Handlers validate
-before they write, so a handler that raises has not modified warp or
-memory state (the property that makes mid-block trap rollback exact).
+The hot ALU opcodes are not hand-written handlers but templates
+(:data:`LANE_OPS`): one function per opcode turns an instruction into its
+source reads, one numpy expression and its writer (:class:`LaneOp`),
+resolving modifiers, compare/combine ops, constant ``PT`` selectors and
+immediate shift counts there and only there.  :mod:`repro.gpusim.blockc`
+generates both execution tiers from a template: the stepping handler
+(compiled once per distinct template) and the statements it inlines into
+block-compiled code.  Every other opcode has a handler in :data:`HANDLERS`.
+
+Calling convention (relied on by the block-compiled interpreter): every
+handler is ``handler(warp, instr, mask)`` where ``mask`` is **read-only** —
+handlers may index with it but must never mutate it or retain a reference
+past the call.  That contract lets block-compiled callers pass
+``warp.active`` itself for unguarded instructions instead of the defensive
+copy ``Warp.guard_mask`` makes, and lets them skip the per-instruction
+``mask.any()`` test (``active`` is non-empty whenever a warp is scheduled,
+and only control opcodes — which never appear inside a compiled block —
+can drain it).  Handlers validate before they write, so a handler that
+raises has not modified warp or memory state (the property that makes
+mid-block trap rollback exact).
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -146,6 +157,11 @@ def read_f64(warp: Warp, op) -> np.ndarray:
     raise DeviceTrap(f"operand {op!r} cannot be read as FP64")
 
 
+def read_zx64(warp: Warp, op) -> np.ndarray:
+    """Read an operand's raw bits zero-extended to int64 (``.U32`` compares)."""
+    return read_raw(warp, op).astype(np.int64)
+
+
 def read_pred_src(warp: Warp, op) -> np.ndarray:
     if not isinstance(op, Pred):
         raise DeviceTrap(f"expected predicate source, got {op!r}")
@@ -204,55 +220,219 @@ def write_pred(warp: Warp, instr: Instruction, values: np.ndarray, mask: np.ndar
     np.copyto(warp.preds[dest.index], values, where=mask, casting="unsafe")
 
 
-# ---------------------------------------------------------------------------
-# Comparison helper shared by ISETP / FSETP / DSETP
-# ---------------------------------------------------------------------------
+# Reads and writers by name, as the templates below use them.
+READERS = {
+    "u32": read_raw,        # raw bits, -/|..| ignored
+    "i64": read_int,        # sign-extended, integer -/|..| applied
+    "zx64": read_zx64,      # raw bits zero-extended, -/|..| ignored
+    "f32": read_f32,        # float32, FP -/|..| applied
+    "f64": read_f64,        # register pair as float64
+    "pred": read_pred_src,  # predicate, ``!`` applied
+}
 
-_CMP_OPS = {
-    "LT": np.less,
-    "LE": np.less_equal,
-    "GT": np.greater,
-    "GE": np.greater_equal,
-    "EQ": np.equal,
-    "NE": np.not_equal,
+WRITERS = {
+    "u32": write_u32,    # a uint32 array, stored as is
+    "int": write_u32,    # an int64/uint64 array, stored as its low 32 bits
+    "f32": write_f32,    # a float32 array, stored as its bits
+    "pred": write_pred,  # a bool array
+}
+
+# The names a template expression may use besides its reads.
+EXPR_NAMES = {
+    "_np": np, "_I32": np.int32, "_I64": np.int64, "_U32": np.uint32,
+    "_U64": np.uint64, "_F32": np.float32, "_F64": np.float64,
 }
 
 
-def _compare(instr: Instruction, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    for mod in instr.modifiers:
-        if mod in _CMP_OPS:
-            return _CMP_OPS[mod](a, b)
-    raise DeviceTrap(f"{instr.opcode} at pc {instr.pc} lacks a comparison modifier")
+# ---------------------------------------------------------------------------
+# Templated opcodes: each one's lane math, written once for both tiers
+# ---------------------------------------------------------------------------
+
+class LaneOp(NamedTuple):
+    """One instruction's lane math with everything static resolved.
+
+    ``reads[i]`` is how source ``i`` is read (a :data:`READERS` key, or
+    ``None`` when the value is not needed), ``expr`` one numpy expression
+    over the reads, written ``{i}``, and ``writer`` how its value is
+    stored (a :data:`WRITERS` key).  Reads are read-only data (register
+    views or shared immediates in compiled blocks): ``expr`` never
+    mutates one, and the writer copies its value into the destination.
+    """
+
+    reads: tuple[str | None, ...]
+    expr: str
+    writer: str
 
 
-def _combine(warp: Warp, instr: Instruction, result: np.ndarray, psrc_idx: int) -> np.ndarray:
-    """Apply the optional .AND/.OR/.XOR combination with a predicate source."""
-    psrc = None
-    if len(instr.sources) > psrc_idx:
-        psrc = read_pred_src(warp, instr.sources[psrc_idx])
-    if psrc is None:
-        return result
-    if instr.has_modifier("OR"):
-        return result | psrc
-    if instr.has_modifier("XOR"):
-        return result ^ psrc
-    return result & psrc  # .AND is the default combination
+def _sources(instr: Instruction, count: int) -> tuple:
+    """The first ``count`` sources; a shorter list traps when executed."""
+    if len(instr.sources) < count:
+        raise DeviceTrap(
+            f"{instr.opcode} at pc {instr.pc} takes {count} source operands"
+        )
+    return instr.sources[:count]
+
+
+def _uniform(kind: str, count: int, expr: str, writer: str):
+    """The template of an opcode that reads ``count`` sources as ``kind``."""
+    op = LaneOp((kind,) * count, expr, writer)
+
+    def template(instr: Instruction) -> LaneOp:
+        _sources(instr, count)
+        return op
+
+    return template
+
+
+def _imul(instr: Instruction) -> LaneOp:
+    _sources(instr, 2)
+    expr = "({0} * {1}) >> 32" if instr.has_modifier("HI") else "{0} * {1}"
+    return LaneOp(("i64", "i64"), expr, "int")
+
+
+def _iscadd(instr: Instruction) -> LaneOp:
+    shift = _sources(instr, 3)[2]
+    if isinstance(shift, Imm):
+        return LaneOp(
+            ("i64", "i64", None), f"({{0}} << {shift.bits & 31}) + {{1}}", "int"
+        )
+    return LaneOp(("i64",) * 3, "({0} << ({2} & 31)) + {1}", "int")
+
+
+def _shift(instr: Instruction) -> LaneOp:
+    """SHL / SHR on the count's low byte: 32 or more clears the value,
+    except that ``SHR.S32`` shifts in sign bits (at most 31)."""
+    count = _sources(instr, 2)[1]
+    sym = "<<" if instr.opcode == "SHL" else ">>"
+    if sym == ">>" and instr.has_modifier("S32"):
+        value, cap = "{0}.view(_I32).astype(_I64)", 31
+    else:
+        value, cap = "{0}.astype(_U64)", 32
+    if isinstance(count, Imm):
+        return LaneOp(
+            ("u32", None), f"{value} {sym} {min(count.bits & 0xFF, cap)}", "int"
+        )
+    if cap == 31:
+        return LaneOp(
+            ("u32", "zx64"), f"{value} >> _np.minimum({{1}} & 0xFF, 31)", "int"
+        )
+    return LaneOp(
+        ("u32", "zx64"),
+        f"_np.where(({{1}} & 0xFF) >= 32, _U64(0), "
+        f"{value} {sym} _np.minimum({{1}} & 0xFF, 63).astype(_U64))",
+        "int",
+    )
+
+
+def _lop(instr: Instruction) -> LaneOp:
+    if instr.has_modifier("NOT"):
+        _sources(instr, 1)
+        return LaneOp(("u32",), "~{0}", "u32")
+    for mod, sym in (("AND", "&"), ("OR", "|"), ("XOR", "^")):
+        if instr.has_modifier(mod):
+            _sources(instr, 2)
+            return LaneOp(("u32", "u32"), f"{{0}} {sym} {{1}}", "u32")
+    raise DeviceTrap("LOP requires .AND/.OR/.XOR/.NOT")
+
+
+def _fmnmx(instr: Instruction) -> LaneOp:
+    _sources(instr, 2)
+    fn = "fmax" if instr.has_modifier("MAX") else "fmin"
+    return LaneOp(("f32", "f32"), f"_np.{fn}({{0}}, {{1}})", "f32")
+
+
+_CMP_OPS = {
+    "LT": "less",
+    "LE": "less_equal",
+    "GT": "greater",
+    "GE": "greater_equal",
+    "EQ": "equal",
+    "NE": "not_equal",
+}
+
+
+def _setp(kind: str):
+    """ISETP / FSETP / DSETP: the first compare modifier, then the
+    .AND (default) / .OR / .XOR combination with an optional predicate
+    source.  A constant ``PT``/``!PT`` source is folded here."""
+
+    def template(instr: Instruction) -> LaneOp:
+        _sources(instr, 2)
+        cmp = next((_CMP_OPS[mod] for mod in instr.modifiers if mod in _CMP_OPS), None)
+        if cmp is None:
+            raise DeviceTrap(
+                f"{instr.opcode} at pc {instr.pc} lacks a comparison modifier"
+            )
+        read = "zx64" if kind == "i64" and instr.has_modifier("U32") else kind
+        expr = f"_np.{cmp}({{0}}, {{1}})"
+        if len(instr.sources) < 3:
+            return LaneOp((read, read), expr, "pred")
+        combine = (
+            "|" if instr.has_modifier("OR")
+            else "^" if instr.has_modifier("XOR") else "&"
+        )
+        psrc = instr.sources[2]
+        if isinstance(psrc, Pred) and psrc.is_pt:
+            true = not psrc.negate
+            if combine == "&" and not true:
+                expr = f"_np.zeros_like({expr})"
+            elif combine == "|" and true:
+                expr = f"_np.ones_like({expr})"
+            elif combine == "^" and true:
+                expr = f"~{expr}"
+            return LaneOp((read, read, None), expr, "pred")
+        return LaneOp((read, read, "pred"), f"{expr} {combine} {{2}}", "pred")
+
+    return template
+
+
+def _sel(kind: str):
+    """SEL / FSEL: source 0 where the predicate holds, else source 1.  A
+    constant ``PT``/``!PT`` selector stores the chosen source's bits."""
+
+    def template(instr: Instruction) -> LaneOp:
+        pred = _sources(instr, 3)[2]
+        if isinstance(pred, Pred) and pred.is_pt:
+            if pred.negate:
+                return LaneOp((None, kind), "{1}", kind)
+            return LaneOp((kind,), "{0}", kind)
+        return LaneOp((kind, kind, "pred"), "_np.where({2}, {0}, {1})", kind)
+
+    return template
+
+
+# opcode -> template(instr) -> LaneOp; a template raises DeviceTrap for a
+# malformed shape, which the instruction's handler raises when executed.
+LANE_OPS = {
+    "MOV": _uniform("u32", 1, "{0}", "u32"),
+    "IADD": _uniform("i64", 2, "{0} + {1}", "int"),
+    "IADD3": _uniform("i64", 3, "{0} + {1} + {2}", "int"),
+    "IMUL": _imul,
+    "IMAD": _uniform("i64", 3, "{0} * {1} + {2}", "int"),
+    "ISCADD": _iscadd,
+    "ISETP": _setp("i64"),
+    "SHL": _shift,
+    "SHR": _shift,
+    "LOP": _lop,
+    "SEL": _sel("u32"),
+    "FADD": _uniform("f32", 2, "{0} + {1}", "f32"),
+    "FMUL": _uniform("f32", 2, "{0} * {1}", "f32"),
+    "FFMA": _uniform(
+        "f32", 3,
+        "({0}.astype(_F64) * {1}.astype(_F64) + {2}.astype(_F64)).astype(_F32)",
+        "f32",
+    ),
+    "FMNMX": _fmnmx,
+    "FSEL": _sel("f32"),
+    "FSETP": _setp("f32"),
+    "DSETP": _setp("f64"),
+}
+LANE_OPS["MOV32I"] = LANE_OPS["MOV"]
 
 
 # ---------------------------------------------------------------------------
 # Handlers: data movement and system
 # ---------------------------------------------------------------------------
-
-def _h_mov(warp, instr, mask):
-    write_u32(warp, instr, read_raw(warp, instr.sources[0]), mask)
-
-
-def _h_sel(warp, instr, mask):
-    a = read_raw(warp, instr.sources[0])
-    b = read_raw(warp, instr.sources[1])
-    p = read_pred_src(warp, instr.sources[2])
-    write_u32(warp, instr, np.where(p, a, b), mask)
-
 
 def _full(value: int) -> np.ndarray:
     return np.full(WARP_SIZE, value, dtype=_U32)
@@ -310,74 +490,20 @@ def reads_clock(instr: Instruction) -> bool:
     )
 
 
-def _h_cs2r(warp, instr, mask):
-    _h_s2r(warp, instr, mask)
-
-
 # ---------------------------------------------------------------------------
 # Handlers: integer
 # ---------------------------------------------------------------------------
 
-def _h_iadd(warp, instr, mask):
-    a = read_int(warp, instr.sources[0])
-    b = read_int(warp, instr.sources[1])
-    write_u32(warp, instr, a + b, mask)
-
-
-def _h_iadd3(warp, instr, mask):
-    a = read_int(warp, instr.sources[0])
-    b = read_int(warp, instr.sources[1])
-    c = read_int(warp, instr.sources[2])
-    write_u32(warp, instr, a + b + c, mask)
-
-
-def _h_imul(warp, instr, mask):
-    a = read_int(warp, instr.sources[0])
-    b = read_int(warp, instr.sources[1])
-    product = a * b
-    if instr.has_modifier("HI"):
-        product >>= 32
-    write_u32(warp, instr, product, mask)
-
-
-def _h_imad(warp, instr, mask):
-    a = read_int(warp, instr.sources[0])
-    b = read_int(warp, instr.sources[1])
-    c = read_int(warp, instr.sources[2])
-    write_u32(warp, instr, a * b + c, mask)
-
-
 def _h_imnmx(warp, instr, mask):
-    if instr.has_modifier("U32"):
-        a = read_raw(warp, instr.sources[0]).astype(np.int64)
-        b = read_raw(warp, instr.sources[1]).astype(np.int64)
-    else:
-        a = read_int(warp, instr.sources[0])
-        b = read_int(warp, instr.sources[1])
+    read = read_zx64 if instr.has_modifier("U32") else read_int
+    a = read(warp, instr.sources[0])
+    b = read(warp, instr.sources[1])
     result = np.maximum(a, b) if instr.has_modifier("MAX") else np.minimum(a, b)
     write_u32(warp, instr, result, mask)
 
 
 def _h_iabs(warp, instr, mask):
     write_u32(warp, instr, np.abs(read_int(warp, instr.sources[0])), mask)
-
-
-def _h_iscadd(warp, instr, mask):
-    a = read_int(warp, instr.sources[0])
-    b = read_int(warp, instr.sources[1])
-    shift = read_int(warp, instr.sources[2]) & 31
-    write_u32(warp, instr, (a << shift) + b, mask)
-
-
-def _h_isetp(warp, instr, mask):
-    if instr.has_modifier("U32"):
-        a = read_raw(warp, instr.sources[0]).astype(np.int64)
-        b = read_raw(warp, instr.sources[1]).astype(np.int64)
-    else:
-        a = read_int(warp, instr.sources[0])
-        b = read_int(warp, instr.sources[1])
-    result = _combine(warp, instr, _compare(instr, a, b), 2)
-    write_pred(warp, instr, result, mask)
 
 
 def _h_flo(warp, instr, mask):
@@ -421,23 +547,6 @@ def _h_bfi(warp, instr, mask):
     write_u32(warp, instr, result.astype(np.int64), mask)
 
 
-def _h_lop(warp, instr, mask):
-    a = read_raw(warp, instr.sources[0])
-    if instr.has_modifier("NOT"):
-        write_u32(warp, instr, (~a).astype(np.int64), mask)
-        return
-    b = read_raw(warp, instr.sources[1])
-    if instr.has_modifier("AND"):
-        result = a & b
-    elif instr.has_modifier("OR"):
-        result = a | b
-    elif instr.has_modifier("XOR"):
-        result = a ^ b
-    else:
-        raise DeviceTrap("LOP requires .AND/.OR/.XOR/.NOT")
-    write_u32(warp, instr, result.astype(np.int64), mask)
-
-
 def _h_lop3(warp, instr, mask):
     a = read_raw(warp, instr.sources[0]).astype(np.uint32)
     b = read_raw(warp, instr.sources[1]).astype(np.uint32)
@@ -455,25 +564,6 @@ def _h_lop3(warp, instr, mask):
             term &= c if index & 1 else ~c
             result |= term
     write_u32(warp, instr, result.astype(np.int64), mask)
-
-
-def _h_shl(warp, instr, mask):
-    a = read_raw(warp, instr.sources[0]).astype(np.uint64)
-    shift = read_raw(warp, instr.sources[1]).astype(np.int64) & 0xFF
-    result = np.where(shift >= 32, np.uint64(0), a << np.minimum(shift, 63).astype(np.uint64))
-    write_u32(warp, instr, result.astype(np.int64), mask)
-
-
-def _h_shr(warp, instr, mask):
-    shift = read_raw(warp, instr.sources[1]).astype(np.int64) & 0xFF
-    capped = np.minimum(shift, 63).astype(np.uint64)
-    if instr.has_modifier("S32"):
-        a = read_raw(warp, instr.sources[0]).astype(np.int32).astype(np.int64)
-        result = a >> np.minimum(shift, 31)
-    else:
-        a = read_raw(warp, instr.sources[0]).astype(np.uint64)
-        result = np.where(shift >= 32, np.uint64(0), a >> capped).astype(np.int64)
-    write_u32(warp, instr, result, mask)
 
 
 def _h_shf(warp, instr, mask):
@@ -504,42 +594,6 @@ def _h_i2i(warp, instr, mask):
 # ---------------------------------------------------------------------------
 # Handlers: FP32 / FP64
 # ---------------------------------------------------------------------------
-
-def _h_fadd(warp, instr, mask):
-    write_f32(warp, instr, read_f32(warp, instr.sources[0]) + read_f32(warp, instr.sources[1]), mask)
-
-
-def _h_fmul(warp, instr, mask):
-    write_f32(warp, instr, read_f32(warp, instr.sources[0]) * read_f32(warp, instr.sources[1]), mask)
-
-
-def _h_ffma(warp, instr, mask):
-    a = read_f32(warp, instr.sources[0]).astype(np.float64)
-    b = read_f32(warp, instr.sources[1]).astype(np.float64)
-    c = read_f32(warp, instr.sources[2]).astype(np.float64)
-    write_f32(warp, instr, (a * b + c).astype(np.float32), mask)
-
-
-def _h_fmnmx(warp, instr, mask):
-    a = read_f32(warp, instr.sources[0])
-    b = read_f32(warp, instr.sources[1])
-    result = np.fmax(a, b) if instr.has_modifier("MAX") else np.fmin(a, b)
-    write_f32(warp, instr, result, mask)
-
-
-def _h_fsel(warp, instr, mask):
-    a = read_f32(warp, instr.sources[0])
-    b = read_f32(warp, instr.sources[1])
-    p = read_pred_src(warp, instr.sources[2])
-    write_f32(warp, instr, np.where(p, a, b), mask)
-
-
-def _h_fsetp(warp, instr, mask):
-    a = read_f32(warp, instr.sources[0])
-    b = read_f32(warp, instr.sources[1])
-    result = _combine(warp, instr, _compare(instr, a, b), 2)
-    write_pred(warp, instr, result, mask)
-
 
 def _h_mufu(warp, instr, mask):
     a = read_f32(warp, instr.sources[0]).astype(np.float64)
@@ -619,13 +673,6 @@ def _h_dmnmx(warp, instr, mask):
     b = read_f64(warp, instr.sources[1])
     result = np.fmax(a, b) if instr.has_modifier("MAX") else np.fmin(a, b)
     write_f64(warp, instr, result, mask)
-
-
-def _h_dsetp(warp, instr, mask):
-    a = read_f64(warp, instr.sources[0])
-    b = read_f64(warp, instr.sources[1])
-    result = _combine(warp, instr, _compare(instr, a, b), 2)
-    write_pred(warp, instr, result, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -807,10 +854,7 @@ def _atomic(memory, instr, addresses, mask, operands, warp):
     values = read_raw(warp, operands)
     is_f32 = instr.has_modifier("F32")
     old = np.zeros(WARP_SIZE, dtype=_U32)
-    if hasattr(memory, "validate"):
-        memory.validate(addresses, mask, 4)
-    else:
-        memory._validate(addresses, mask, 4)
+    memory.validate(addresses, mask, 4)
     view = memory.data.view(np.uint32)
     for lane in np.nonzero(mask)[0]:
         slot = int(addresses[lane]) // 4
@@ -886,35 +930,17 @@ def _h_bpt(warp, instr, mask):
 # ---------------------------------------------------------------------------
 
 HANDLERS = {
-    "MOV": _h_mov,
-    "MOV32I": _h_mov,
-    "SEL": _h_sel,
     "S2R": _h_s2r,
-    "CS2R": _h_cs2r,
-    "IADD": _h_iadd,
-    "IADD3": _h_iadd3,
-    "IMUL": _h_imul,
-    "IMAD": _h_imad,
+    "CS2R": _h_s2r,
     "IMNMX": _h_imnmx,
     "IABS": _h_iabs,
-    "ISCADD": _h_iscadd,
-    "ISETP": _h_isetp,
     "FLO": _h_flo,
     "POPC": _h_popc,
     "BFE": _h_bfe,
     "BFI": _h_bfi,
-    "LOP": _h_lop,
     "LOP3": _h_lop3,
-    "SHL": _h_shl,
-    "SHR": _h_shr,
     "SHF": _h_shf,
     "I2I": _h_i2i,
-    "FADD": _h_fadd,
-    "FMUL": _h_fmul,
-    "FFMA": _h_ffma,
-    "FMNMX": _h_fmnmx,
-    "FSEL": _h_fsel,
-    "FSETP": _h_fsetp,
     "MUFU": _h_mufu,
     "F2I": _h_f2i,
     "I2F": _h_i2f,
@@ -923,7 +949,6 @@ HANDLERS = {
     "DMUL": _h_dmul,
     "DFMA": _h_dfma,
     "DMNMX": _h_dmnmx,
-    "DSETP": _h_dsetp,
     "PSETP": _h_psetp,
     "P2R": _h_p2r,
     "R2P": _h_r2p,

@@ -208,7 +208,7 @@ class SharedMemory:
         self.size = size
         self.data = np.zeros(max(size, 4), dtype=np.uint8)
 
-    def _validate(self, addresses: np.ndarray, mask: np.ndarray, width: int) -> None:
+    def validate(self, addresses: np.ndarray, mask: np.ndarray, width: int) -> None:
         active = addresses[mask]
         if active.size == 0:
             return
@@ -220,23 +220,23 @@ class SharedMemory:
             raise MemoryViolation(int(active[oob][0]), width, "shared", "out-of-bounds")
 
     def load32(self, addresses: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        self._validate(addresses, mask, 4)
+        self.validate(addresses, mask, 4)
         out = np.zeros(addresses.shape, dtype=np.uint32)
         out[mask] = self.data.view(np.uint32)[addresses[mask] // 4]
         return out
 
     def store32(self, addresses: np.ndarray, mask: np.ndarray, values: np.ndarray) -> None:
-        self._validate(addresses, mask, 4)
+        self.validate(addresses, mask, 4)
         self.data.view(np.uint32)[addresses[mask] // 4] = values[mask].astype(np.uint32)
 
     def load64(self, addresses: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        self._validate(addresses, mask, 8)
+        self.validate(addresses, mask, 8)
         out = np.zeros(addresses.shape, dtype=np.uint64)
         out[mask] = self.data.view(np.uint64)[addresses[mask] // 8]
         return out
 
     def store64(self, addresses: np.ndarray, mask: np.ndarray, values: np.ndarray) -> None:
-        self._validate(addresses, mask, 8)
+        self.validate(addresses, mask, 8)
         self.data.view(np.uint64)[addresses[mask] // 8] = values[mask].astype(np.uint64)
 
 

@@ -1,15 +1,14 @@
-"""Fork-at-checkpoint execution + persistent replay cache.
+"""Fork execution of stored configs + persistent replay cache.
 
 The contract under test is the usual one: *results are byte-identical,
-only wall-clock changes*.  The fork suite below predates the batch
-executor — it was written for the removed snapshot executor, which forked
-one child per fault at the target launch boundary — and now runs on
-:class:`~repro.core.batch_injector.BatchExecutor`, the one fork executor:
-fork children must reproduce the serial campaign bit for bit, including
-the quarantine/retry paths, where a child dying at the injection point
-must charge the same attempt counts and synthesize the same DUE rows as a
-serial task raising.  Configs stored with the retired ``snapshot`` key
-must still select fork execution.  The persistent
+only wall-clock changes*.  The fork tests here are what is left of the
+removed snapshot executor's suite and run on
+:class:`~repro.core.batch_injector.BatchExecutor`, the one fork executor;
+``tests/core/test_batch_injector.py`` holds its parity suite.  A config
+stored with the retired ``snapshot`` key must still select fork execution
+and reproduce the serial campaign bit for bit, and a fork child dying at
+the injection point must charge the same attempt counts and synthesize
+the same DUE rows as a serial task raising.  The persistent
 :class:`~repro.core.snapshot.ReplayCache` must likewise never change
 artifacts: a hit only swaps simulated golden launches for replayed ones.
 """
@@ -80,16 +79,6 @@ class TestForkParity:
         executor = choose_executor(_config(batch_launch=True), workers=2)
         assert isinstance(executor, BatchExecutor)
 
-    def test_snapshot_matches_serial_byte_for_byte(self, tmp_path, serial_csv):
-        registry = MetricsRegistry()
-        csv = _campaign_csv(
-            tmp_path, "snap", executor=BatchExecutor(), registry=registry
-        )
-        assert csv == serial_csv
-        # Every transient injection must have been serviced by a fork
-        # child, not a silent per-task fallback.
-        assert registry.counter_values()["engine.snapshot.forks"] == _N
-
     def test_sharded_snapshot_matches_serial(self, tmp_path, serial_csv):
         csv = _campaign_csv(
             tmp_path, "snap2", executor=BatchExecutor(max_workers=2)
@@ -104,32 +93,6 @@ class TestForkParity:
         )
         assert csv == serial_csv
         assert registry.counter_values()["engine.snapshot.forks"] == _N
-
-    def test_resumed_snapshot_campaign_matches_serial(self, tmp_path,
-                                                      serial_csv):
-        store = CampaignStore(tmp_path / "resumed")
-        engine = CampaignEngine(
-            _WORKLOAD, _config(), executor=BatchExecutor(), store=store
-        )
-        engine.plan_transient()
-        engine.run_batch([0, 1, 2])
-        # Resume in a fresh engine: the three checkpointed runs are loaded,
-        # the remaining seven go through the fork path.
-        repro.run_campaign(_config(), executor=BatchExecutor(), store=store)
-        assert (tmp_path / "resumed" / "results.csv").read_bytes() == serial_csv
-
-    def test_fast_forward_off_falls_back_per_task(self, tmp_path, serial_csv):
-        """No tape → no groups; every task runs solo yet results match."""
-        registry = MetricsRegistry()
-        csv = _campaign_csv(
-            tmp_path,
-            "noff",
-            executor=BatchExecutor(),
-            config=_config(fast_forward=False, tail_fast_forward=False),
-            registry=registry,
-        )
-        assert csv == serial_csv
-        assert "engine.snapshot.forks" not in registry.counter_values()
 
 
 class TestNonPosixFallback:
@@ -348,38 +311,3 @@ class TestReplayCache:
         values = registry.counter_values()
         assert values["engine.cache.hits"] == 1
         assert values["engine.snapshot.forks"] == _N
-
-
-# -- multi-process fork shards (slow) ------------------------------------------
-
-
-@pytest.mark.slow
-class TestShardedSnapshot:
-    def test_four_worker_snapshot_matches_serial(self, tmp_path, serial_csv):
-        csv = _campaign_csv(
-            tmp_path, "snap4", executor=BatchExecutor(max_workers=4)
-        )
-        assert csv == serial_csv
-
-
-@pytest.mark.slow
-class TestBigWorkloadParity:
-    """370.bt parity across serial / forked / sharded forked execution."""
-
-    def test_370bt_byte_identical(self, tmp_path):
-        config = CampaignConfig(workload="370.bt", num_transient=10, seed=7)
-        serial = _campaign_csv(
-            tmp_path, "bt-serial", executor=SerialExecutor(), config=config
-        )
-        registry = MetricsRegistry()
-        snap = _campaign_csv(
-            tmp_path, "bt-snap", executor=BatchExecutor(), config=config,
-            registry=registry,
-        )
-        sharded = _campaign_csv(
-            tmp_path, "bt-snap2", executor=BatchExecutor(max_workers=2),
-            config=config,
-        )
-        assert snap == serial
-        assert sharded == serial
-        assert registry.counter_values()["engine.snapshot.forks"] == 10

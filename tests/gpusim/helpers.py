@@ -6,11 +6,16 @@ values.  The body sees the lane's thread id in R50.
 
 ``run_tool_both_ways`` runs a workload under an NVBit tool stepped and
 block-compiled and checks that nothing observable differs.
+
+``on_stepping_tier`` copies a test class onto the stepping tier: the root
+``device`` fixture is block-compiled, so the expected-value tests in
+``test_exec_*.py`` run once per tier.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.gpusim import Device
 from repro.runner.sandbox import SandboxConfig, run_app
@@ -52,6 +57,19 @@ def run_lanes(
         return np.frombuffer(raw, dtype=np.uint64)[:block]
     raw = device.global_mem.read_bytes(out, 4 * block)
     return np.frombuffer(raw, dtype=np.uint32)[:block]
+
+
+def on_stepping_tier(cls):
+    """``cls`` as ``<name>Step``, its ``device`` fixture stepping every
+    instruction (``block_compile=False``)."""
+
+    @pytest.fixture
+    def device(self):
+        return Device(
+            num_sms=4, global_mem_bytes=4 * 1024 * 1024, block_compile=False
+        )
+
+    return type(f"{cls.__name__}Step", (cls,), {"device": device})
 
 
 def lanes_f32(values: np.ndarray) -> np.ndarray:

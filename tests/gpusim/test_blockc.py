@@ -25,7 +25,7 @@ from repro.core.injector import TransientInjectorTool
 from repro.core.pf_injector import PermanentInjectorTool
 from repro.core.store import CampaignStore
 from repro.cuda.driver import CudaFunction
-from repro.errors import MemoryViolation, WatchdogTimeout
+from repro.errors import DeviceTrap, MemoryViolation, WatchdogTimeout
 from repro.gpusim import blockc
 from repro.gpusim.device import Device
 from repro.nvbit.api import NVBitRuntime
@@ -125,7 +125,7 @@ class TestStraightLineParity:
         assert (step_out == expected).all()
 
     def test_read_modify_write_in_block(self):
-        """Register sources are read as views in specialized blocks; an
+        """Register sources are read as views in inlined block code; an
         instruction whose destination is also a source must still see the
         pre-write value (the handler's defensive-copy semantics)."""
         text = """
@@ -163,6 +163,192 @@ class TestStraightLineParity:
     EXIT ;
 """
         _differential(text, "clocked", 2, 64, 128)
+
+
+# Operand shapes of a value source (``{r}`` is its register) and of a
+# predicate source, and the guards every shape runs under.
+_SHAPES = ("{r}", "-{r}", "|{r}|", "-|{r}|", "RZ", "{imm0}", "{imm1}", "c[0x0][0x8]")
+_PRED_SHAPES = ("P1", "!P1", "PT", "!PT")
+_GUARDS = ("", "@P0 ", "@!P0 ", "@!PT ")
+_IMMS = {"int": ("7", "-3"), "f32": ("2.5f", "-0.75f"), "f64": ("2.5f", "-0.75f")}
+
+_CMPS = ("LT", "LE", "GT", "GE", "EQ", "NE")
+# mnemonic -> (value sources, operand type, takes a predicate source);
+# setp variants write P2, every other variant R20.
+_VARIANTS = {
+    **{op: (1, "int", False) for op in ("MOV", "MOV32I", "LOP.NOT")},
+    **{op: (2, "int", False) for op in (
+        "IADD", "IMUL", "IMUL.HI", "SHL", "SHR", "SHR.U32", "SHR.S32",
+        "LOP.AND", "LOP.OR", "LOP.XOR",
+    )},
+    **{op: (3, "int", False) for op in ("IADD3", "IMAD", "ISCADD")},
+    "SEL": (2, "int", True),
+    **{op: (2, "f32", False) for op in ("FADD", "FMUL", "FMNMX", "FMNMX.MAX")},
+    "FFMA": (3, "f32", False),
+    "FSEL": (2, "f32", True),
+    **{f"ISETP.{cmp}.AND": (2, "int", True) for cmp in _CMPS},
+    **{f"ISETP.{cmp}.U32.AND": (2, "int", True) for cmp in _CMPS},
+    **{f"FSETP.{cmp}.AND": (2, "f32", True) for cmp in _CMPS},
+    **{f"DSETP.{cmp}.AND": (2, "f64", True) for cmp in _CMPS},
+    **{f"{op}.LT.{combine}": (2, kind, True)
+       for op, kind in (("ISETP", "int"), ("FSETP", "f32"), ("DSETP", "f64"))
+       for combine in ("OR", "XOR")},
+}
+
+_SPECIAL_INTS = [
+    0, 1, 2, 3, 31, 32, 33, 63, 64, 100, 255, 256, 0x7FFFFFFF, 0x80000000,
+    0xFFFFFFFF, 0xFFFFFFFD, 0xFFFFFF9C,
+]
+_SPECIAL_F32 = [
+    0x00000000, 0x80000000, 0x3F800000, 0xBF800000, 0x40200000, 0xBF400000,
+    0x7F800000, 0xFF800000, 0x7FC00001, 0xFFC00000, 0x00000001, 0x7F7FFFFF,
+    0x80800000,
+]
+
+
+def _shape_kernel(mnemonic: str) -> tuple[str, int]:
+    """One kernel running ``mnemonic`` with every source shape under
+    every guard; each result (or ``P2R`` of the predicates) is stored in
+    its own 32-lane slot.  Returns ``(text, slots)``."""
+    count, kind, takes_pred = _VARIANTS[mnemonic]
+    setp = "SETP" in mnemonic
+    regs = [f"R{10 + 2 * i}" for i in range(count)]  # even: FP64 pairs
+    imm0, imm1 = _IMMS[kind]
+    shapes = [s for s in _SHAPES if kind != "f64" or not s.startswith("c[")]
+    operand_lists = []
+    # Each position takes every shape, the others registers, then the
+    # others immediates (which is what makes a shift count immediate).
+    for others in (regs, [imm0] * count):
+        for pos in range(count):
+            for shape in shapes:
+                ops = list(others)
+                ops[pos] = shape.format(r=regs[pos], imm0=imm0, imm1=imm1)
+                operand_lists.append(ops + (["P1"] if takes_pred else []))
+    if takes_pred:
+        operand_lists.extend(list(regs) + [pred] for pred in _PRED_SHAPES)
+    if setp:
+        operand_lists.append(list(regs))  # no predicate source
+    lines = [
+        ".kernel shapes",
+        ".params 3",
+        "    S2R R50, SR_TID.X ;",
+        "    MOV R51, c[0x0][0x0] ;",
+        "    ISCADD R52, R50, R51, 2 ;",
+        "    MOV R53, c[0x0][0x4] ;",
+        "    ISCADD R53, R50, R53, 2 ;",
+        *(f"    LDG.32 R{10 + i}, [R53+0x{128 * i:x}] ;" for i in range(6)),
+        "    LDG.32 R4, [R53+0x300] ;",  # predicate bits
+        "    LDG.32 R9, [R53+0x380] ;",  # destination sentinel
+        "    R2P PT, R4 ;",
+    ]
+    slot = 0
+    for ops in operand_lists:
+        for guard in _GUARDS:
+            if setp:
+                lines.append("    R2P PT, R4 ;")
+                lines.append(f"{guard}{mnemonic} P2, {', '.join(ops)} ;")
+                lines.append("    P2R R20 ;")
+            else:
+                lines.append("    MOV R20, R9 ;")
+                lines.append(f"{guard}{mnemonic} R20, {', '.join(ops)} ;")
+            lines.append(f"    STG.32 [R52+0x{128 * slot:x}], R20 ;")
+            slot += 1
+    lines.append("    EXIT ;")
+    return "\n".join(lines), slot
+
+
+def _shape_inputs(kind: str) -> tuple[np.ndarray, int]:
+    """Eight 32-lane input rows (six source registers, predicate bits, a
+    destination sentinel) and the ``c[0x0][0x8]`` value."""
+    rng = np.random.default_rng(7)
+    special = _SPECIAL_F32 if kind != "int" else _SPECIAL_INTS
+    rows = []
+    for _ in range(6):
+        row = np.concatenate([
+            special, rng.integers(0, 1 << 32, 32 - len(special), dtype=np.uint64),
+        ]).astype(np.uint32)
+        rows.append(rng.permutation(row))
+    rows.append(rng.integers(0, 128, 32).astype(np.uint32))
+    rows.append(rng.integers(0, 1 << 32, 32, dtype=np.uint64).astype(np.uint32))
+    return np.concatenate(rows), 0xFFFFFFF5 if kind == "int" else 0xBFC00000
+
+
+class TestTemplateShapes:
+    """Every templated opcode and modifier variant, every operand shape,
+    under every guard: the stepping handler and the block-inlined code
+    generated from the opcode's template store the same bits."""
+
+    @pytest.mark.parametrize("mnemonic", list(_VARIANTS))
+    def test_stepped_matches_compiled(self, mnemonic):
+        text, slots = _shape_kernel(mnemonic)
+        inputs, const = _shape_inputs(_VARIANTS[mnemonic][1])
+        results = {}
+        for block_compile in (False, True):
+            device = _device(block_compile)
+            out = device.malloc(128 * slots)
+            src = device.malloc(inputs.nbytes)
+            device.global_mem.write_bytes(src, inputs.tobytes())
+            device.launch(assemble(text).get("shapes"), 1, 32, [out, src, const])
+            results[block_compile] = (
+                bytes(read_u32(device, out, 32 * slots)),
+                device.instructions_executed,
+                device.cycles,
+                device.blockc_block_hits,
+            )
+        assert results[False][:3] == results[True][:3]
+        assert results[False][3] == 0 and results[True][3] > 0
+
+    def test_register_and_immediate_shapes_are_inlined(self):
+        """The compiled tier inlines a template's statements; only shapes
+        its reads cannot inline call the stepping handler."""
+        text = """
+.kernel k
+.params 1
+    IADD R1, -|R2|, 7 ;
+    FSEL R3, -R4, RZ, !PT ;
+@!P0 ISETP.LT.U32.XOR P1, R1, RZ, !P2 ;
+    IADD R5, R1, c[0x0][0x0] ;
+    DSETP.LT.AND P1, R6, R8, PT ;
+    EXIT ;
+"""
+        instructions = assemble(text).get("k").instructions
+        source = blockc._gen_block_source(instructions, 0, 5, blockc._ConstPool())
+        calls = [line.strip() for line in source.splitlines() if "(warp, _i" in line]
+        assert calls == ["_h3(warp, _i3, _a)", "_h4(warp, _i4, _a)"]
+
+
+class TestMalformedShapes:
+    """A malformed templated instruction traps with the same message in
+    both tiers, and only when it executes."""
+
+    @pytest.mark.parametrize("instr, message", [
+        ("ISETP P0, R1, R2", "ISETP at pc 2 lacks a comparison modifier"),
+        ("LOP R0, R1, R2", "LOP requires .AND/.OR/.XOR/.NOT"),
+        ("IADD R0, R1, [R2]", "cannot be read as a value"),
+        ("SEL R0, R1, R2, R3", "expected predicate source"),
+        ("IADD3 R0, R1, R2", "IADD3 at pc 2 takes 3 source operands"),
+    ])
+    def test_same_trap_only_when_executed(self, instr, message):
+        for guard in ("@!PT ", "@P0 ", ""):
+            text = (
+                ".kernel bad\n    MOV R1, 3 ;\n    ISETP.GT.AND P0, R1, 5, PT ;\n"
+                f"{guard}{instr} ;\n    IADD R3, R1, 1 ;\n    EXIT ;"
+            )
+            outcomes = []
+            for block_compile in (False, True):
+                device = _device(block_compile)
+                kernel = assemble(text).get("bad")
+                try:
+                    device.launch(kernel, 1, 32, [])
+                    raised = None
+                except DeviceTrap as exc:
+                    raised = str(exc)
+                outcomes.append((raised, device.instructions_executed))
+            assert outcomes[0] == outcomes[1], guard
+            if guard:  # @!PT and @P0 (P0 false in every lane) never execute
+                assert outcomes[0][0] is None
+            else:
+                assert message in outcomes[0][0]
 
 
 class TestMidBlockTraps:

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from tests.gpusim.helpers import fbits, lanes_f32, run_lanes
+from tests.gpusim.helpers import fbits, lanes_f32, on_stepping_tier, run_lanes
 
 LANES = np.arange(32, dtype=np.float32)
 
@@ -118,3 +118,10 @@ class TestConversions:
     def test_nan_propagates_through_fadd(self, device):
         body = "    MOV32I R1, 0x7fc00000 ;\n    FADD R0, R1, 1.0f ;"
         assert np.isnan(lanes_f32(run_lanes(device, body))).all()
+
+
+# The classes above run block-compiled (the root ``device`` fixture);
+# these copies check the same expected values on the stepping tier.
+TestArithmeticStep = on_stepping_tier(TestArithmetic)
+TestMufuStep = on_stepping_tier(TestMufu)
+TestConversionsStep = on_stepping_tier(TestConversions)

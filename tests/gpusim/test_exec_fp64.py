@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from tests.gpusim.helpers import fbits, lanes_f64, run_lanes
+from tests.gpusim.helpers import fbits, lanes_f64, on_stepping_tier, run_lanes
 
 LANES = np.arange(32, dtype=np.float64)
 
@@ -100,3 +100,8 @@ class TestFp64Arithmetic:
         out = lanes_f64(run_lanes(device, body, pair=True))
         assert (out == 1.0 + 2.0**-30).all()
         assert (out != 1.0).all()
+
+
+# The classes above run block-compiled (the root ``device`` fixture);
+# these copies check the same expected values on the stepping tier.
+TestFp64ArithmeticStep = on_stepping_tier(TestFp64Arithmetic)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import DeviceTrap
 from repro.sass import assemble
-from tests.gpusim.helpers import run_lanes
+from tests.gpusim.helpers import on_stepping_tier, run_lanes
 
 LANES = np.arange(32, dtype=np.int64)
 
@@ -133,6 +133,11 @@ class TestLogicAndShifts:
         body = "    MOV32I R1, 0x80000000 ;\n    SHR.S32 R0, R1, 4 ;"
         assert (run_lanes(device, body) == 0xF8000000).all()
 
+    def test_shr_s32_ignores_source_modifiers(self, device):
+        # Shifts read raw bits: -R1 is R1, as for SHL and unsigned SHR.
+        body = "    MOV R1, 100 ;\n    SHR.S32 R0, -R1, 2 ;"
+        assert (run_lanes(device, body) == 25).all()
+
     def test_shf_funnel_right(self, device):
         body = (
             "    MOV32I R1, 0x00000001 ;\n    MOV32I R2, 0x80000000 ;\n"
@@ -177,3 +182,11 @@ class TestUnimplementedOpcode:
         kernel = assemble(".kernel k\n    HADD2 R0, R1, R2 ;\n    EXIT ;").get("k")
         with pytest.raises(DeviceTrap, match="no execution semantics"):
             device.launch(kernel, 1, 32, [])
+
+
+# The classes above run block-compiled (the root ``device`` fixture);
+# these copies check the same expected values on the stepping tier.
+TestArithmeticStep = on_stepping_tier(TestArithmetic)
+TestComparisonsStep = on_stepping_tier(TestComparisons)
+TestLogicAndShiftsStep = on_stepping_tier(TestLogicAndShifts)
+TestUnimplementedOpcodeStep = on_stepping_tier(TestUnimplementedOpcode)

@@ -6,7 +6,7 @@ import pytest
 from repro.errors import MemoryViolation
 from repro.sass import assemble
 from tests.conftest import read_f32, read_u32, write_f32, write_u32
-from tests.gpusim.helpers import fbits, run_lanes
+from tests.gpusim.helpers import fbits, on_stepping_tier, run_lanes
 
 LANES = np.arange(32, dtype=np.int64)
 
@@ -222,3 +222,12 @@ class TestAtomics:
         out = device.malloc(4)
         device.launch(assemble(text).get("k"), 1, 32, [out])
         assert read_u32(device, out, 1)[0] == 32
+
+
+# The classes above run block-compiled (the root ``device`` fixture);
+# these copies check the same expected values on the stepping tier.
+TestGlobalLoadStoreStep = on_stepping_tier(TestGlobalLoadStore)
+TestSharedMemoryStep = on_stepping_tier(TestSharedMemory)
+TestLocalMemoryStep = on_stepping_tier(TestLocalMemory)
+TestConstantsStep = on_stepping_tier(TestConstants)
+TestAtomicsStep = on_stepping_tier(TestAtomics)

@@ -8,7 +8,7 @@ from repro.sass import assemble
 from repro.sass.isa import SPECIAL_REGISTERS
 from repro.sass.operands import SpecialReg
 from tests.conftest import read_u32
-from tests.gpusim.helpers import run_lanes
+from tests.gpusim.helpers import on_stepping_tier, run_lanes
 
 LANES = np.arange(32, dtype=np.int64)
 
@@ -205,3 +205,11 @@ class TestSpecialRegisters:
             "    MOV R0, RZ ;\n@PT MOV R0, 1 ;"
         )
         assert (run_lanes(device, body) == 1).all()
+
+
+# The classes above run block-compiled (the root ``device`` fixture);
+# these copies check the same expected values on the stepping tier.
+TestShflStep = on_stepping_tier(TestShfl)
+TestVoteStep = on_stepping_tier(TestVote)
+TestPredicateOpsStep = on_stepping_tier(TestPredicateOps)
+TestSpecialRegistersStep = on_stepping_tier(TestSpecialRegisters)

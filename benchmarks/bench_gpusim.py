@@ -23,14 +23,18 @@ diff stdout and output files (and fault activations).
 
 Wall clocks on a loaded box swing hard, so the microbench interleaves
 step/block rounds and keeps the best round per mode before computing the
-speedup ratio.  ``REPRO_QUICK=1`` shrinks iteration counts and skips the
-speedup floor (CI smoke boxes are too noisy to assert throughput).
+speedup ratio.  The workload rows time each round's step and compiled
+runs back to back in process CPU time and report the median of the
+per-round ratios over five interleaved rounds, which is what their floor
+checks.  ``REPRO_QUICK=1`` shrinks iteration counts and rounds and skips
+the speedup floors (CI smoke boxes are too noisy to assert throughput).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import statistics
 import time
 from pathlib import Path
 
@@ -52,7 +56,8 @@ BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_gpusim.json"
 # unloaded box; 1.5x leaves headroom for slower hosts.
 _MIN_MICRO_SPEEDUP = 1.5
 
-# No workload's golden run may be slower block-compiled than stepped.
+# No workload's golden run may be slower block-compiled than stepped (the
+# median of its per-round CPU-time ratios).
 _MIN_WORKLOAD_SPEEDUP = 1.0
 
 # Tight ALU loop: one ISETP/BRA pair of control per 9 straight-line
@@ -119,9 +124,9 @@ def _measure_micro():
 
 def _workload_run(name: str, block_compile: bool):
     app = get_workload(name)
-    started = time.perf_counter()
+    started = time.process_time()
     artifacts = run_app(app, config=SandboxConfig(block_compile=block_compile))
-    seconds = time.perf_counter() - started
+    seconds = time.process_time() - started
     return artifacts, seconds
 
 
@@ -129,15 +134,17 @@ def _measure_workloads():
     names = workload_names()
     if quick_mode():
         names = names[:2]
-    rounds = 1 if quick_mode() else 2
+    rounds = 1 if quick_mode() else 5
     rows = []
     for name in names:
-        # Best-of interleaved rounds, like the microbench: one end-to-end
-        # run is noisy, and the first block-compiled run additionally pays
-        # codegen inside the clock (later rounds hit the process-global
-        # layout cache, which is the steady state of a real campaign).
-        best = {False: float("inf"), True: float("inf")}
-        step = blockc = None
+        # Interleaved rounds, each a step run and a compiled run back to
+        # back in CPU time; the row's speedup is the median of the rounds'
+        # ratios.  The first compiled round binds the program's blocks
+        # (the kernels are shared per process, so later rounds reuse
+        # them, as a campaign's injection runs reuse its golden run's).
+        seconds = {False: [], True: []}
+        ratios = []
+        blocks_compiled = None
         for _ in range(rounds):
             step, step_seconds = _workload_run(name, block_compile=False)
             blockc, blockc_seconds = _workload_run(name, block_compile=True)
@@ -145,18 +152,24 @@ def _measure_workloads():
             assert step.cycles == blockc.cycles, name
             assert step.stdout == blockc.stdout, name
             assert step.files == blockc.files, name
-            best[False] = min(best[False], step_seconds)
-            best[True] = min(best[True], blockc_seconds)
+            if blocks_compiled is None:
+                blocks_compiled = blockc.blockc_blocks_compiled
+            seconds[False].append(step_seconds)
+            seconds[True].append(blockc_seconds)
+            ratios.append(step_seconds / blockc_seconds)
         executed = step.instructions_executed
+        step_s = statistics.median(seconds[False])
+        blockc_s = statistics.median(seconds[True])
         rows.append({
             "workload": name,
             "warp_instructions": executed,
-            "step_seconds": round(best[False], 3),
-            "blockc_seconds": round(best[True], 3),
-            "step_winstr_per_sec": round(executed / best[False], 1),
-            "blockc_winstr_per_sec": round(executed / best[True], 1),
-            "speedup": round(best[False] / best[True], 2),
-            "blocks_compiled": blockc.blockc_blocks_compiled,
+            "step_seconds": round(step_s, 3),
+            "blockc_seconds": round(blockc_s, 3),
+            "step_winstr_per_sec": round(executed / step_s, 1),
+            "blockc_winstr_per_sec": round(executed / blockc_s, 1),
+            "speedup": round(statistics.median(ratios), 2),
+            "rounds": rounds,
+            "blocks_compiled": blocks_compiled,
             "block_hits": blockc.blockc_block_hits,
         })
     return rows

@@ -12,11 +12,19 @@ error log, but the process — and subsequent kernels — keep running unless
 the host explicitly checks.  A host that never calls
 :meth:`CudaDriver.cuGetLastError` / :meth:`cuCtxSynchronize` sails on with
 possibly corrupt data (the "potential DUE" outcome).
+
+Module images are assembled (or decoded) once per process: every later
+load of the same image hands out the same :class:`~repro.sass.program.Kernel`
+objects, so the blocks a campaign's golden run binds serve its injection
+runs.  Each load still gets its own :class:`CudaModule` and
+:class:`CudaFunction` handles, which compare by identity, so NVBit keeps
+separate instrumentation state per load.
 """
 
 from __future__ import annotations
 
 import enum
+import threading
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -49,9 +57,10 @@ class CudaEvent(enum.Enum):
     CTX_SYNCHRONIZE = "cuCtxSynchronize"
 
 
-@dataclass
+@dataclass(eq=False)
 class CudaFunction:
-    """A loaded kernel handle."""
+    """A loaded kernel handle, equal only to itself: two loads of one
+    image share a kernel but not their handles."""
 
     kernel: Kernel
     module: "CudaModule"
@@ -59,12 +68,6 @@ class CudaFunction:
     @property
     def name(self) -> str:
         return self.kernel.name
-
-    def __hash__(self) -> int:
-        return id(self.kernel)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, CudaFunction) and other.kernel is self.kernel
 
 
 @dataclass
@@ -91,6 +94,30 @@ class LaunchParams:
     args: list[int]
     shared_bytes: int = 0
     error: CudaError = CudaError.SUCCESS
+
+
+# Assembled or decoded modules by (image, name), oldest first; the bound
+# keeps a long-lived process from growing without limit.
+_IMAGE_CACHE_SIZE = 16
+_images: dict[tuple[str | bytes, str], SassModule] = {}
+_images_lock = threading.Lock()
+
+
+def _load_image(image: str | bytes, name: str) -> SassModule:
+    """The module of ``image``, built on its first load in this process."""
+    key = (image, name)
+    with _images_lock:
+        sass = _images.get(key)
+    if sass is None:
+        if isinstance(image, bytes):
+            sass = decode_module(image, name=name)
+        else:
+            sass = assemble(image, module_name=name)
+        with _images_lock:
+            sass = _images.setdefault(key, sass)
+            while len(_images) > _IMAGE_CACHE_SIZE:
+                del _images[next(iter(_images))]
+    return sass
 
 
 class CudaDriver:
@@ -121,10 +148,7 @@ class CudaDriver:
         self, image: str | bytes, name: str = "<module>", is_library: bool = False
     ) -> CudaModule:
         """Load a module from SASS text or a binary cubin blob."""
-        if isinstance(image, bytes):
-            sass = decode_module(image, name=name)
-        else:
-            sass = assemble(image, module_name=name)
+        sass = _load_image(image, name)
         module = CudaModule(sass=sass, name=name, is_library=is_library)
         self.modules.append(module)
         self._dispatch(CudaEvent.MODULE_LOAD, module, is_exit=False)

@@ -1,23 +1,32 @@
-"""Block-compiled warp interpreter: straight-line SASS fused into superhandlers.
+"""Block-compiled warp interpreter: basic blocks of SASS fused into superhandlers.
 
 Simulating a launch instruction by instruction pays a Python constant per
 dynamic warp-instruction in ``SM._run_slice_fast`` on top of the numpy
 lane math: a dispatch index, one ``Warp.guard_mask`` call (which copies
-``active``), one ``device.tick()`` and one ``exec_mask.any()``.  This
-module removes that constant for straight-line code:
+``active``), one ``device.tick()`` and one lane-mask test.  This module
+removes that constant:
 
-* each kernel is partitioned once into **basic blocks** — maximal runs of
-  non-control instructions, split at branch targets, unknown opcodes,
-  ``SR_CLOCK`` readers (they observe the tick counter mid-block) and at
-  :data:`MAX_BLOCK_LEN` so a block always fits one scheduling quantum;
+* each kernel is partitioned once into **basic blocks** — maximal runs
+  that may hold ``SSY``/``PBK`` anywhere and end with a ``BRA``,
+  ``SYNC``, ``BRK``, ``EXIT`` or ``BAR`` (control flow ends a block),
+  split at branch targets, unknown opcodes, ``SR_CLOCK`` readers (they
+  observe the tick counter mid-block) and at :data:`MAX_BLOCK_LEN` so a
+  block always fits one scheduling quantum;
 * each block is code-generated into one Python **superhandler** via a
   source template + ``compile()``: ``warp.active`` / ``warp.preds`` /
   ``warp.regs`` are hoisted out of the block, guard masks are still
   evaluated per instruction (predicates mutate mid-block) but resolve to
   the no-copy ``_a`` fast path when the instruction is unguarded, the
-  per-instruction ``exec_mask.any()`` / ``handler is None`` checks are
-  resolved at compile time, and the ``device.tick()`` calls become a
-  single bulk :meth:`~repro.gpusim.device.Device.tick_n` charge;
+  per-instruction mask tests / ``handler is None`` checks are resolved at
+  compile time, and the ``device.tick()`` calls become a single bulk
+  :meth:`~repro.gpusim.device.Device.tick_n` charge;
+* a control op compiles to the same :class:`~repro.gpusim.warp.Warp` call
+  the stepping loop makes (:data:`~repro.gpusim.exec_units.CONTROL_CALLS`
+  is the one table of them; an unguarded ``BRA`` is ``warp.pc =
+  target``), followed by the same divergence-depth sample;
+* a 32-bit global load or store with a register base inlines its address
+  computation and calls ``GlobalMemory.load32`` / ``store32``, the one
+  copy of the memory semantics;
 * a mid-block trap rolls the bulk tick charge back to the faulting
   instruction and restores ``warp.pc`` to it, so device counters, memory
   and warp state at the trap are exactly what per-instruction stepping
@@ -31,30 +40,34 @@ template's expression as statements — register reads as views of the
 hoisted register file, immediates as shared read-only arrays, the one
 masked store last.  A shape the inliner does not take (a ``c[..]``
 operand, an FP64 read, a malformed instruction) calls the stepping
-handler, as does every opcode with a hand-written handler.
+handler, as does every other opcode with a hand-written handler.
 
 The scheduler (``SM._run_slice_fast``) only executes a block whole when it
 fits the warp's remaining quantum **and** the watchdog budget has headroom
 for the whole block — otherwise it steps per-instruction — so the
 round-robin interleaving of warps (atomics, shared memory) and the exact
 watchdog trap point are preserved and ``results.csv`` plus simulated-cycle
-totals are byte-identical with block compilation on or off.
+totals are byte-identical with block compilation on or off.  A lone warp
+has no one to interleave with, so its slice is unbounded and its blocks
+never step at a quantum edge.
 
 Instrumented launches use the same tier.  Their hooked pcs are extra
 block boundaries: a hooked pc is never inside a block, so it always steps
 (tick, before-callbacks, execute, after-callbacks) and every callback
-sees exact ``instructions_executed`` and ``cycles``; the straight-line
-code between hooked pcs runs compiled.
+sees exact ``instructions_executed`` and ``cycles``; the code between
+hooked pcs runs compiled.
 
 Caching is two-level.  The expensive part — ``compile()`` of each block's
 generated source — is cached process-globally per span, keyed on
 :func:`content_fingerprint` (a hash of every instruction's canonical text
-plus resolved branch targets) and the span's ``(start, end)``, so the
-thousands of per-run kernel objects a campaign assembles from the same
-source pay codegen once, and a layout split at hooked pcs recompiles only
-the blocks a hooked pc actually splits.  The cheap part — binding a
-kernel instance's handler table and instruction objects into block
-functions — is cached on the kernel object and validated against the
+plus resolved branch targets) and the span's ``(start, end)``, so kernel
+objects assembled from the same source pay codegen once, and a layout
+split at hooked pcs recompiles only the blocks a hooked pc actually
+splits.  The cheap part — binding a kernel instance's handler table and
+instruction objects into block functions — is cached on the kernel object
+(``cuModuleLoadData`` hands every load of an image the same kernels, so
+the blocks bound in a campaign's golden run serve its injection runs) and
+validated against the
 *identity* of every instruction (strong references are held, so ids
 cannot be reused), which also fixes the historical ``_gpusim_handlers``
 staleness bug where an in-place rewrite of equal length kept serving the
@@ -64,21 +77,30 @@ old dispatch table.
 from __future__ import annotations
 
 import hashlib
+import re
 from time import perf_counter
+
+import numpy as np
 
 from repro.errors import DeviceTrap
 from repro.gpusim.exec_units import (
+    CONTROL_CALLS,
     CONTROL_OPCODES,
     EXPR_NAMES,
+    GLOBAL_LOADS,
+    GLOBAL_STORES,
     HANDLERS,
     LANE_OPS,
     READERS,
     WRITERS,
     LaneOp,
     _imm_array,
+    access_width,
     reads_clock,
 )
-from repro.sass.operands import Imm, Pred, Reg
+from repro.gpusim.warp import NO_LANES
+from repro.sass.isa import WARP_SIZE
+from repro.sass.operands import Imm, MemRef, Pred, Reg
 from repro.sass.program import register_count
 
 # Must equal the SM scheduling quantum (repro.gpusim.sm imports it from
@@ -91,6 +113,14 @@ MAX_BLOCK_LEN = 64
 # block boundaries and part of the content fingerprint).
 _BRANCHING = frozenset({"BRA", "SSY", "PBK"})
 
+# Control opcodes that may move ``warp.pc`` or change ``active``: a block
+# ends with one.  SSY and PBK only push a stack entry, so blocks hold them.
+_ENDS_BLOCK = CONTROL_OPCODES - {"SSY", "PBK"}
+
+# The execution mask of an @!PT instruction: no lane.
+_NO_LANE_MASK = np.zeros(WARP_SIZE, dtype=bool)
+_NO_LANE_MASK.flags.writeable = False
+
 
 def _CONTROL(*_args) -> None:  # pragma: no cover - dispatch sentinel, never called
     """Handler-table sentinel marking a control-flow opcode.
@@ -100,6 +130,14 @@ def _CONTROL(*_args) -> None:  # pragma: no cover - dispatch sentinel, never cal
     boundary.
     """
     raise AssertionError("_CONTROL is a dispatch sentinel")
+
+
+def _target(instr) -> int | None:
+    """A branching op's resolved target, or ``None`` if it has none."""
+    try:
+        return instr.branch_target
+    except ValueError:
+        return None
 
 
 def content_fingerprint(instructions) -> str:
@@ -114,10 +152,8 @@ def content_fingerprint(instructions) -> str:
     for instr in instructions:
         hasher.update(str(instr).encode())
         if instr.opcode in _BRANCHING:
-            try:
-                hasher.update(b"@%d" % instr.branch_target)
-            except ValueError:
-                hasher.update(b"@?")
+            target = _target(instr)
+            hasher.update(b"@?" if target is None else b"@%d" % target)
         hasher.update(b"\n")
     return hasher.hexdigest()
 
@@ -151,6 +187,21 @@ def _trapping(message: str):
         raise DeviceTrap(message)
 
     return handler
+
+
+def _control_step(opcode: str):
+    """The stepping function ``(warp, instr, mask)`` of a control opcode:
+    its :data:`CONTROL_CALLS` entry, the target resolved per call."""
+    call = CONTROL_CALLS[opcode].format(mask="mask", target="instr.branch_target")
+    namespace: dict = {}
+    exec(compile(f"def _c(warp, instr, mask):\n    {call}", "<gpusim-step>", "exec"),
+         namespace)
+    return namespace["_c"]
+
+
+# Control opcode -> stepping function; the step loop calls it where the
+# table holds :func:`_CONTROL`.
+CONTROL_STEPS = {opcode: _control_step(opcode) for opcode in CONTROL_CALLS}
 
 
 # Process-global stepping handlers, one per distinct template.
@@ -194,14 +245,18 @@ def _stepping_handler(op: LaneOp):
 def _compilable(instr) -> bool:
     """Can this instruction live inside a compiled block?
 
-    Control flow ends a block by definition; unknown opcodes must keep
-    their trap-only-when-executed semantics (the step path raises at
-    execution time); ``SR_CLOCK`` readers observe ``instructions_executed``
-    mid-block, which the bulk ``tick_n`` charge would perturb.
+    Unknown opcodes must keep their trap-only-when-executed semantics (the
+    step path raises at execution time); ``SR_CLOCK`` readers observe
+    ``instructions_executed`` mid-block, which the bulk ``tick_n`` charge
+    would perturb; a branching op whose target does not resolve keeps the
+    stepping path's error.
     """
-    if instr.opcode in CONTROL_OPCODES:
-        return False
-    if instr.opcode not in HANDLERS and instr.opcode not in LANE_OPS:
+    opcode = instr.opcode
+    if opcode in _BRANCHING:
+        return _target(instr) is not None
+    if opcode in CONTROL_OPCODES:
+        return True
+    if opcode not in HANDLERS and opcode not in LANE_OPS:
         return False
     return not reads_clock(instr)
 
@@ -209,19 +264,16 @@ def _compilable(instr) -> bool:
 def _block_spans(instructions, breaks) -> list[tuple[int, int]]:
     """Partition into maximal compilable runs ``[start, end)``.
 
-    Splits at control opcodes, branch targets (a jump must land on a block
-    start or plain-stepped pc, never mid-block), non-compilable
-    instructions, :data:`MAX_BLOCK_LEN`, and ``breaks`` — the hooked pcs
-    of an instrumented launch, which step so their callbacks run and see
-    exact counters.
+    A run ends after a control op in :data:`_ENDS_BLOCK` and splits at
+    branch targets (a jump must land on a block start or plain-stepped
+    pc, never mid-block), non-compilable instructions,
+    :data:`MAX_BLOCK_LEN`, and ``breaks`` — the hooked pcs of an
+    instrumented launch, which step so their callbacks run and see exact
+    counters.
     """
-    starts = set()
-    for instr in instructions:
-        if instr.opcode in _BRANCHING:
-            try:
-                starts.add(instr.branch_target)
-            except ValueError:
-                pass
+    starts = {
+        _target(instr) for instr in instructions if instr.opcode in _BRANCHING
+    }
     spans = []
     i = 0
     n = len(instructions)
@@ -232,6 +284,7 @@ def _block_spans(instructions, breaks) -> list[tuple[int, int]]:
         j = i + 1
         while (
             j < n
+            and instructions[j - 1].opcode not in _ENDS_BLOCK
             and j - i < MAX_BLOCK_LEN
             and j not in starts
             and j not in breaks
@@ -271,6 +324,14 @@ _STORES = {
     "f32": "_np.copyto(_r[{dest}], ({value}).view(_U32), where={mask})",
     "pred": "_np.copyto(_p[{dest}], {value}, where={mask}, casting='unsafe')",
 }
+
+# Warp state a block reads once, up front, if its statements use it.
+_HOISTED = (
+    ("_a", "warp.active"),
+    ("_p", "warp.preds"),
+    ("_r", "warp.regs"),
+    ("_g", "warp.ctx.global_mem"),
+)
 
 # The expression names, bound as keyword defaults of a block that inlines
 # (LOAD_FAST instead of global lookups).
@@ -359,6 +420,76 @@ def _inline(instr, mask: str, const) -> list[str] | None:
     return lines
 
 
+def _inline_global(instr, mask: str, const) -> list[str] | None:
+    """A 32-bit global load or store with a register base under ``mask``,
+    or ``None`` when the block must call its handler instead.
+
+    The address computation is inlined; the access itself calls
+    ``GlobalMemory.load32`` / ``store32``, which stay the one copy of its
+    validation, gather/scatter and dirty-page tracking.
+    """
+    ref = instr.sources[0] if instr.sources else None
+    if (
+        access_width(instr) != 4
+        or not isinstance(ref, MemRef)
+        or ref.reg is None
+        or ref.reg == 255
+    ):
+        return None
+    address = f"_r[{ref.reg}].astype(_I64)"
+    if ref.offset:
+        address += f" {'-' if ref.offset < 0 else '+'} {abs(ref.offset)}"
+    if instr.opcode in GLOBAL_LOADS:
+        load = f"_g.load32({address}, {mask})"
+        dest = instr.dest
+        if not isinstance(dest, Reg) or dest.is_rz:
+            return [load]  # the writer stores nothing
+        return [f"_np.copyto(_r[{dest.index}], {load}, where={mask})"]
+    value = instr.sources[1] if len(instr.sources) > 1 else None
+    if isinstance(value, Reg):
+        values = const(_imm_array("u32", 0)) if value.is_rz else f"_r[{value.index}]"
+    elif isinstance(value, Imm):
+        values = const(_imm_array("u32", value.bits))
+    else:
+        return None
+    return [f"_g.store32({address}, {mask}, {values})"]
+
+
+def _control_lines(instr, pc: int, start: int, const) -> list[str]:
+    """A control op's :data:`CONTROL_CALLS` entry as block statements.
+
+    A closing op sees the exact ``warp.pc`` (inside a block it is stale:
+    still the block start, or advanced by an SSY/PBK).  Every call is
+    followed by the divergence-depth sample the stepping loop takes.  An
+    unguarded ``BRA`` takes every active lane, so it is ``warp.pc =
+    target``.
+    """
+    opcode = instr.opcode
+    target = _target(instr) if opcode in _BRANCHING else None
+    call = CONTROL_CALLS[opcode]
+    lines = []
+    mask = None
+    if "{mask}" in call:
+        guard = instr.guard
+        if _is_unguarded(guard):
+            if opcode == "BRA":
+                return [f"warp.pc = {target}"]
+            mask = "_a"
+        elif guard.is_pt:  # @!PT: no lane executes
+            mask = const(_NO_LANE_MASK)
+        else:
+            invert = "~" if guard.negate else ""
+            lines.append(f"_m = _a & {invert}_p[{guard.index}]")
+            mask = "_m"
+    if pc != start and opcode in _ENDS_BLOCK:
+        lines.append(f"warp.pc = {pc}")
+    lines.append(call.format(mask=mask, target=target))
+    lines.append("_d = len(warp.stack)")
+    lines.append("if _d > device.divergence_depth_high_water:")
+    lines.append("    device.divergence_depth_high_water = _d")
+    return lines
+
+
 def _gen_block_source(instructions, start: int, end: int, pool: _ConstPool) -> str:
     """Source for one superhandler ``_b<start>(warp, device)``.
 
@@ -369,15 +500,17 @@ def _gen_block_source(instructions, start: int, end: int, pool: _ConstPool) -> s
     * one bulk ``device.tick_n(n)`` instead of n ``tick()`` calls (the
       caller has already checked watchdog headroom for the whole block);
     * ``_a = warp.active`` hoisted — ``active`` is invariant inside a
-      block (only control opcodes mutate it) and non-empty whenever the
-      warp is scheduled, so unguarded instructions pass it uncopied and
-      skip ``any()``;
+      block (only the control op that ends it can change it) and
+      non-empty whenever the warp is scheduled, so unguarded instructions
+      pass it uncopied and skip the emptiness test;
     * guarded instructions compute ``_a & [~]warp.preds[i]`` inline (the
       one mask that must stay per-instruction: predicates mutate
-      mid-block) and keep the ``any()`` gate;
+      mid-block) and keep the emptiness test, as a byte compare;
     * templated opcodes are inlined by :func:`_inline` instead of calling
       their stepping handler (register file hoisted as ``_r``, immediates
-      bound as shared read-only arrays, modifiers resolved by the template);
+      bound as shared read-only arrays, modifiers resolved by the template),
+      global loads and stores by :func:`_inline_global` and control ops by
+      :func:`_control_lines`;
     * on a mid-block raise, the over-charged ticks are rolled back and
       ``warp.pc`` is set to the faulting instruction, leaving device
       counters and warp state exactly as stepping would at the trap.
@@ -393,19 +526,23 @@ def _gen_block_source(instructions, start: int, end: int, pool: _ConstPool) -> s
         return f"_c{idx}"
 
     inlined = False
-    need_active = False
     for pc in range(start, end):
         idx = pc - start
         instr = instructions[pc]
+        if instr.opcode in CONTROL_CALLS:
+            stmts.append(_control_lines(instr, pc, start, const))
+            continue
         guard = instr.guard
         unguarded = _is_unguarded(guard)
         if not unguarded and guard.is_pt:
             # @!PT: statically never executes — only the tick is charged.
             stmts.append([f"pass  # @!PT {instr.opcode}"])
             continue
-        need_active = True
         mask = "_a" if unguarded else "_m"
-        lines = _inline(instr, mask, const)
+        if instr.opcode in GLOBAL_LOADS or instr.opcode in GLOBAL_STORES:
+            lines = _inline_global(instr, mask, const)
+        else:
+            lines = _inline(instr, mask, const)
         if lines is None:
             params.append(f"_h{idx}=_T[{pc}]")
             params.append(f"_i{idx}=_I[{pc}]")
@@ -414,31 +551,35 @@ def _gen_block_source(instructions, start: int, end: int, pool: _ConstPool) -> s
             inlined = True
         if not unguarded:
             invert = "~" if guard.negate else ""
-            lines = [f"_m = _a & {invert}_p[{guard.index}]", "if _m.any():"] + [
-                "    " + line for line in lines
-            ]
+            lines = [
+                f"_m = _a & {invert}_p[{guard.index}]",
+                "if _m.tobytes() != _NO_LANES:",
+            ] + ["    " + line for line in lines]
         stmts.append(lines)
 
-    body = [line for lines in stmts for line in lines]
-    need_regs = any("_r[" in line for line in body)
-    need_preds = any("_p[" in line for line in body)
+    names = set(re.findall(r"\b_[A-Za-z_]+\b", "\n".join(
+        line for lines in stmts for line in lines
+    )))
+    if "_NO_LANES" in names:
+        params.append("_NO_LANES=_NO_LANES")
     if inlined:
         params.append(_EXPR_PARAMS)
-        params.extend(f"_c{idx}=_C[{idx}]" for idx in sorted(used))
+    params.extend(f"_c{idx}=_C[{idx}]" for idx in sorted(used))
 
     out = [f"def _b{start}({', '.join(params)}):"]
     out.append(f"    device.tick_n({n})")
-    if need_active:
-        out.append("    _a = warp.active")
-    if need_preds:
-        out.append("    _p = warp.preds")
-    if need_regs:
-        out.append("    _r = warp.regs")
+    for name, value in _HOISTED:
+        if name in names:
+            out.append(f"    {name} = {value}")
+    # A block ending in a control op leaves warp.pc where that op put it.
+    epilogue = (
+        [] if instructions[end - 1].opcode in _ENDS_BLOCK
+        else [f"    warp.pc = {end}"]
+    )
     if n == 1:
         # A raise leaves pc at the faulting instruction and exactly one
         # tick charged — already identical to stepping, no rollback needed.
         out.extend("    " + line for line in stmts[0])
-        out.append(f"    warp.pc = {end}")
     else:
         out.append("    _pos = 0")
         out.append("    try:")
@@ -450,7 +591,7 @@ def _gen_block_source(instructions, start: int, end: int, pool: _ConstPool) -> s
         out.append(f"        device.untick({n} - 1 - _pos)")
         out.append(f"        warp.pc = {start} + _pos")
         out.append("        raise")
-        out.append(f"    warp.pc = {end}")
+    out.extend(epilogue)
     return "\n".join(out)
 
 
@@ -541,7 +682,10 @@ class CompiledKernel:
         if self.fingerprint is None:
             self.fingerprint = content_fingerprint(instructions)
         code = _CODE_CACHE.setdefault(self.fingerprint, {})
-        namespace = {"_T": self.table, "_I": instructions, **EXPR_NAMES}
+        namespace = {
+            "_T": self.table, "_I": instructions, "_NO_LANES": NO_LANES,
+            **EXPR_NAMES,
+        }
         blocks: list = [None] * len(instructions)
         bound = 0
         for span in _block_spans(instructions, breaks):

@@ -70,10 +70,12 @@ class Device:
         self.active_sms: set[int] = set()
         self.cycles = 0  # simulated GPU time (includes instrumentation cost)
         # Block-compiled interpreter (repro.gpusim.blockc): launches execute
-        # code-generated basic-block superhandlers instead of stepping per
-        # instruction (instrumented launches step their hooked pcs).
-        # Results are byte-identical either way; the knob exists for
-        # differential testing and benchmarking.
+        # code-generated basic-block superhandlers, control flow included,
+        # instead of stepping per instruction (instrumented launches step
+        # their hooked pcs).  With it off, every instruction steps, even
+        # on a kernel another device has bound blocks for.  Results are
+        # byte-identical either way; the knob exists for differential
+        # testing and benchmarking.
         self.block_compile = block_compile
         self.blockc_blocks_compiled = 0
         self.blockc_block_hits = 0
@@ -184,7 +186,9 @@ class Device:
         compiled = blockc.compiled_for(
             kernel, self, want_blocks=self.block_compile, breaks=breaks
         )
-        blocks = compiled.layouts.get(breaks)
+        # Kernels are shared per process, so another device may have
+        # bound this layout: a stepping device must not run it.
+        blocks = compiled.layouts[breaks] if self.block_compile else None
         recorder = self.replay_recorder
         if recorder is not None:
             recorder.begin_launch(self)

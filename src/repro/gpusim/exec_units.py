@@ -21,11 +21,16 @@ handlers may index with it but must never mutate it or retain a reference
 past the call.  That contract lets block-compiled callers pass
 ``warp.active`` itself for unguarded instructions instead of the defensive
 copy ``Warp.guard_mask`` makes, and lets them skip the per-instruction
-``mask.any()`` test (``active`` is non-empty whenever a warp is scheduled,
-and only control opcodes — which never appear inside a compiled block —
-can drain it).  Handlers validate before they write, so a handler that
-raises has not modified warp or memory state (the property that makes
-mid-block trap rollback exact).
+emptiness test (``active`` is non-empty whenever a warp is scheduled, and
+only the control opcodes that end a compiled block can drain it).
+Handlers validate before they write, so a handler that raises has not
+modified warp or memory state (the property that makes mid-block trap
+rollback exact).
+
+Control opcodes have no handler: :data:`CONTROL_CALLS` maps each one to
+its :class:`~repro.gpusim.warp.Warp` call, from which
+:mod:`repro.gpusim.blockc` generates the stepping function and the
+block-inlined statement.
 """
 
 from __future__ import annotations
@@ -754,7 +759,8 @@ def _addresses(warp: Warp, op: MemRef) -> np.ndarray:
     return base + op.offset
 
 
-def _width(instr: Instruction) -> int:
+def access_width(instr: Instruction) -> int:
+    """Bytes per lane of a memory access: 8 with ``.64``, else 4."""
     if instr.has_modifier("64"):
         return 8
     return 4
@@ -762,7 +768,7 @@ def _width(instr: Instruction) -> int:
 
 def _h_load_global(warp, instr, mask):
     addresses = _addresses(warp, instr.sources[0])
-    if _width(instr) == 8:
+    if access_width(instr) == 8:
         values = warp.ctx.global_mem.load64(addresses, mask)
         dest = instr.dest
         if isinstance(dest, Reg) and not dest.is_rz:
@@ -776,7 +782,7 @@ def _h_load_global(warp, instr, mask):
 def _h_store_global(warp, instr, mask):
     addresses = _addresses(warp, instr.sources[0])
     value_op = instr.sources[1]
-    if _width(instr) == 8:
+    if access_width(instr) == 8:
         if not isinstance(value_op, Reg) or value_op.is_rz:
             values = np.zeros(WARP_SIZE, dtype=np.uint64)
         else:
@@ -790,7 +796,7 @@ def _h_store_global(warp, instr, mask):
 
 def _h_load_shared(warp, instr, mask):
     addresses = _addresses(warp, instr.sources[0])
-    if _width(instr) == 8:
+    if access_width(instr) == 8:
         values = warp.ctx.shared.load64(addresses, mask)
         dest = instr.dest
         if isinstance(dest, Reg) and not dest.is_rz:
@@ -803,7 +809,7 @@ def _h_load_shared(warp, instr, mask):
 def _h_store_shared(warp, instr, mask):
     addresses = _addresses(warp, instr.sources[0])
     value_op = instr.sources[1]
-    if _width(instr) == 8:
+    if access_width(instr) == 8:
         if not isinstance(value_op, Reg) or value_op.is_rz:
             values = np.zeros(WARP_SIZE, dtype=np.uint64)
         else:
@@ -926,8 +932,13 @@ def _h_bpt(warp, instr, mask):
 
 
 # ---------------------------------------------------------------------------
-# Dispatch table (control-flow opcodes are handled by the SM scheduler)
+# Dispatch tables
 # ---------------------------------------------------------------------------
+
+# Global-memory loads and stores (compiled blocks inline their 32-bit,
+# register-based forms around GlobalMemory.load32 / store32).
+GLOBAL_LOADS = frozenset({"LD", "LDG"})
+GLOBAL_STORES = frozenset({"ST", "STG"})
 
 HANDLERS = {
     "S2R": _h_s2r,
@@ -954,10 +965,8 @@ HANDLERS = {
     "R2P": _h_r2p,
     "VOTE": _h_vote,
     "SHFL": _h_shfl,
-    "LD": _h_load_global,
-    "LDG": _h_load_global,
-    "ST": _h_store_global,
-    "STG": _h_store_global,
+    **dict.fromkeys(GLOBAL_LOADS, _h_load_global),
+    **dict.fromkeys(GLOBAL_STORES, _h_store_global),
     "LDS": _h_load_shared,
     "STS": _h_store_shared,
     "LDL": _h_load_local,
@@ -973,4 +982,17 @@ HANDLERS = {
     "BPT": _h_bpt,
 }
 
-CONTROL_OPCODES = frozenset({"BRA", "SSY", "SYNC", "PBK", "BRK", "EXIT", "BAR"})
+# Control opcode -> its Warp call, written once for both tiers: ``{mask}``
+# is the instruction's execution mask, ``{target}`` its resolved branch
+# target.  SSY, PBK, SYNC and BAR act on the whole warp whatever their
+# guard.
+CONTROL_CALLS = {
+    "BRA": "warp.branch({mask}, {target})",
+    "SSY": "warp.push_ssy({target})",
+    "PBK": "warp.push_pbk({target})",
+    "SYNC": "warp.sync()",
+    "BRK": "warp.brk({mask})",
+    "EXIT": "warp.exit_lanes({mask})",
+    "BAR": "warp.barrier()",
+}
+CONTROL_OPCODES = frozenset(CONTROL_CALLS)

@@ -3,7 +3,9 @@
 Scheduling is deterministic — blocks run in launch order on their assigned
 SM, warps within a block run round-robin with a fixed quantum — so a
 profiled ``<kernel, kernel_count, instruction_count>`` tuple always maps to
-the same dynamic instruction in the injection run.
+the same dynamic instruction in the injection run.  A block with a single
+warp has nothing to interleave with, so that warp runs in one unbounded
+slice.
 """
 
 from __future__ import annotations
@@ -13,12 +15,13 @@ import numpy as np
 from repro.errors import DeviceTrap
 from repro.gpusim.blockc import (
     _CONTROL,
+    CONTROL_STEPS,
     MAX_BLOCK_LEN,
     CompiledKernel,
     compiled_for,
 )
 from repro.gpusim.context import ExecContext, InstrSite
-from repro.gpusim.warp import Warp
+from repro.gpusim.warp import NO_LANES, Warp
 from repro.sass.isa import WARP_SIZE
 from repro.sass.program import Kernel
 
@@ -26,6 +29,10 @@ from repro.sass.program import Kernel
 # block length by construction, so a fresh slice can always run any block
 # whole without changing the round-robin interleaving.
 _QUANTUM = MAX_BLOCK_LEN
+
+# The slice of a CTA's only warp: no quantum edge, since no other warp's
+# instructions could interleave with its own.
+_UNSLICED = float("inf")
 
 Hooks = dict[int, tuple[list, list]]  # pc -> (before callbacks, after callbacks)
 
@@ -37,8 +44,9 @@ def _handler_table(kernel: Kernel) -> list:
     first launch (cached on the kernel) replaces a dict lookup plus a
     frozenset membership test per *dynamic* instruction in the hot loop.
     Entries are the handler function, ``blockc._CONTROL`` for control-flow
-    opcodes, or ``None`` for unknown opcodes — which still trap only when
-    (and if) they are actually executed, exactly as before.
+    opcodes (executed by their ``blockc.CONTROL_STEPS`` function), or
+    ``None`` for unknown opcodes — which still trap only when (and if)
+    they are actually executed, exactly as before.
 
     Built and cached by :func:`repro.gpusim.blockc.compiled_for`, which
     keys on the identity of every instruction object — an in-place rewrite
@@ -68,18 +76,21 @@ class SM:
 
         ``compiled`` and ``blocks`` (the layout split at the launch's hooked
         pcs, or ``None`` to step everything) are resolved once per launch
-        by :meth:`Device.launch`, not once per thread block.
+        by :meth:`Device.launch`, not once per thread block.  Warps take
+        turns in slices of :data:`_QUANTUM` instructions; a lone warp's
+        slice is unbounded, so its blocks never step at a quantum edge.
         """
         warps = _build_warps(kernel, ctx, compiled.num_regs)
         self.device.warps_launched += len(warps)
         instrs = compiled.instructions
         table = compiled.table
+        quantum = _UNSLICED if len(warps) == 1 else _QUANTUM
         while True:
             progressed = False
             for warp in warps:
                 if warp.done or warp.at_barrier:
                     continue
-                self._run_slice_fast(warp, instrs, table, blocks, hooks)
+                self._run_slice_fast(warp, instrs, table, blocks, hooks, quantum)
                 progressed = True
             live = [w for w in warps if not w.done]
             if not live:
@@ -96,24 +107,26 @@ class SM:
 
     def _run_slice_fast(
         self, warp: Warp, instrs, table, blocks, hooks: Hooks | None,
+        quantum: float,
     ) -> None:
         """The slice loop of every launch: compiled blocks, stepped pcs.
 
         When ``blocks`` is supplied (block compilation enabled), a block at
         the current pc executes whole **only** when it fits the warp's
-        remaining quantum (so the round-robin interleaving of warps over
-        shared memory and atomics is unchanged) and the watchdog budget has
-        headroom for every instruction in it (so the exact trap instruction
-        of a budget exhaustion is unchanged).  Everything else — mid-block
-        resume points, unknown opcodes, clock readers, budget-edge and
-        quantum-edge cases, and the pcs in ``hooks`` — steps.  Blocks never
-        contain a hooked pc, so a hooked pc always steps: tick, guard mask,
-        before-callbacks (each charging its instrumentation cycles), the
-        handler or control op, then after-callbacks.
+        remaining ``quantum`` (so the round-robin interleaving of warps
+        over shared memory and atomics is unchanged) and the watchdog
+        budget has headroom for every instruction in it (so the exact trap
+        instruction of a budget exhaustion is unchanged).  Everything else
+        — mid-block resume points, unknown opcodes, clock readers,
+        unresolved branch targets, budget-edge and quantum-edge cases, and
+        the pcs in ``hooks`` — steps.  Blocks never contain a hooked pc, so
+        a hooked pc always steps: tick, guard mask, before-callbacks (each
+        charging its instrumentation cycles), the handler or control op,
+        then after-callbacks.
         """
         device = self.device
         num_instrs = len(instrs)
-        budget = _QUANTUM
+        budget = quantum
         while budget > 0:
             if warp.done or warp.at_barrier:
                 return
@@ -146,9 +159,15 @@ class SM:
                     callback(site)
             handler = table[pc]
             if handler is _CONTROL:
-                self._control(warp, instr, exec_mask)
+                CONTROL_STEPS[instr.opcode](warp, instr, exec_mask)
+                # Divergence-stack high-water mark: only control ops grow
+                # the stack, so sampling here (and after each control op
+                # of a compiled block) is exact.
+                depth = len(warp.stack)
+                if depth > device.divergence_depth_high_water:
+                    device.divergence_depth_high_water = depth
             else:
-                if exec_mask.any():
+                if exec_mask.tobytes() != NO_LANES:
                     if handler is None:
                         raise DeviceTrap(
                             f"opcode {instr.opcode} has no execution semantics"
@@ -160,31 +179,6 @@ class SM:
                     device.charge_instrumentation(executed)
                     callback(site)
             budget -= 1
-
-    def _control(self, warp: Warp, instr, exec_mask: np.ndarray) -> None:
-        opcode = instr.opcode
-        if opcode == "BRA":
-            warp.branch(exec_mask, instr.branch_target)
-        elif opcode == "SSY":
-            warp.push_ssy(instr.branch_target)
-        elif opcode == "PBK":
-            warp.push_pbk(instr.branch_target)
-        elif opcode == "SYNC":
-            warp.sync()
-        elif opcode == "BRK":
-            warp.brk(exec_mask)
-        elif opcode == "EXIT":
-            warp.exit_lanes(exec_mask)
-        elif opcode == "BAR":
-            warp.at_barrier = True
-            warp.pc += 1
-        else:  # pragma: no cover - CONTROL_OPCODES is exhaustive
-            raise DeviceTrap(f"unhandled control opcode {opcode}")
-        # Divergence-stack high-water mark: only control ops grow the stack,
-        # so sampling here is exact and stays off the arithmetic hot path.
-        depth = len(warp.stack)
-        if depth > self.device.divergence_depth_high_water:
-            self.device.divergence_depth_high_water = depth
 
 
 def _build_warps(kernel: Kernel, ctx: ExecContext, num_regs: int) -> list[Warp]:

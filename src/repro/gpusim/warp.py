@@ -10,6 +10,10 @@ The divergence model is the classic pre-Volta stack machine:
   park in the ``PBK`` entry until the last lane leaves the loop.
 
 Lanes that ``EXIT`` are removed from every future mask via ``exited``.
+
+Masks are tested for emptiness by their bytes (``mask.tobytes() !=
+NO_LANES``): a 32-byte compare is about ten times cheaper than
+``ndarray.any()``, and these tests run once per control op.
 """
 
 from __future__ import annotations
@@ -21,6 +25,9 @@ import numpy as np
 from repro.errors import DeviceTrap
 from repro.sass.isa import NUM_PREDICATES, WARP_SIZE
 from repro.sass.operands import Pred
+
+# The bytes of a lane mask with no lane set.
+NO_LANES = bytes(WARP_SIZE)
 
 
 @dataclass
@@ -40,12 +47,13 @@ class Warp:
 
     Invariant relied on by the block-compiled interpreter
     (:mod:`repro.gpusim.blockc`): ``active`` is only reassigned by the
-    control-flow methods below (branch/sync/brk/exit/_refill) and is
+    control-flow methods below (branch/sync/brk/exit_lanes/_refill) and is
     non-empty whenever the warp is schedulable (``done`` is set the moment
-    it drains).  Between control-flow instructions the ``active`` array —
-    the object itself, not just its contents — is therefore stable, so a
-    compiled block of straight-line instructions may hoist one reference
-    and pass it as the execution mask of every unguarded instruction.
+    it drains).  ``push_ssy`` and ``push_pbk`` leave it alone, so up to a
+    block's closing ``BRA``/``SYNC``/``BRK``/``EXIT``/``BAR`` the
+    ``active`` array — the object itself, not just its contents — is
+    stable: a compiled block may hoist one reference and pass it as the
+    execution mask of every unguarded instruction.
     ``__slots__`` keeps per-instruction attribute loads on the interpreter
     hot path cheap (and catches stray attribute writes).
     """
@@ -120,11 +128,11 @@ class Warp:
 
     def branch(self, taken: np.ndarray, target_pc: int) -> None:
         """Resolve a (possibly divergent) predicated branch."""
-        fallthrough = self.active & ~taken
-        if not taken.any():
+        if taken.tobytes() == NO_LANES:
             self.pc += 1
             return
-        if not fallthrough.any():
+        fallthrough = self.active & ~taken
+        if fallthrough.tobytes() == NO_LANES:
             self.pc = target_pc
             return
         self.stack.append(StackEntry("DIV", self.pc + 1, fallthrough))
@@ -144,13 +152,13 @@ class Warp:
             self.stack.pop()
             self.pc = top.target_pc
             self.active = top.mask & ~self.exited
-            if not self.active.any():
+            if self.active.tobytes() == NO_LANES:
                 self._refill()
         elif top is ssy:
             self.stack.pop()
             self.pc = ssy.target_pc
             self.active = ssy.gather & ~self.exited
-            if not self.active.any():
+            if self.active.tobytes() == NO_LANES:
                 self._refill()
         else:
             raise DeviceTrap(
@@ -166,7 +174,7 @@ class Warp:
         pbk = self._nearest("PBK")
         pbk.gather |= breaking
         self.active = self.active & ~breaking
-        if self.active.any():
+        if self.active.tobytes() != NO_LANES:
             self.pc += 1
         else:
             self._refill()
@@ -174,11 +182,17 @@ class Warp:
     def exit_lanes(self, exiting: np.ndarray) -> None:
         self.exited |= exiting
         self.active = self.active & ~exiting
-        if self.active.any():
+        if self.active.tobytes() != NO_LANES:
             # Some lanes were predicated off the EXIT; they continue.
             self.pc += 1
         else:
             self._refill()
+
+    def barrier(self) -> None:
+        """Wait at a CTA-wide barrier; the SM releases it once every live
+        warp of the block has arrived."""
+        self.at_barrier = True
+        self.pc += 1
 
     def _nearest(self, kind: str) -> StackEntry:
         for entry in reversed(self.stack):
@@ -196,7 +210,7 @@ class Warp:
                 mask = entry.gather & ~self.exited
             else:  # PBK
                 mask = entry.gather & ~self.exited
-            if mask.any():
+            if mask.tobytes() != NO_LANES:
                 self.pc = entry.target_pc
                 self.active = mask
                 return

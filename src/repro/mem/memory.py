@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.errors import MemoryViolation
 from repro.mem.allocator import Allocator
+from repro.sass.isa import WARP_SIZE
 
 # Dirty-page tracking granularity (see repro.gpusim.replay): word-aligned
 # stores never straddle a 256-byte page, so tracking is one shift per store.
@@ -27,6 +28,9 @@ PAGE_SHIFT = 8
 # may page-index only the *starting* address of each lane's access — host
 # write_bytes has no alignment contract and must span first..last page.
 assert PAGE_SIZE % 8 == 0 and PAGE_SIZE == 1 << PAGE_SHIFT
+
+# The bytes of a lane mask with every lane set.
+_ALL_LANES = b"\x01" * WARP_SIZE
 
 
 class GlobalMemory:
@@ -59,11 +63,8 @@ class GlobalMemory:
 
     def note_stores(self, addresses: np.ndarray, mask: np.ndarray) -> None:
         """Record word stores done by mutating ``data`` directly (atomics)."""
-        if self._dirty is None:
-            return
-        active = addresses[mask]
-        if active.size:
-            self._dirty.update(np.unique(active >> PAGE_SHIFT).tolist())
+        if self._dirty is not None:
+            self._note_dirty(addresses[mask])
 
     def shadow_copy(self) -> np.ndarray:
         """A same-sized golden-memory mirror, copying only allocated spans.
@@ -136,24 +137,31 @@ class GlobalMemory:
 
     # -- device (warp) access -------------------------------------------------
 
-    def validate(self, addresses: np.ndarray, mask: np.ndarray, width: int) -> None:
-        """MMU check: alignment and membership in a live allocation.
+    def validate(self, addresses: np.ndarray, mask: np.ndarray, width: int) -> np.ndarray:
+        """MMU check (alignment and membership in a live allocation) of
+        the active lanes' addresses; returns them.
 
+        Under a full mask that is ``addresses`` itself (no boolean index).
         Fast path for the common case, a warp access inside one
-        allocation: every lane aligned (``width`` is a power of two), and
-        the lowest and highest active addresses inside the allocation the
-        lowest one falls in.  Anything else goes to :meth:`_validate_lanes`,
-        the per-lane reference check, which alone decides what raises and
-        which address and reason a :class:`MemoryViolation` reports.
+        allocation: one sort gives the lowest and highest active address,
+        which must lie inside the allocation the lowest one falls in, and
+        one byte compare shows every lane aligned (``width`` is a power of
+        two).  Anything else goes to :meth:`_validate_lanes`, the per-lane
+        reference check, which alone decides what raises and which address
+        and reason a :class:`MemoryViolation` reports.
         """
-        active = addresses[mask]
-        if active.size == 0:
-            return
-        if not (active & (width - 1)).any():
-            slot = bisect_right(self._starts, int(active.min())) - 1
-            if slot >= 0 and int(active.max()) + width <= self._ends[slot]:
-                return
-        self._validate_lanes(active, width)
+        active = addresses if mask.tobytes() == _ALL_LANES else addresses[mask]
+        if active.size:
+            ordered = active.copy()
+            ordered.sort()
+            slot = bisect_right(self._starts, int(ordered[0])) - 1
+            if not (
+                slot >= 0
+                and int(ordered[-1]) + width <= self._ends[slot]
+                and (active & (width - 1)).tobytes() == bytes(active.nbytes)
+            ):
+                self._validate_lanes(active, width)
+        return active
 
     def _validate_lanes(self, active: np.ndarray, width: int) -> None:
         """Per-lane reference check of the active lanes' addresses."""
@@ -170,35 +178,46 @@ class GlobalMemory:
             bad = int(active[~in_range][0])
             raise MemoryViolation(bad, width, "global", "unmapped")
 
+    # Gathers and scatters index validated (so non-negative, aligned)
+    # addresses: ``>> 2`` / ``>> 3`` is the word index.  Inactive lanes
+    # load 0; a full mask gathers and scatters without a boolean index.
+
     def load32(self, addresses: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        self.validate(addresses, mask, 4)
+        active = self.validate(addresses, mask, 4)
+        words = self.data.view(np.uint32)
+        if active is addresses:
+            return words[addresses >> 2]
         out = np.zeros(addresses.shape, dtype=np.uint32)
-        idx = addresses[mask] // 4
-        out[mask] = self.data.view(np.uint32)[idx]
+        out[mask] = words[active >> 2]
         return out
 
     def store32(self, addresses: np.ndarray, mask: np.ndarray, values: np.ndarray) -> None:
-        self.validate(addresses, mask, 4)
-        active = addresses[mask]
-        idx = active // 4
-        self.data.view(np.uint32)[idx] = values[mask].astype(np.uint32)
-        if self._dirty is not None and active.size:
-            self._dirty.update(np.unique(active >> PAGE_SHIFT).tolist())
+        active = self.validate(addresses, mask, 4)
+        if active is not addresses:
+            values = values[mask]
+        self.data.view(np.uint32)[active >> 2] = values.astype(np.uint32, copy=False)
+        self._note_dirty(active)
 
     def load64(self, addresses: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        self.validate(addresses, mask, 8)
+        active = self.validate(addresses, mask, 8)
+        words = self.data.view(np.uint64)
+        if active is addresses:
+            return words[addresses >> 3]
         out = np.zeros(addresses.shape, dtype=np.uint64)
-        idx = addresses[mask] // 8
-        out[mask] = self.data.view(np.uint64)[idx]
+        out[mask] = words[active >> 3]
         return out
 
     def store64(self, addresses: np.ndarray, mask: np.ndarray, values: np.ndarray) -> None:
-        self.validate(addresses, mask, 8)
-        active = addresses[mask]
-        idx = active // 8
-        self.data.view(np.uint64)[idx] = values[mask].astype(np.uint64)
-        if self._dirty is not None and active.size:
-            self._dirty.update(np.unique(active >> PAGE_SHIFT).tolist())
+        active = self.validate(addresses, mask, 8)
+        if active is not addresses:
+            values = values[mask]
+        self.data.view(np.uint64)[active >> 3] = values.astype(np.uint64, copy=False)
+        self._note_dirty(active)
+
+    def _note_dirty(self, active: np.ndarray) -> None:
+        """Record the pages of the word stores at ``active``."""
+        if self._dirty is not None:
+            self._dirty.update((active >> PAGE_SHIFT).tolist())
 
 
 class SharedMemory:

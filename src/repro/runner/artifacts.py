@@ -26,7 +26,7 @@ class RunArtifacts:
     replay_launches_skipped: int = 0  # launches fast-forwarded from the golden log
     replay_tail_skipped: int = 0  # launches tail-replayed after re-convergence
     replay_converged_at: int = -1  # launch seq where divergence emptied (-1: never)
-    blockc_blocks_compiled: int = 0  # basic blocks code-generated this run
+    blockc_blocks_compiled: int = 0  # basic blocks first bound in this run
     blockc_block_hits: int = 0  # compiled blocks executed whole
     blockc_compile_seconds: float = 0.0  # wall time spent in block codegen
 

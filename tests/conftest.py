@@ -2,11 +2,49 @@
 
 from __future__ import annotations
 
+import faulthandler
+import os
+import sys
+
 import numpy as np
 import pytest
 
 from repro.gpusim import Device
 from repro.sass import assemble
+
+# Wall-clock limit of one test, setup and teardown included.  The slowest
+# tier-1 test takes under 10 s on a 2-CPU box.
+HANG_LIMIT_S = 300
+
+# The terminal's stderr, duplicated while output capture is suspended, so
+# a hang's stack dump is not lost in a capture file.
+_stderr_fd: int | None = None
+
+
+def pytest_configure(config) -> None:
+    global _stderr_fd
+    _stderr_fd = os.dup(sys.stderr.fileno())
+
+
+def pytest_unconfigure(config) -> None:
+    if _stderr_fd is not None:
+        os.close(_stderr_fd)
+
+
+@pytest.fixture(autouse=True)
+def _hang_guard():
+    """End the run if one test hangs, with every thread's stack on stderr.
+
+    pytest's own ``faulthandler_timeout`` dumps the stacks but keeps
+    hanging; here the process exits, so a CI job fails at once instead of
+    at its time cap.
+    """
+    faulthandler.dump_traceback_later(
+        HANG_LIMIT_S, exit=True,
+        file=sys.stderr if _stderr_fd is None else _stderr_fd,
+    )
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture

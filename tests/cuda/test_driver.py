@@ -5,6 +5,12 @@ import pytest
 
 from repro.cuda.driver import CudaDriver, CudaEvent
 from repro.cuda.errorcodes import CudaError
+from repro.gpusim.device import (
+    INSTRUMENTATION_FIXED_CYCLES,
+    INSTRUMENTATION_PER_THREAD_CYCLES,
+    JIT_COMPILE_CYCLES,
+)
+from repro.nvbit import IPoint, NVBitRuntime
 from repro.sass import assemble, encode_module
 
 _VADD = """
@@ -145,3 +151,50 @@ class TestEventDispatch:
             (CudaEvent.LAUNCH_KERNEL, False),
             (CudaEvent.LAUNCH_KERNEL, True),
         ]
+
+
+class TestModuleImageCache:
+    """Every load of one image shares its kernels (assembled once per
+    process) but gets its own handles and NVBit state."""
+
+    _NOPS = ".kernel k\n    NOP ;\n    NOP ;\n    EXIT ;"
+
+    def test_reload_shares_kernels_not_handles(self, driver):
+        first = driver.cuModuleLoadData(_VADD, name="m")
+        second = driver.cuModuleLoadData(_VADD, name="m")
+        a = driver.cuModuleGetFunction(first, "vadd")
+        b = driver.cuModuleGetFunction(second, "vadd")
+        assert first is not second
+        assert a is not b and a != b and len({a, b}) == 2
+        assert a.kernel is b.kernel
+
+    def test_module_name_is_part_of_the_key(self, driver):
+        a = driver.cuModuleLoadData(_VADD, name="one").sass
+        b = driver.cuModuleLoadData(_VADD, name="two").sass
+        assert a is not b and (a.name, b.name) == ("one", "two")
+
+    def test_instrumentation_state_per_handle(self, device):
+        runtime = NVBitRuntime()
+        driver = CudaDriver(device, interceptor=runtime)
+        a, b = (
+            driver.cuModuleGetFunction(driver.cuModuleLoadData(self._NOPS), "k")
+            for _ in range(2)
+        )
+        for func in (a, b):
+            for instr in runtime.get_instrs(func):
+                instr.insert_call(lambda site: None, IPoint.AFTER)
+        runtime.enable_instrumented(a, True)
+        assert not runtime.is_instrumented_enabled(b)
+
+        def launch_cycles(func):
+            before = device.cycles
+            assert driver.cuLaunchKernel(func, 1, 32, []) is CudaError.SUCCESS
+            return device.cycles - before
+
+        assert launch_cycles(b) == 3  # b runs the original kernel
+        per_hook = INSTRUMENTATION_FIXED_CYCLES + 32 * INSTRUMENTATION_PER_THREAD_CYCLES
+        assert launch_cycles(a) == 3 + 3 * per_hook + JIT_COMPILE_CYCLES
+        runtime.enable_instrumented(b, True)
+        # b pays its own JIT even though a's clone of the same kernel exists.
+        assert launch_cycles(b) == 3 + 3 * per_hook + JIT_COMPILE_CYCLES
+        assert launch_cycles(a) == 3 + 3 * per_hook

@@ -24,10 +24,13 @@ from repro.core.engine import CampaignEngine
 from repro.core.injector import TransientInjectorTool
 from repro.core.pf_injector import PermanentInjectorTool
 from repro.core.store import CampaignStore
+from repro.cuda import driver as driver_module
 from repro.cuda.driver import CudaFunction
 from repro.errors import DeviceTrap, MemoryViolation, WatchdogTimeout
 from repro.gpusim import blockc
+from repro.gpusim import sm as sm_module
 from repro.gpusim.device import Device
+from repro.gpusim.replay import ReplayRecorder
 from repro.nvbit.api import NVBitRuntime
 from repro.runner.sandbox import SandboxConfig, run_app
 from repro.sass import assemble
@@ -77,8 +80,15 @@ def _differential(text: str, name: str, grid, block, out_words: int,
 class TestWorkloadDifferential:
     """Every workload, golden run, step vs block-compiled: artifacts equal."""
 
+    @pytest.fixture
+    def cold_process(self, monkeypatch):
+        """No module image loaded yet, as in a fresh process: the
+        compiled run binds the program's blocks itself (later loads of
+        an image share its kernels and their bound blocks)."""
+        monkeypatch.setattr(driver_module, "_images", {})
+
     @pytest.mark.parametrize("name", WORKLOAD_NAMES)
-    def test_golden_run_parity(self, name):
+    def test_golden_run_parity(self, name, cold_process):
         step = run_app(
             get_workload(name), config=SandboxConfig(block_compile=False)
         )
@@ -747,7 +757,8 @@ NEXT:
         compiled = blockc.compiled_for(kernel, breaks=frozenset({4}))
         hooked = compiled.layouts[frozenset({4})]
         spans = [(b.start, b.end) for b in hooked if b is not None]
-        assert spans == [(0, 2), (3, 4), (5, 6)]
+        # The BRA and the EXIT close their blocks; pc 4 steps.
+        assert spans == [(0, 3), (3, 4), (5, 7)]
 
     def test_unsplit_blocks_shared(self):
         """A span no hooked pc splits is bound once per kernel instance and
@@ -774,3 +785,427 @@ NEXT:
         rebuilt = blockc.compiled_for(kernel, want_blocks=False)
         assert rebuilt is not compiled
         assert rebuilt.layouts == {}
+
+
+class TestSteppingDeviceSteps:
+    def test_stepping_device_ignores_layout_bound_elsewhere(self):
+        """Kernels are shared per process, so one kernel object may carry
+        blocks a block-compiled device bound: a stepping device must
+        still step every instruction of it."""
+        kernel = assemble(TestCompilationCache._SRC).get("cached")
+        compiled = _device(True)
+        compiled.launch(kernel, 1, 32, [compiled.malloc(4)])
+        assert compiled.blockc_block_hits > 0
+        stepping = _device(False)
+        stepping.launch(kernel, 1, 32, [stepping.malloc(4)])
+        assert stepping.blockc_block_hits == 0
+        assert stepping.instructions_executed == compiled.instructions_executed
+
+
+# ---------------------------------------------------------------------------
+# Control flow and global memory inside blocks
+# ---------------------------------------------------------------------------
+
+_BUILD_WARPS = sm_module._build_warps
+
+
+def _warp_state(warp) -> tuple:
+    return (
+        warp.pc, warp.done, warp.at_barrier, warp.active.tobytes(),
+        warp.exited.tobytes(), warp.regs.tobytes(), warp.preds.tobytes(),
+        [(e.kind, e.target_pc, e.mask.tobytes(), e.gather.tobytes())
+         for e in warp.stack],
+    )
+
+
+def _tier_run(monkeypatch, text, name, block_compile, grid=1, block=32,
+              params=(), recorder=None, **device_kwargs):
+    """Launch ``name`` with ``[out] + params``; return everything either
+    tier could change: the raised exception, every warp's final state,
+    the device counters and dmesg, all of global memory and the dirty
+    pages a replay recorder saw.  Also counts the stepped ticks."""
+    device = _device(block_compile, **device_kwargs)
+    out = device.malloc(1 << 14)
+    warps = []
+
+    def capture(*args):
+        built = _BUILD_WARPS(*args)
+        warps.extend(built)
+        return built
+
+    monkeypatch.setattr(sm_module, "_build_warps", capture)
+    stepped = 0
+    tick = device.tick
+
+    def counting_tick():
+        nonlocal stepped
+        stepped += 1
+        tick()
+
+    device.tick = counting_tick
+    if recorder is not None:
+        device.replay_recorder = recorder
+    raised = None
+    try:
+        device.launch(
+            assemble(text).get(name), grid, block, [out] + list(params)
+        )
+    except (DeviceTrap, MemoryViolation, WatchdogTimeout) as exc:
+        raised = (type(exc), str(exc))
+    state = {
+        "raised": raised,
+        "warps": [_warp_state(warp) for warp in warps],
+        "counters": (
+            device.instructions_executed, device.cycles,
+            device.divergence_depth_high_water, device.warps_launched,
+        ),
+        "dmesg": list(device.dmesg),
+        "memory": device.global_mem.data.tobytes(),
+        "pages": (
+            None if recorder is None or not recorder.launches
+            else recorder.launches[0].pages.tolist()
+        ),
+    }
+    return state, device, stepped, read_u32(device, out, 128)
+
+
+def _both_tiers(monkeypatch, text, name, **kwargs):
+    """Run stepped and block-compiled; assert every observable matches.
+    Returns ``(out, compiled_device, ticks_stepped_when_compiled,
+    state)``, ``state`` being what both tiers left (see ``_tier_run``)."""
+    recorders = {}
+    if kwargs.pop("record", False):
+        recorders = {False: ReplayRecorder(), True: ReplayRecorder()}
+    step, step_dev, _, out = _tier_run(
+        monkeypatch, text, name, False, recorder=recorders.get(False), **kwargs
+    )
+    compiled, comp_dev, stepped, _ = _tier_run(
+        monkeypatch, text, name, True, recorder=recorders.get(True), **kwargs
+    )
+    assert step == compiled
+    assert step_dev.blockc_block_hits == 0
+    # A block that traps is not counted as a hit.
+    assert comp_dev.blockc_block_hits > 0 or compiled["raised"]
+    return out, comp_dev, stepped, step
+
+
+_PROLOGUE = """
+.kernel {name}
+.params 1
+    S2R R1, SR_TID.X ;
+    MOV R9, c[0x0][0x0] ;
+    ISCADD R10, R1, R9, 2 ;
+    MOV R3, RZ ;
+"""
+
+
+def _kernel(name: str, body: str) -> str:
+    return _PROLOGUE.format(name=name) + body
+
+
+class TestControlFlowInBlocks:
+    def test_uniform_divergent_and_unguarded_branches(self, monkeypatch):
+        text = _kernel("branches", """
+    ISETP.GE.AND P0, R1, RZ, PT ;
+    SSY J1 ;
+@P0 BRA T1 ;
+    IADD R3, R3, 1000 ;
+    SYNC ;
+T1:
+    IADD R3, R3, 1 ;
+    SYNC ;
+J1:
+    LOP.AND R2, R1, 1 ;
+    ISETP.NE.AND P1, R2, RZ, PT ;
+    SSY J2 ;
+@P1 BRA ODD ;
+    IADD R3, R3, 10 ;
+    SYNC ;
+ODD:
+    IADD R3, R3, 20 ;
+    SYNC ;
+J2:
+    BRA SKIP ;
+    IADD R3, R3, 5000 ;
+SKIP:
+@!P0 BRA SKIP2 ;
+    IADD R3, R3, 100 ;
+SKIP2:
+    STG.32 [R10], R3 ;
+    EXIT ;
+""")
+        out, device, stepped, _ = _both_tiers(
+            monkeypatch, text, "branches", block=32
+        )
+        lanes = np.arange(32)
+        assert (out[:32] == 101 + np.where(lanes % 2, 20, 10)).all()
+        assert device.divergence_depth_high_water == 2
+        assert stepped == 0  # every pc, branches included, ran in a block
+
+    def test_nested_ssy_sync(self, monkeypatch):
+        text = _kernel("nested", """
+    LOP.AND R2, R1, 1 ;
+    ISETP.NE.AND P0, R2, RZ, PT ;
+    LOP.AND R4, R1, 2 ;
+    ISETP.NE.AND P1, R4, RZ, PT ;
+    SSY OUTER ;
+@P0 BRA A ;
+    IADD R3, R3, 1 ;
+    SYNC ;
+A:
+    SSY INNER ;
+@P1 BRA B ;
+    IADD R3, R3, 10 ;
+    SYNC ;
+B:
+    IADD R3, R3, 100 ;
+    SYNC ;
+INNER:
+    IADD R3, R3, 1000 ;
+    SYNC ;
+OUTER:
+    STG.32 [R10], R3 ;
+    EXIT ;
+""")
+        out, device, _, _ = _both_tiers(monkeypatch, text, "nested", block=64)
+        lanes = np.arange(64)
+        expected = np.where(
+            lanes % 2 == 0, 1, np.where(lanes & 2, 1100, 1010)
+        )
+        assert (out[:64] == expected).all()
+        assert device.divergence_depth_high_water == 4
+
+    def test_pbk_brk_loop_lanes_leave_on_different_iterations(self, monkeypatch):
+        text = _kernel("loop", """
+    LOP.AND R2, R1, 7 ;
+    PBK DONE ;
+LOOP:
+    ISETP.GE.AND P0, R3, R2, PT ;
+@P0 BRK ;
+    IADD R3, R3, 1 ;
+    BRA LOOP ;
+DONE:
+    STG.32 [R10], R3 ;
+    EXIT ;
+""")
+        out, _, _, _ = _both_tiers(monkeypatch, text, "loop", grid=2, block=48)
+        assert (out[:48] == np.arange(48) % 8).all()
+
+    def test_partial_and_full_exit(self, monkeypatch):
+        text = _kernel("exits", """
+    MOV R3, 7 ;
+    STG.32 [R10], R3 ;
+    ISETP.GE.AND P0, R1, 20, PT ;
+@P0 EXIT ;
+    IADD R3, R3, 1 ;
+    STG.32 [R10], R3 ;
+    EXIT ;
+""")
+        out, _, _, step = _both_tiers(monkeypatch, text, "exits", grid=2, block=64)
+        assert (out[:64] == np.where(np.arange(64) >= 20, 7, 8)).all()
+        assert all(warp[1] for warp in step["warps"])  # every warp done
+
+    def test_barrier_in_two_warp_cta(self, monkeypatch):
+        text = """
+.kernel bar
+.params 1
+.shared 256
+    S2R R1, SR_TID.X ;
+    SHL R2, R1, 2 ;
+    IADD R4, R1, 100 ;
+    STS.32 [R2], R4 ;
+    BAR.SYNC ;
+    MOV R3, 63 ;
+    IADD R4, R3, -R1 ;
+    SHL R5, R4, 2 ;
+    LDS.32 R6, [R5] ;
+    MOV R7, c[0x0][0x0] ;
+    ISCADD R8, R1, R7, 2 ;
+    STG.32 [R8], R6 ;
+    EXIT ;
+"""
+        out, _, _, _ = _both_tiers(monkeypatch, text, "bar", grid=2, block=64)
+        assert (out[:64] == 100 + np.arange(63, -1, -1)).all()
+
+    def test_never_true_guard_on_each_control_op(self, monkeypatch):
+        """``@!PT`` executes no lane: BRA, BRK and EXIT fall through, and
+        SSY, PBK, SYNC and BAR act on the warp as they always do."""
+        text = _kernel("never", """
+    MOV R3, 1 ;
+@!PT PBK DONE ;
+@!PT SSY JOIN ;
+@!PT BRA SKIP ;
+    IADD R3, R3, 10 ;
+SKIP:
+@!PT BRK ;
+@!PT EXIT ;
+    IADD R3, R3, 100 ;
+@!PT BAR.SYNC ;
+    IADD R3, R3, 1000 ;
+@!PT SYNC ;
+    IADD R3, R3, 5000 ;
+JOIN:
+    STG.32 [R10], R3 ;
+    EXIT ;
+DONE:
+    EXIT ;
+""")
+        out, _, stepped, _ = _both_tiers(monkeypatch, text, "never", block=64)
+        assert (out[:64] == 1111).all()
+        assert stepped == 0
+
+    def test_one_warp_loop_longer_than_the_quantum(self, monkeypatch):
+        """A lone warp runs unsliced, so a loop body longer than the
+        64-instruction quantum never steps; two warps do step at quantum
+        edges, with the same results."""
+        body = "\n".join(
+            f"    IADD R{4 + i % 4}, R{4 + (i + 1) % 4}, {i} ;" for i in range(70)
+        )
+        text = _kernel("long", f"""
+    MOV R2, 3 ;
+LOOP:
+{body}
+    IADD R3, R3, 1 ;
+    ISETP.LT.AND P0, R3, R2, PT ;
+@P0 BRA LOOP ;
+    STG.32 [R10], R4 ;
+    EXIT ;
+""")
+        _, _, stepped, _ = _both_tiers(monkeypatch, text, "long", block=32)
+        assert stepped == 0
+        _, _, stepped, _ = _both_tiers(monkeypatch, text, "long", block=64)
+        assert stepped > 0
+
+
+class TestControlFlowTraps:
+    @pytest.mark.parametrize("body, message", [
+        ("    SYNC ;", "no SSY entry on SIMT stack at pc 8"),
+        ("    BRK ;", "no PBK entry on SIMT stack at pc 8"),
+        ("    SSY END ;\n    PBK END ;\n    SYNC ;",
+         "SYNC at pc 10: unexpected PBK on top of stack"),
+    ])
+    def test_mid_block_trap_from_control_op(self, monkeypatch, body, message):
+        """The trap leaves pc, counters, memory, stack and dmesg exactly
+        as stepping does, with the stores before it done."""
+        text = _kernel("trap", f"""
+    MOV R3, 5 ;
+    STG.32 [R10], R3 ;
+    IADD R3, R3, 1 ;
+    STG.32 [R10], R3 ;
+{body}
+END:
+    EXIT ;
+""")
+        out, _, stepped, step = _both_tiers(monkeypatch, text, "trap", block=64)
+        assert step["raised"] == (DeviceTrap, message)
+        assert (out[:32] == 6).all()
+        assert stepped == 0  # the trap came from inside a block
+
+    @pytest.mark.parametrize("budget, crossing", [
+        (3 + 5 * 40, "the closing BRA"),
+        (3 + 5 * 40 + 2, "inside the block"),
+    ])
+    @pytest.mark.parametrize("block", [32, 64])
+    def test_watchdog_in_block_ending_in_control_op(
+        self, monkeypatch, budget, crossing, block
+    ):
+        text = """
+.kernel spin
+.params 1
+    MOV R1, RZ ;
+    MOV R2, RZ ;
+    MOV R5, RZ ;
+LOOP:
+    IADD R2, R1, 3 ;
+    IMAD R3, R2, R2, R1 ;
+    LOP.XOR R4, R3, R2 ;
+    IADD R1, R1, 1 ;
+    BRA LOOP ;
+"""
+        _, device, _, step = _both_tiers(
+            monkeypatch, text, "spin", block=block,
+            instruction_budget=budget * (block // 32),
+        )
+        assert step["raised"][0] is WatchdogTimeout, crossing
+        assert device.instructions_executed == budget * (block // 32) + 1
+
+
+class TestGlobalMemoryInBlocks:
+    # Lane i accesses out + c[0x4] + i * c[0x8] through R11.
+    _TEXT = """
+.kernel mem
+.params 3
+    S2R R1, SR_TID.X ;
+    MOV R9, c[0x0][0x0] ;
+    MOV R8, c[0x0][0x4] ;
+    IADD R8, R8, R9 ;
+    MOV R7, c[0x0][0x8] ;
+    ISCADD R10, R1, R9, 2 ;
+    IMAD R11, R1, R7, R8 ;
+    MOV R3, 9 ;
+    STG.32 [R10], R3 ;
+    ISETP.LT.AND P0, R1, 5, PT ;
+{access}
+    IADD R3, R3, 1 ;
+    STG.32 [R10+0x80], R3 ;
+    EXIT ;
+"""
+
+    @pytest.mark.parametrize("guard", ["", "@P0 "])
+    @pytest.mark.parametrize("access", [
+        "LDG.32 R3, [R11+0x4] ;", "STG.32 [R11-0x4], R3 ;",
+        "STG [R11], 0x2a ;", "LDG R3, [R11] ;", "STG.32 [R11], RZ ;",
+    ])
+    @pytest.mark.parametrize("offset, stride, full, partial", [
+        (2, 4, "misaligned", "misaligned"),
+        (0x80000, 4, "unmapped", "unmapped"),
+        (8, 0x800, "unmapped", None),  # lanes past the buffer
+        (8, 4, None, None),
+    ])
+    def test_same_memory_and_trap(self, monkeypatch, guard, access, offset,
+                                  stride, full, partial):
+        """Inlined 32-bit global accesses validate, gather and scatter
+        through ``GlobalMemory``: the same trap (or none) with the same
+        counters, memory and warp state as stepping, under a full and a
+        partial mask."""
+        text = self._TEXT.format(access=guard + access)
+        _, _, stepped, step = _both_tiers(
+            monkeypatch, text, "mem", block=32, params=[offset, stride]
+        )
+        assert stepped == 0  # the access ran inside a block
+        fault = partial if guard else full
+        if fault is None:
+            assert step["raised"] is None
+        else:
+            assert step["raised"][0] is MemoryViolation
+            assert fault in step["raised"][1]
+
+    def test_partial_mask_ignores_wild_inactive_lanes(self, monkeypatch):
+        text = """
+.kernel wild
+.params 1
+    S2R R1, SR_TID.X ;
+    MOV R9, c[0x0][0x0] ;
+    ISCADD R10, R1, R9, 2 ;
+    ISETP.LT.AND P0, R1, 5, PT ;
+    MOV R11, 0x7f0001 ;
+@P0 MOV R11, R10 ;
+@P0 STG.32 [R11], R1 ;
+@P0 LDG.32 R3, [R11] ;
+    STG.32 [R10+0x80], R3 ;
+    EXIT ;
+"""
+        out, _, _, step = _both_tiers(monkeypatch, text, "wild", block=32)
+        assert step["raised"] is None
+        assert (out[32:64] == np.where(np.arange(32) < 5, np.arange(32), 0)).all()
+
+    @pytest.mark.parametrize("guard", ["", "@P0 "])
+    def test_dirty_pages_under_replay_recorder(self, monkeypatch, guard):
+        """An inlined store records the pages it writes, as the handler."""
+        text = self._TEXT.format(access=f"{guard}STG.32 [R11], R1 ;")
+        _, _, _, step = _both_tiers(
+            monkeypatch, text, "mem", block=32, params=[0x1000, 0x100],
+            record=True,
+        )
+        assert step["raised"] is None
+        assert len(step["pages"]) > 5

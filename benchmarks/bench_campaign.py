@@ -5,8 +5,8 @@ claim (paper §III-C, Figures 4–5) is that injection runs cost barely more
 than uninstrumented runs.  This benchmark measures a real transient
 campaign end-to-end (golden + profile + select + inject) across serial
 {full, pre-target replay, pre + tail replay, batched multi-fault passes
-with a cold/warm replay cache, resumed}, and parallel {full, pre + tail,
-batch × {2, 8} workers} configurations — and persists the numbers to
+with a cold/warm replay cache, resumed}, and process-pool {full, pre +
+tail at 2 and 8 workers} configurations — and persists the numbers to
 ``BENCH_campaign.json`` at the repo root so the trajectory is tracked
 across PRs.
 
@@ -59,7 +59,7 @@ _MIN_SPEEDUP = 2.0
 _MIN_TAIL_SPEEDUP = 1.3
 _MIN_BATCH_SPEEDUP = 4.27
 _MIN_BATCH_SPEEDUP_1CPU = 3.36
-# 8-worker wall clock vs 2-worker, normalized by how many of those workers
+# 8-worker pool wall clock vs 2-worker, normalized by how many of those workers
 # the machine can actually run concurrently (min(workers, cpu_count)):
 # on a box with >= 8 CPUs this demands real scaling; on smaller boxes it
 # asserts that oversubscription does not collapse throughput.
@@ -97,7 +97,7 @@ def _config(fast_forward=True, tail=True, cache_dir=None, knobs=False,
 
 def _make_executor(kind, workers):
     if kind == "batch":
-        return BatchExecutor(max_workers=workers)
+        return BatchExecutor()
     if workers:
         return ParallelExecutor(max_workers=workers)
     return None
@@ -162,16 +162,14 @@ def test_campaign_wall_clock(benchmark, tmp_path):
         ("serial", "ff+tail", True, True, 0, "plain", False, True),
         # Batched multi-fault passes: one counting pass per target launch,
         # every same-launch fault forked off it.  Cold first, warm second:
-        # the cold row stores the golden tape the warm rows (and the
-        # parallel batch rows below) replay.
+        # the cold row stores the golden tape the warm rows replay.
         ("serial", "batch+cache-cold", True, True, 0, "batch", True, True),
         ("serial", "batch+cache-warm", True, True, 0, "batch", True, True),
         ("serial", "batch-warm-nobc", True, True, 0, "batch", True, False),
         ("serial", "knob-batch", True, True, 0, "knob-batch", True, True),
         ("parallel", "full", False, False, 2, "plain", False, True),
         ("parallel", "ff+tail", True, True, 2, "plain", False, True),
-        ("parallel", "batch-2w", True, True, 2, "batch", True, True),
-        ("parallel", "batch-8w", True, True, 8, "batch", True, True),
+        ("parallel", "ff+tail-8w", True, True, 8, "plain", False, True),
     ]
     # Single-shot wall clocks on a loaded box swing by tens of percent —
     # enough to flip the floor assertions either way.  Repeat the whole
@@ -286,8 +284,7 @@ def test_campaign_wall_clock(benchmark, tmp_path):
     # counting pass (explicit executor and config-knob path alike).
     for batch_key in [("serial", "batch+cache-warm"),
                       ("serial", "batch-warm-nobc"),
-                      ("serial", "knob-batch"), ("parallel", "batch-2w"),
-                      ("parallel", "batch-8w")]:
+                      ("serial", "knob-batch")]:
         assert by_mode[batch_key]["batch_checkpoints"] == _faults(), batch_key
         assert by_mode[batch_key]["batch_launches_shared"] >= 1, batch_key
 
@@ -297,7 +294,8 @@ def test_campaign_wall_clock(benchmark, tmp_path):
     # runs serialize and the ideal ratio is 1.
     ideal = min(8, cpus) / min(2, cpus)
     scaling_efficiency = round(
-        best_ratio(("parallel", "batch-2w"), ("parallel", "batch-8w")) / ideal, 2
+        best_ratio(("parallel", "ff+tail"), ("parallel", "ff+tail-8w")) / ideal,
+        2,
     )
     speedup = {
         "serial": best_ratio(("serial", "full"), ("serial", "ff")),
@@ -312,9 +310,6 @@ def test_campaign_wall_clock(benchmark, tmp_path):
             ("serial", "full-nobc"), ("serial", "full")
         ),
         "parallel": best_ratio(("parallel", "full"), ("parallel", "ff+tail")),
-        "parallel_batch": best_ratio(
-            ("parallel", "full"), ("parallel", "batch-2w")
-        ),
     }
     payload = {
         "benchmark": "campaign_wall_clock",

@@ -23,11 +23,12 @@ diff stdout and output files (and fault activations).
 
 Wall clocks on a loaded box swing hard, so the microbench interleaves
 step/block rounds and keeps the best round per mode before computing the
-speedup ratio.  The workload rows time each round's step and compiled
-runs back to back in process CPU time and report the median of the
-per-round ratios over five interleaved rounds, which is what their floor
-checks.  ``REPRO_QUICK=1`` shrinks iteration counts and rounds and skips
-the speedup floors (CI smoke boxes are too noisy to assert throughput).
+speedup ratio.  The workload and instrumented rows time each round's step
+and compiled runs back to back in process CPU time and report median
+seconds and the median of the per-round ratios over five interleaved
+rounds; the workload rows' floor checks that ratio.  ``REPRO_QUICK=1``
+shrinks iteration counts and rounds and skips the speedup floors (CI
+smoke boxes are too noisy to assert throughput).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from benchmarks.harness import emit, quick_mode, workload_names
 from repro.core.campaign import CampaignConfig
 from repro.core.engine import CampaignEngine
 from repro.core.pf_injector import PermanentInjectorTool
+from repro.cuda import driver as cuda_driver
 from repro.gpusim.device import Device
 from repro.runner.sandbox import SandboxConfig, run_app
 from repro.sass.isa import opcode_by_id
@@ -137,6 +139,9 @@ def _measure_workloads():
     rounds = 1 if quick_mode() else 5
     rows = []
     for name in names:
+        # Start cold, as a fresh process does: an earlier benchmark in the
+        # same process may have loaded this program's image already.
+        cuda_driver._images.clear()
         # Interleaved rounds, each a step run and a compiled run back to
         # back in CPU time; the row's speedup is the median of the rounds'
         # ratios.  The first compiled round binds the program's blocks
@@ -191,7 +196,7 @@ def _permanent_sites(program: str):
 
 
 def _instrumented_run(program: str, sites, block_compile: bool):
-    """One program run per site; returns (totals, seconds, block hits)."""
+    """One program run per site; returns (totals, CPU seconds, block hits)."""
     config = SandboxConfig(block_compile=block_compile)
     totals = []
     seconds = 0.0
@@ -199,9 +204,9 @@ def _instrumented_run(program: str, sites, block_compile: bool):
     for site in sites:
         tool = PermanentInjectorTool(site)
         app = get_workload(program)
-        started = time.perf_counter()
+        started = time.process_time()
         artifacts = run_app(app, preload=[tool], config=config)
-        seconds += time.perf_counter() - started
+        seconds += time.process_time() - started
         totals.append((
             artifacts.instructions_executed, artifacts.cycles,
             artifacts.stdout, artifacts.files, tool.activations,
@@ -212,17 +217,23 @@ def _instrumented_run(program: str, sites, block_compile: bool):
 
 def _measure_instrumented():
     programs = _PERM_PROGRAMS[:1] if quick_mode() else _PERM_PROGRAMS
-    rounds = 1 if quick_mode() else 3
+    rounds = 1 if quick_mode() else 5
     rows = []
     for program in programs:
         sites = _permanent_sites(program)
-        best = {False: float("inf"), True: float("inf")}
+        # Interleaved rounds timed like the workload rows: CPU time,
+        # median seconds and the median of the per-round ratios.
+        seconds = {False: [], True: []}
+        ratios = []
         for _ in range(rounds):
             step, step_seconds, _ = _instrumented_run(program, sites, False)
             blockc, blockc_seconds, hits = _instrumented_run(program, sites, True)
             assert step == blockc, f"{program}: instrumented runs diverged"
-            best[False] = min(best[False], step_seconds)
-            best[True] = min(best[True], blockc_seconds)
+            seconds[False].append(step_seconds)
+            seconds[True].append(blockc_seconds)
+            ratios.append(step_seconds / blockc_seconds)
+        step_s = statistics.median(seconds[False])
+        blockc_s = statistics.median(seconds[True])
         executed = sum(totals[0] for totals in step)
         rows.append({
             "workload": program,
@@ -231,11 +242,12 @@ def _measure_instrumented():
             "warp_instructions": executed,
             "cycles": sum(totals[1] for totals in step),
             "activations": sum(totals[4] for totals in step),
-            "step_seconds": round(best[False], 3),
-            "blockc_seconds": round(best[True], 3),
-            "step_winstr_per_sec": round(executed / best[False], 1),
-            "blockc_winstr_per_sec": round(executed / best[True], 1),
-            "speedup": round(best[False] / best[True], 2),
+            "step_seconds": round(step_s, 3),
+            "blockc_seconds": round(blockc_s, 3),
+            "step_winstr_per_sec": round(executed / step_s, 1),
+            "blockc_winstr_per_sec": round(executed / blockc_s, 1),
+            "speedup": round(statistics.median(ratios), 2),
+            "rounds": rounds,
             "block_hits": hits,
         })
     return rows

@@ -27,27 +27,24 @@ target's exit.  One host run and one pass over the tape then service
 every fault group that shares a tape, an opcode group and a sandbox.
 
 :class:`BatchExecutor` wires the tool into the engine's executor
-protocol.  It groups tasks by fast-forward stop launch, chains the
-groups, and falls back safely everywhere: no ``os.fork`` → the plain
-executors, unreadable tape → per-task runs, dead child → in-process
-retry charged as attempt 1.  The amortization model and measurements
-live in ``docs/performance.md``; ``results.csv`` and simulated-cycle
-totals are byte-identical to the serial path (asserted in
+protocol, in one process.  It groups tasks by fast-forward stop launch,
+chains the groups, and falls back safely everywhere: no ``os.fork`` →
+the serial executor, unreadable tape → per-task runs, dead child →
+in-process retry charged as attempt 1.  The amortization model and
+measurements live in ``docs/performance.md``; ``results.csv`` and
+simulated-cycle totals are byte-identical to the serial path (asserted in
 ``benchmarks/bench_campaign.py`` and ``tests/core/test_batch_injector.py``).
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import pickle
-import queue as queue_mod
 from typing import Iterator, Sequence
 
 from repro.core.engine import (
     InjectionOutput,
     InjectionTask,
-    ParallelExecutor,
     SerialExecutor,
     run_with_retries,
 )
@@ -131,6 +128,7 @@ class MultiFaultInjectorTool(TransientInjectorTool):
         self._plan = self._plans[0]
         self._forker = forker
         self._cursor = cursor
+        self._device = None  # set when the first target launch arms
         self._recompile_pending = False
 
     def nvbit_at_cuda_event(self, driver, event, payload, is_exit) -> None:
@@ -155,6 +153,7 @@ class MultiFaultInjectorTool(TransientInjectorTool):
                 self.nvbit.enable_instrumented(func, True)
                 self._armed = True
                 self._instr_counter = 0
+                self._device = driver.device
                 if self._cursor is not None:
                     # Counter snapshot before this launch's JIT charge, so
                     # the sweep's post-launch fixup can rebase onto it.
@@ -181,7 +180,9 @@ class MultiFaultInjectorTool(TransientInjectorTool):
             self._next_group()
 
     def _become_child(self, task: InjectionTask) -> None:
-        """Turn a freshly forked overlay into ``task``'s serial run."""
+        """Turn a freshly forked overlay into ``task``'s serial run, whose
+        wall clock and blockc counters start here."""
+        self._device.start_host_measures()
         self.params = task.params
         if self._cursor is not None:
             self._cursor.collapse_to_current_target()
@@ -289,24 +290,15 @@ class BatchExecutor:
 
     Implements the standard executor protocol (``run(tasks, app=,
     tracer=, retry=, on_retry=)`` yielding ``InjectionOutput`` |
-    ``TaskFailure``).  ``max_workers >= 2`` shards the fork groups across
-    that many processes: each shard worker is a serial ``BatchExecutor``
-    chaining *its* groups, results stream back over a queue, and a dead
-    worker's unfinished tasks re-run in the parent.  The scheduler's
-    ``snapshot_order`` keeps leased units launch-coherent, so sharded
-    chains stay long.  On platforms without ``os.fork`` the run delegates
-    wholesale to :class:`ParallelExecutor` / :class:`SerialExecutor`.
+    ``TaskFailure``) in the calling process; fan-out over processes is
+    :class:`~repro.core.engine.ParallelExecutor`'s job.  On platforms
+    without ``os.fork`` the run delegates wholesale to
+    :class:`~repro.core.engine.SerialExecutor`.
     """
 
     #: Marker the engine checks (without importing this module) to tag
     #: inject spans with ``batch=True``.
     batch_executor = True
-
-    def __init__(
-        self, max_workers: int = 0, retry: RetryPolicy | None = None
-    ) -> None:
-        self.max_workers = max_workers
-        self.retry = retry
 
     def run(
         self,
@@ -316,29 +308,13 @@ class BatchExecutor:
         retry: RetryPolicy | None = None,
         on_retry=None,
     ) -> Iterator[InjectionOutput | TaskFailure]:
-        policy = self.retry if self.retry is not None else (retry or RetryPolicy())
+        policy = retry or RetryPolicy()
         notify = on_retry or (lambda failure, delay: None)
-        tasks = list(tasks)
-        if not tasks:
-            return
-        sharded = bool(self.max_workers and self.max_workers > 1)
         if not hasattr(os, "fork"):
-            fallback = (
-                ParallelExecutor(max_workers=self.max_workers)
-                if sharded
-                else SerialExecutor()
-            )
-            yield from fallback.run(
+            yield from SerialExecutor().run(
                 tasks, app=app, tracer=tracer, retry=policy, on_retry=notify
             )
-        elif sharded:
-            yield from self._run_sharded(tasks, policy, notify)
-        else:
-            yield from self._run_local(tasks, app, tracer, policy, notify)
-
-    # -- serial (in-process) path -------------------------------------------
-
-    def _run_local(self, tasks, app, tracer, policy, notify):
+            return
         groups, solo = _group_tasks(tasks)
         for task in solo:
             yield run_with_retries(task, app, tracer, policy, notify)
@@ -472,89 +448,6 @@ class BatchExecutor:
                     (task, f"batch fork child exited with status {exitcode}")
                 )
         return outputs, failures
-
-
-    # -- sharded (multi-process) path ---------------------------------------
-
-    def _run_sharded(self, tasks, policy, notify):
-        groups, solo = _group_tasks(tasks)
-        units: list[list[InjectionTask]] = groups + [[task] for task in solo]
-        workers = min(self.max_workers, len(units)) or 1
-        shards: list[list[InjectionTask]] = [[] for _ in range(workers)]
-        for n, unit in enumerate(units):
-            shards[n % workers].extend(unit)
-        result_queue: multiprocessing.Queue = multiprocessing.Queue()
-        procs = [
-            multiprocessing.Process(
-                target=_shard_worker_main,
-                args=(shard, policy, result_queue),
-                daemon=True,
-            )
-            for shard in shards
-            if shard
-        ]
-        for proc in procs:
-            proc.start()
-        pending = {task.index for task in tasks}
-        done = 0
-        try:
-            while done < len(procs):
-                try:
-                    kind, payload = result_queue.get(timeout=0.2)
-                except queue_mod.Empty:
-                    if not any(proc.is_alive() for proc in procs):
-                        break
-                    continue
-                if kind == "done":
-                    done += 1
-                elif kind == "retry":
-                    failure, delay = payload
-                    notify(failure, delay)
-                else:
-                    pending.discard(payload.index)
-                    yield payload
-            while True:  # drain anything raced in after the last "done"
-                try:
-                    kind, payload = result_queue.get_nowait()
-                except queue_mod.Empty:
-                    break
-                if kind == "retry":
-                    failure, delay = payload
-                    notify(failure, delay)
-                elif kind != "done":
-                    pending.discard(payload.index)
-                    yield payload
-        finally:
-            for proc in procs:
-                proc.join(timeout=5.0)
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join()
-        if pending:
-            # A worker died mid-shard; its checkpointed siblings already
-            # streamed back, so only the unfinished tasks re-run here.
-            leftovers = [task for task in tasks if task.index in pending]
-            yield from self._run_local(leftovers, None, None, policy, notify)
-
-
-def _shard_worker_main(
-    tasks: list[InjectionTask],
-    policy: RetryPolicy,
-    result_queue: multiprocessing.Queue,
-) -> None:
-    """One shard worker: serial chain execution, queued results."""
-
-    def notify(failure: TaskFailure, delay: float) -> None:
-        result_queue.put(("retry", (failure, delay)))
-
-    try:
-        for item in BatchExecutor().run(tasks, retry=policy, on_retry=notify):
-            kind = "failure" if isinstance(item, TaskFailure) else "output"
-            result_queue.put((kind, item))
-    finally:
-        result_queue.put(("done", None))
-        result_queue.close()
-        result_queue.join_thread()
 
 
 def _left_over(tasks, outputs, failures):

@@ -65,15 +65,17 @@ class CampaignConfig:
     ``fast_forward`` is on — ``fast_forward=False`` is the global kill
     switch that disables recording entirely.
 
-    ``batch_launch`` runs grouped transient injections as copy-on-write
-    ``os.fork`` children (see :mod:`repro.core.batch_injector`): faults
-    that target the same dynamic launch share **one** simulator pass of
-    that launch, which takes an in-launch checkpoint at each fault's
-    ``instruction_count``; only each fault's divergent suffix runs in its
-    own fork.  Results stay byte-identical; without ``os.fork`` the knob
-    silently falls back to the ordinary executors.  It only takes effect
-    when no explicit ``executor`` is passed.  (The block-compiled
-    interpreter is the sandbox knob ``sandbox.block_compile``.)
+    ``batch_launch`` runs grouped transient injections in-process, as
+    copy-on-write ``os.fork`` children (see :mod:`repro.core.batch_injector`):
+    faults that target the same dynamic launch share **one** simulator
+    pass of that launch, which takes an in-launch checkpoint at each
+    fault's ``instruction_count``; only each fault's divergent suffix runs
+    in its own fork.  Results stay byte-identical; without ``os.fork`` the
+    knob silently falls back to the serial executor.  It only takes effect
+    when no explicit ``executor`` is passed and no worker count is given:
+    ``workers`` (``--workers``) always means the process pool.  (The
+    block-compiled interpreter is the sandbox knob
+    ``sandbox.block_compile``.)
 
     ``replay_cache`` persists the golden replay tape across campaigns:
     ``True`` uses ``~/.cache/repro/replay`` (or ``$REPRO_REPLAY_CACHE``),

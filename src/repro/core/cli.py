@@ -78,9 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--permanent", action="store_true",
                           help="also run the permanent-fault campaign")
     campaign.add_argument("--workers", type=int, default=0,
-                          help="fan injection runs out over N worker processes")
-    campaign.add_argument("--chunksize", type=int, default=1,
-                          help="injections per parallel work chunk")
+                          help="fan injection runs out over a pool of N "
+                               "worker processes (with or without "
+                               "--batch-launch)")
     campaign.add_argument("--store",
                           help="study directory: checkpoint each injection "
                                "as it completes and resume interrupted runs")
@@ -118,12 +118,12 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--batch-launch",
                           action=argparse.BooleanOptionalAction,
                           default=False,
-                          help="batched multi-fault pass: simulate each "
-                               "targeted launch once for all faults aimed "
-                               "at it, forking a copy-on-write overlay at "
-                               "each fault's instruction count (POSIX "
-                               "only; results are byte-identical either "
-                               "way)")
+                          help="in-process batched multi-fault pass: "
+                               "simulate each targeted launch once for all "
+                               "faults aimed at it, forking a copy-on-write "
+                               "overlay at each fault's instruction count "
+                               "(POSIX only, ignored with --workers; results "
+                               "are byte-identical either way)")
     campaign.add_argument("--replay-cache", nargs="?", const=True,
                           default=None, metavar="DIR",
                           help="persist the golden replay tape across "
@@ -445,9 +445,7 @@ def _main(argv: list[str] | None = None) -> int:
             batch_launch=args.batch_launch,
             replay_cache=args.replay_cache,
         )
-        executor = choose_executor(
-            config, workers=args.workers, chunksize=args.chunksize
-        )
+        executor = choose_executor(config, workers=args.workers)
 
         class _Progress(EngineHooks):
             def on_injection(self, index, outcome, completed, total, tally):

@@ -11,7 +11,7 @@ Orthogonal knobs plug into the engine:
 
 * an **executor** — :class:`SerialExecutor` runs injections in-process;
   :class:`ParallelExecutor` fans frozen, picklable work items out over a
-  ``ProcessPoolExecutor`` with configurable chunking, carrying the *full*
+  ``ProcessPoolExecutor``, one task per flight, carrying the *full*
   :class:`~repro.runner.sandbox.SandboxSpec` to every worker;
   :class:`~repro.core.batch_injector.BatchExecutor` forks same-launch
   faults off one shared counting pass; :func:`choose_executor` picks one
@@ -213,11 +213,6 @@ def execute_task(
     )
 
 
-def _execute_chunk(tasks: list[InjectionTask]) -> list[InjectionOutput]:
-    """Worker entry point for the process pool: one pickled chunk of tasks."""
-    return [execute_task(task) for task in tasks]
-
-
 # -- executors ----------------------------------------------------------------
 
 # What executors yield: a completed injection, or a task that exhausted its
@@ -274,9 +269,6 @@ class SerialExecutor:
     exhausted (see :func:`run_with_retries`).
     """
 
-    def __init__(self, retry: RetryPolicy | None = None) -> None:
-        self.retry = retry
-
     def run(
         self,
         tasks: Sequence[InjectionTask],
@@ -285,20 +277,20 @@ class SerialExecutor:
         retry: RetryPolicy | None = None,
         on_retry: OnRetry | None = None,
     ) -> Iterator[InjectionOutput | TaskFailure]:
-        policy = self.retry if self.retry is not None else (retry or RetryPolicy())
+        policy = retry or RetryPolicy()
         notify = on_retry or _noop_retry
         for task in tasks:
             yield run_with_retries(task, app, tracer, policy, notify)
 
 
 class _Flight:
-    """One chunk in the air: which chunk, its deadline, and whether it flew
+    """One task in the air: which task, its deadline, and whether it flew
     alone (solo flights give exact blame when the pool breaks)."""
 
-    __slots__ = ("chunk_id", "deadline", "solo")
+    __slots__ = ("task_id", "deadline", "solo")
 
-    def __init__(self, chunk_id: int, deadline: float | None, solo: bool) -> None:
-        self.chunk_id = chunk_id
+    def __init__(self, task_id: int, deadline: float | None, solo: bool) -> None:
+        self.task_id = task_id
         self.deadline = deadline
         self.solo = solo
 
@@ -323,42 +315,32 @@ def _kill_pool_processes(pool: ProcessPoolExecutor) -> None:
 class ParallelExecutor:
     """Fans injections out over a ``ProcessPoolExecutor``.
 
-    ``chunksize`` trades dispatch overhead against checkpoint granularity:
-    results are yielded (and therefore persisted) as each chunk completes,
-    so ``chunksize=1`` (the default) checkpoints every single injection.
-    Workers buffer their trace events and ship them back inside each
+    Every task is its own flight, so each result is yielded (and
+    therefore persisted) the moment its worker finishes.  Workers buffer
+    their trace events and ship them back inside each
     :class:`InjectionOutput` (the ``tracer`` argument is parent-side only).
 
     Failure handling (the campaign-monitor role of the paper's scripts):
 
-    * a chunk whose worker **raises** fails only itself; it is retried with
-      deterministic backoff and yielded as
-      :class:`~repro.core.resilience.TaskFailure` records once the
+    * a task whose worker **raises** fails only itself; it is retried with
+      deterministic backoff and yielded as a
+      :class:`~repro.core.resilience.TaskFailure` once the
       :class:`~repro.core.resilience.RetryPolicy` is exhausted;
     * a worker **death** breaks the whole pool (every in-flight future gets
       ``BrokenProcessPool``); the pool is respawned and the victims are
-      re-flown *one at a time*, so blame lands exactly on the chunk that
+      re-flown *one at a time*, so blame lands exactly on the task that
       kills its worker — innocent co-flights are re-run without being
       charged an attempt;
-    * a chunk that exceeds the policy's parent-side **wall-clock deadline**
-      (``task_timeout`` seconds per task) has its workers killed and is
-      charged a ``"timeout"`` failure — the process-level complement of the
-      in-sim instruction budget.  The charge lands only once the chunk has
-      hung *solo*: a chunk merely queued behind a stalled neighbour shares
-      its wall-clock and is re-flown alone, uncharged.
+    * a task that exceeds the policy's parent-side **wall-clock deadline**
+      (``task_timeout`` seconds) has its workers killed and is charged a
+      ``"timeout"`` failure — the process-level complement of the in-sim
+      instruction budget.  The charge lands only once the task has hung
+      *solo*: a task merely queued behind a stalled neighbour shares its
+      wall-clock and is re-flown alone, uncharged.
     """
 
-    def __init__(
-        self,
-        max_workers: int | None = None,
-        chunksize: int = 1,
-        retry: RetryPolicy | None = None,
-    ) -> None:
-        if chunksize < 1:
-            raise ValueError("chunksize must be >= 1")
+    def __init__(self, max_workers: int | None = None) -> None:
         self.max_workers = max_workers
-        self.chunksize = chunksize
-        self.retry = retry
 
     def run(
         self,
@@ -368,7 +350,7 @@ class ParallelExecutor:
         retry: RetryPolicy | None = None,
         on_retry: OnRetry | None = None,
     ) -> Iterator[InjectionOutput | TaskFailure]:
-        policy = self.retry if self.retry is not None else (retry or RetryPolicy())
+        policy = retry or RetryPolicy()
         notify = on_retry or _noop_retry
         tasks = list(tasks)
         if not tasks:
@@ -379,39 +361,37 @@ class ParallelExecutor:
                 "parallel execution needs registry workloads (workers rebuild "
                 f"the app by name); unknown: {sorted(unregistered)}"
             )
-        chunks = [
-            tasks[start : start + self.chunksize]
-            for start in range(0, len(tasks), self.chunksize)
-        ]
 
-        queue: deque[int] = deque(range(len(chunks)))  # awaiting first/clean flight
+        queue: deque[int] = deque(range(len(tasks)))  # awaiting first/clean flight
         suspects: deque[int] = deque()  # re-flown solo after a pool break
-        delayed: list[tuple[float, int]] = []  # (ready time, chunk) backoff retries
-        failures: dict[int, int] = {cid: 0 for cid in range(len(chunks))}
-        expired: set[int] = set()  # chunks whose deadline we killed the pool for
+        delayed: list[tuple[float, int]] = []  # (ready time, task) backoff retries
+        failures: dict[int, int] = {tid: 0 for tid in range(len(tasks))}
+        expired: set[int] = set()  # tasks whose deadline we killed the pool for
         flights: dict = {}  # Future -> _Flight
         respawns = 0
-        # A poison chunk costs at most ~2 respawns per attempt (one mass
+        # A poison task costs at most ~2 respawns per attempt (one mass
         # break + one solo break); anything past this bound is a harness bug.
-        respawn_cap = 2 * policy.max_attempts * len(chunks) + 4
+        respawn_cap = 2 * policy.max_attempts * len(tasks) + 4
 
-        def deadline_for(cid: int) -> float | None:
-            if not policy.task_timeout:
-                return None
-            return time.monotonic() + policy.task_timeout * len(chunks[cid])
+        def fly(tid: int, solo: bool) -> None:
+            deadline = (
+                time.monotonic() + policy.task_timeout
+                if policy.task_timeout else None
+            )
+            future = pool.submit(execute_task, tasks[tid])
+            flights[future] = _Flight(tid, deadline, solo)
 
-        def charge(cid: int, reason: str, error: str) -> Iterator[TaskFailure]:
-            """Count one failed attempt; schedule a retry or yield failures."""
-            failures[cid] += 1
-            attempt = failures[cid]
+        def charge(tid: int, reason: str, error: str) -> Iterator[TaskFailure]:
+            """Count one failed attempt; schedule a retry or yield the failure."""
+            failures[tid] += 1
+            attempt = failures[tid]
+            failure = TaskFailure(tasks[tid].index, attempt, error, reason)
             if policy.should_retry(attempt):
-                delay = policy.delay(attempt, key=chunks[cid][0].index)
-                for task in chunks[cid]:
-                    notify(TaskFailure(task.index, attempt, error, reason), delay)
-                delayed.append((time.monotonic() + delay, cid))
+                delay = policy.delay(attempt, key=tasks[tid].index)
+                notify(failure, delay)
+                delayed.append((time.monotonic() + delay, tid))
             else:
-                for task in chunks[cid]:
-                    yield TaskFailure(task.index, attempt, error, reason)
+                yield failure
 
         def respawn_pool() -> ProcessPoolExecutor:
             nonlocal respawns
@@ -425,33 +405,33 @@ class ParallelExecutor:
 
         def settle_broken_pool(extra_victim: int | None = None) -> Iterator[TaskFailure]:
             """The pool died: blame what can be blamed, re-fly the rest solo."""
-            victims = sorted(flights.values(), key=lambda f: f.chunk_id)
+            victims = sorted(flights.values(), key=lambda f: f.task_id)
             flights.clear()
             if extra_victim is not None:
                 queue.appendleft(extra_victim)
             for flight in victims:
-                cid = flight.chunk_id
-                if flight.solo and cid in expired:
-                    expired.discard(cid)
+                tid = flight.task_id
+                if flight.solo and tid in expired:
+                    expired.discard(tid)
                     yield from charge(
-                        cid,
+                        tid,
                         "timeout",
                         "worker exceeded the wall-clock deadline "
                         f"({policy.task_timeout}s per task)",
                     )
                 elif flight.solo:
-                    # Flying alone: this chunk killed its worker, full stop.
+                    # Flying alone: this task killed its worker, full stop.
                     yield from charge(
-                        cid, "worker-death",
+                        tid, "worker-death",
                         "worker process died before finishing (broken pool)",
                     )
                 else:
-                    # A shared flight proves nothing — a chunk queued behind
+                    # A shared flight proves nothing — a task queued behind
                     # a hung or dying neighbour shares its wall-clock.  Only
                     # a *solo* expiry or death is charged; everyone else is
                     # re-flown alone, uncharged.
-                    expired.discard(cid)
-                    suspects.append(cid)
+                    expired.discard(tid)
+                    suspects.append(tid)
 
         pool = ProcessPoolExecutor(max_workers=self.max_workers)
         try:
@@ -462,24 +442,20 @@ class ParallelExecutor:
                     for entry in due:
                         delayed.remove(entry)
                         queue.append(entry[1])
-                # Submission: while suspects exist, fly exactly one chunk at
+                # Submission: while suspects exist, fly exactly one task at
                 # a time (exact blame); otherwise fan the queue out.
                 broken_on_submit: int | None = None
                 try:
                     if suspects:
                         if not flights:
-                            cid = suspects.popleft()
-                            flights[pool.submit(_execute_chunk, chunks[cid])] = (
-                                _Flight(cid, deadline_for(cid), solo=True)
-                            )
+                            tid = suspects.popleft()
+                            fly(tid, solo=True)
                     elif queue:
                         while queue:
-                            cid = queue.popleft()
-                            flights[pool.submit(_execute_chunk, chunks[cid])] = (
-                                _Flight(cid, deadline_for(cid), solo=False)
-                            )
+                            tid = queue.popleft()
+                            fly(tid, solo=False)
                 except BrokenProcessPool:
-                    broken_on_submit = cid
+                    broken_on_submit = tid
                 if broken_on_submit is not None:
                     yield from settle_broken_pool(extra_victim=broken_on_submit)
                     pool = respawn_pool()
@@ -502,25 +478,25 @@ class ParallelExecutor:
                 for future in done:
                     flight = flights.pop(future)
                     try:
-                        outputs = future.result()
+                        output = future.result()
                     except BrokenProcessPool:
                         flights[future] = flight  # hand back for settlement
                         broken = True
                         # Keep draining ``done``: a sibling that *completed*
                         # in the same batch must be yielded, not re-flown.
                         continue
-                    except Exception as exc:  # the chunk raised in its worker
+                    except Exception as exc:  # the task raised in its worker
                         yield from charge(
-                            flight.chunk_id, "exception", format_error(exc)
+                            flight.task_id, "exception", format_error(exc)
                         )
                     else:
-                        expired.discard(flight.chunk_id)
-                        yield from outputs
+                        expired.discard(flight.task_id)
+                        yield output
                 if broken:
                     yield from settle_broken_pool()
                     pool = respawn_pool()
                     continue
-                # Watchdog: kill the pool under chunks that blew their
+                # Watchdog: kill the pool under tasks that blew their
                 # wall-clock deadline; the break is settled next iteration.
                 now = time.monotonic()
                 hung = [
@@ -528,7 +504,7 @@ class ParallelExecutor:
                 ]
                 if hung:
                     for flight in hung:
-                        expired.add(flight.chunk_id)
+                        expired.add(flight.task_id)
                     _kill_pool_processes(pool)
         finally:
             # Never block on a wedged worker during unwind (SIGINT included).
@@ -538,24 +514,22 @@ class ParallelExecutor:
 Executor = SerialExecutor | ParallelExecutor
 
 
-def choose_executor(
-    config: CampaignConfig, workers: int | None = None, chunksize: int = 1
-) -> "Executor":
+def choose_executor(config: CampaignConfig, workers: int | None = None) -> "Executor":
     """The executor a campaign runs on: the one place that choice is made.
 
-    ``config.batch_launch`` selects the fork-based
-    :class:`~repro.core.batch_injector.BatchExecutor`, sharded over
-    ``workers`` processes, wherever ``os.fork`` exists.  Otherwise
-    ``workers`` selects a :class:`ParallelExecutor` and no workers a
-    :class:`SerialExecutor`.  The CLI and :class:`CampaignEngine`'s
-    default executor both come from here.
+    ``workers`` selects a :class:`ParallelExecutor`, with or without
+    ``config.batch_launch``.  Without workers, ``config.batch_launch``
+    selects the in-process fork executor
+    (:class:`~repro.core.batch_injector.BatchExecutor`) wherever
+    ``os.fork`` exists, and anything else a :class:`SerialExecutor`.  The
+    CLI and :class:`CampaignEngine`'s default executor both come from here.
     """
+    if workers:
+        return ParallelExecutor(max_workers=workers)
     if config.batch_launch and hasattr(os, "fork"):
         from repro.core.batch_injector import BatchExecutor
 
-        return BatchExecutor(max_workers=workers or 0)
-    if workers:
-        return ParallelExecutor(max_workers=workers, chunksize=chunksize)
+        return BatchExecutor()
     return SerialExecutor()
 
 
@@ -1540,9 +1514,8 @@ class CampaignEngine:
         Every injection — resumed and quarantined ones included — emits
         one ``injection`` trace event, so the events in a trace sum to the
         campaign's final tally exactly.  Results go through
-        :meth:`_ingest` as they arrive (chunk-by-chunk under the parallel
-        executor), so an interrupted campaign loses at most the in-flight
-        chunk: ``KeyboardInterrupt`` raises :class:`CampaignInterrupted`
+        :meth:`_ingest` as they arrive, so an interrupted campaign loses at
+        most the runs in flight: ``KeyboardInterrupt`` raises :class:`CampaignInterrupted`
         carrying everything completed so far.
         """
         tasks = self._tasks(
@@ -1593,9 +1566,8 @@ class CampaignEngine:
         """Frozen, executor-ready tasks for ``indices`` of ``sites``.
 
         Transient tasks carry their fast-forward reference.  Tasks are
-        grouped by target launch: neighbours share the replay log's page
-        cache and (under the parallel executor) chunks stay
-        launch-coherent.  Results are keyed by index, so the ordering
+        grouped by target launch, so neighbours share the replay log's page
+        cache.  Results are keyed by index, so the ordering
         cannot change results.csv.
         """
         spec = self._injection_spec()

@@ -27,7 +27,7 @@ containing failures still produce byte-identical ``results.csv`` files.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.outcomes import Outcome, OutcomeRecord
 from repro.errors import ReproError
@@ -122,14 +122,6 @@ class TaskFailure:
     attempts: int
     error: str
     reason: str = "exception"
-
-
-@dataclass
-class FailureLog:
-    """Per-campaign record of retries and quarantines (engine-owned)."""
-
-    retries: list[TaskFailure] = field(default_factory=list)
-    quarantined: list[TaskFailure] = field(default_factory=list)
 
 
 def quarantine_outcome(failure: TaskFailure) -> OutcomeRecord:

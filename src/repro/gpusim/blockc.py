@@ -57,26 +57,18 @@ block boundaries: a hooked pc is never inside a block, so it always steps
 sees exact ``instructions_executed`` and ``cycles``; the code between
 hooked pcs runs compiled.
 
-Caching is two-level.  The expensive part — ``compile()`` of each block's
-generated source — is cached process-globally per span, keyed on
-:func:`content_fingerprint` (a hash of every instruction's canonical text
-plus resolved branch targets) and the span's ``(start, end)``, so kernel
-objects assembled from the same source pay codegen once, and a layout
-split at hooked pcs recompiles only the blocks a hooked pc actually
-splits.  The cheap part — binding a kernel instance's handler table and
-instruction objects into block functions — is cached on the kernel object
-(``cuModuleLoadData`` hands every load of an image the same kernels, so
-the blocks bound in a campaign's golden run serve its injection runs) and
-validated against the
-*identity* of every instruction (strong references are held, so ids
-cannot be reused), which also fixes the historical ``_gpusim_handlers``
-staleness bug where an in-place rewrite of equal length kept serving the
-old dispatch table.
+Compiled code lives on the kernel object.  ``cuModuleLoadData``
+assembles each image once per process and hands every later load the
+same kernels, so the blocks bound in a campaign's golden run serve its
+injection runs.  The tables are validated against the *identity* of
+every instruction (strong references are held, so ids cannot be
+reused): an in-place rewrite, even of equal length, rebuilds them.  A
+layout split at hooked pcs binds only the spans a hooked pc changes;
+every other span reuses the block the kernel already bound.
 """
 
 from __future__ import annotations
 
-import hashlib
 import re
 from time import perf_counter
 
@@ -110,7 +102,7 @@ from repro.sass.program import register_count
 MAX_BLOCK_LEN = 64
 
 # Control opcodes that carry a label operand (their resolved targets are
-# block boundaries and part of the content fingerprint).
+# block boundaries).
 _BRANCHING = frozenset({"BRA", "SSY", "PBK"})
 
 # Control opcodes that may move ``warp.pc`` or change ``active``: a block
@@ -138,24 +130,6 @@ def _target(instr) -> int | None:
         return instr.branch_target
     except ValueError:
         return None
-
-
-def content_fingerprint(instructions) -> str:
-    """Content hash of an instruction sequence (text + branch targets).
-
-    The canonical ``str(instr)`` covers opcode, modifiers, operands and the
-    guard; branch targets are appended as resolved pcs because two kernels
-    can render identical instruction text while their labels sit on
-    different lines.
-    """
-    hasher = hashlib.sha256()
-    for instr in instructions:
-        hasher.update(str(instr).encode())
-        if instr.opcode in _BRANCHING:
-            target = _target(instr)
-            hasher.update(b"@?" if target is None else b"@%d" % target)
-        hasher.update(b"\n")
-    return hasher.hexdigest()
 
 
 def build_table(instructions) -> list:
@@ -339,13 +313,8 @@ _EXPR_PARAMS = ", ".join(f"{name}={name}" for name in EXPR_NAMES)
 
 
 class _ConstPool:
-    """Layout-level constants referenced by generated code as ``_C[i]``.
-
-    Holds the shared read-only immediate arrays a layout's blocks bind as
-    keyword defaults.  Everything in the pool is derived from instruction
-    *text* only, so a pool is as shareable across kernel instances as the
-    source itself.
-    """
+    """One block's constants, referenced by its generated code as ``_C[i]``:
+    the shared read-only immediate arrays it binds as keyword defaults."""
 
     def __init__(self) -> None:
         self.values: list = []
@@ -595,33 +564,8 @@ def _gen_block_source(instructions, start: int, end: int, pool: _ConstPool) -> s
     return "\n".join(out)
 
 
-class _Span:
-    """The content-keyed, kernel-instance-independent compilation product
-    of one block: the compiled module holding its superhandler definition
-    and the constant pool (shared read-only immediate arrays) it binds."""
-
-    __slots__ = ("code", "consts")
-
-    def __init__(self, code, consts) -> None:
-        self.code = code
-        self.consts = consts
-
-
-# Process-global codegen cache, content fingerprint -> {(start, end): span}.
-# Campaigns re-assemble the same kernels for every run, so the compile()
-# cost is paid once per distinct block, not once per run; keying per span
-# lets a hooked layout reuse every block that no hooked pc splits.
-# Fork-based executors inherit it.
-_CODE_CACHE: dict[str, dict[tuple[int, int], _Span]] = {}
-
 # The break set of an uninstrumented launch.
 _NO_BREAKS: frozenset[int] = frozenset()
-
-
-def _compile_span(instructions, start: int, end: int) -> _Span:
-    pool = _ConstPool()
-    source = _gen_block_source(instructions, start, end, pool)
-    return _Span(compile(source, "<gpusim-blockc>", "exec"), pool.values)
 
 
 class Block:
@@ -651,8 +595,7 @@ class CompiledKernel:
     """
 
     __slots__ = (
-        "ids", "instructions", "table", "num_regs", "fingerprint",
-        "layouts", "_bound",
+        "ids", "instructions", "table", "num_regs", "layouts", "_bound",
     )
 
     def __init__(self, ids, instructions) -> None:
@@ -660,7 +603,6 @@ class CompiledKernel:
         self.instructions = instructions
         self.table = build_table(instructions)
         self.num_regs = register_count(instructions)
-        self.fingerprint: str | None = None
         self.layouts: dict[frozenset[int], list] = {}
         self._bound: dict[tuple[int, int], Block] = {}
 
@@ -679,9 +621,6 @@ class CompiledKernel:
     def _build_layout(self, breaks: frozenset[int]) -> int:
         """Bind the layout split at ``breaks``; return the new bindings."""
         instructions = self.instructions
-        if self.fingerprint is None:
-            self.fingerprint = content_fingerprint(instructions)
-        code = _CODE_CACHE.setdefault(self.fingerprint, {})
         namespace = {
             "_T": self.table, "_I": instructions, "_NO_LANES": NO_LANES,
             **EXPR_NAMES,
@@ -691,11 +630,10 @@ class CompiledKernel:
         for span in _block_spans(instructions, breaks):
             block = self._bound.get(span)
             if block is None:
-                compiled = code.get(span)
-                if compiled is None:
-                    compiled = code[span] = _compile_span(instructions, *span)
-                namespace["_C"] = compiled.consts
-                exec(compiled.code, namespace)
+                pool = _ConstPool()
+                source = _gen_block_source(instructions, *span, pool)
+                namespace["_C"] = pool.values
+                exec(compile(source, "<gpusim-blockc>", "exec"), namespace)
                 block = Block(*span, namespace[f"_b{span[0]}"])
                 self._bound[span] = block
                 bound += 1
@@ -734,15 +672,3 @@ def compiled_for(
             device.blockc_compile_seconds += perf_counter() - started
     return compiled
 
-
-def invalidate(kernel) -> None:
-    """Drop a kernel's compiled tables, hooked layouts included (the next
-    launch rebuilds them).
-
-    Called by :meth:`repro.nvbit.api.NVBitRuntime.invalidate_instrumented`:
-    a tool that forces a fresh instrumented clone may have rewritten the
-    function's instructions, and the identity check alone should not be
-    the only line of defence.
-    """
-    if getattr(kernel, "_gpusim_blockc", None) is not None:
-        kernel._gpusim_blockc = None

@@ -11,6 +11,8 @@ propagates to the sandbox monitor.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from repro.arch.families import ArchFamily, arch_by_name
@@ -77,9 +79,7 @@ class Device:
         # byte-identical either way; the knob exists for differential
         # testing and benchmarking.
         self.block_compile = block_compile
-        self.blockc_blocks_compiled = 0
-        self.blockc_block_hits = 0
-        self.blockc_compile_seconds = 0.0
+        self.start_host_measures()
         # Cheap observability counters (flow into repro.obs MetricsRegistry
         # via RunArtifacts): warps ever launched and the deepest SIMT
         # divergence stack seen on any warp.
@@ -94,6 +94,20 @@ class Device:
         # is bracketed by its begin/end hooks so the divergence set stays
         # current at each launch boundary.
         self.replay_tracker = None
+
+    def start_host_measures(self) -> None:
+        """Start the run's host-side measures afresh: its wall clock
+        (``run_started``) and the blockc counters.
+
+        ``run_app`` calls this as the program starts.  A batch fork child
+        calls it again at its fork, so it reports its own run rather than
+        the counting pass it forked from.  Simulated counters (instructions,
+        cycles, warps) are left alone: they already match a serial run.
+        """
+        self.run_started = time.perf_counter()
+        self.blockc_blocks_compiled = 0
+        self.blockc_block_hits = 0
+        self.blockc_compile_seconds = 0.0
 
     # -- watchdog ----------------------------------------------------------
 

@@ -216,7 +216,3 @@ class Warp:
                 return
         self.done = True
         self.active = np.zeros(WARP_SIZE, dtype=bool)
-
-    @property
-    def live_lanes(self) -> np.ndarray:
-        return self.valid & ~self.exited

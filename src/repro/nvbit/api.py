@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.cuda.driver import CudaDriver, CudaEvent, CudaFunction
-from repro.gpusim import blockc
 from repro.gpusim.sm import Hooks
 from repro.nvbit.instr import Instr
 from repro.nvbit.jit import JitCache
@@ -82,12 +81,10 @@ class NVBitRuntime:
         launch pays the same simulated JIT-compile charge a fresh process
         would — keeping cycle totals identical to a serial run.
 
-        The kernel's block-compiled execution tables are dropped alongside:
-        a tool forcing a fresh clone may have rewritten instructions, and
-        the next launch, instrumented or not, must not dispatch stale code.
+        The kernel's block-compiled tables stay: they are rebuilt only when
+        an instruction object changes (:func:`repro.gpusim.blockc.compiled_for`).
         """
         self._record(func).mark_dirty()
-        blockc.invalidate(func.kernel)
 
     @property
     def jit_compile_count(self) -> int:

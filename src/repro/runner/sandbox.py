@@ -156,7 +156,7 @@ def run_app(
         runtime = CudaRuntime(device, interceptor=interceptor, replay=replay)
         ctx = AppContext(runtime, seed=config.seed, env=config.extra_env)
         artifacts = RunArtifacts()
-        started = time.perf_counter()
+        device.start_host_measures()
         try:
             app.run(ctx)
             artifacts.exit_status = 0
@@ -176,7 +176,7 @@ def run_app(
             artifacts.crash_reason = f"{type(exc).__name__}: {exc}"
             artifacts.exit_status = EXIT_CRASH
         finally:
-            artifacts.wall_time = time.perf_counter() - started
+            artifacts.wall_time = time.perf_counter() - device.run_started
             if interceptor is not None:
                 interceptor.terminate()
         artifacts.stdout = ctx.stdout

@@ -62,10 +62,6 @@ class Instruction:
         return None
 
     @property
-    def is_control_flow(self) -> bool:
-        return self.opcode in ("BRA", "SSY", "SYNC", "PBK", "BRK", "EXIT", "BAR")
-
-    @property
     def branch_target(self) -> int:
         """Resolved target PC for BRA/SSY/PBK."""
         for op in self.sources:

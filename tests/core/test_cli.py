@@ -175,7 +175,7 @@ class TestHelpSnapshots:
         out = self._help(capsys, "campaign")
         for flag in (
             "--injections", "--group", "--model", "--permanent",
-            "--workers", "--chunksize", "--store", "--progress",
+            "--workers", "--store", "--progress",
             "--format", "--max-attempts", "--task-timeout", "--on-failure",
             "--fast-forward", "--no-fast-forward",
             "--tail-fast-forward", "--no-tail-fast-forward",
@@ -185,6 +185,7 @@ class TestHelpSnapshots:
             "--sampling", "--batch-size",
         ):
             assert flag in out, f"{flag} missing from campaign --help"
+        assert "--chunksize" not in out  # every pool task flies alone
 
     def test_campaign_adaptive_choices_advertised(self, capsys):
         out = self._help(capsys, "campaign")

@@ -201,7 +201,3 @@ class TestGuards:
         )
         with pytest.raises(ReproError, match="different"):
             other.run_transient()
-
-    def test_bad_chunksize_rejected(self):
-        with pytest.raises(ValueError, match="chunksize"):
-            ParallelExecutor(chunksize=0)

@@ -375,7 +375,7 @@ class TestParallelFailures:
             "raise",
             retry,
             CampaignStore(tmp_path / "parallel"),
-            executor=ParallelExecutor(max_workers=2, retry=retry),
+            executor=ParallelExecutor(max_workers=2),
         )
         assert len(parallel.results) == _N
         assert len(_quarantined(parallel)) == _K
@@ -396,7 +396,7 @@ class TestParallelFailures:
             "exit",
             retry,
             CampaignStore(tmp_path / "death"),
-            executor=ParallelExecutor(max_workers=2, retry=retry),
+            executor=ParallelExecutor(max_workers=2),
         )
         assert len(result.results) == _N
         assert len(_quarantined(result)) == _K
@@ -423,7 +423,7 @@ class TestParallelFailures:
         engine = CampaignEngine(
             ChaosOMriq.name,
             _chaos_config("hang", retry, num=_N_SMALL),
-            executor=ParallelExecutor(max_workers=2, retry=retry),
+            executor=ParallelExecutor(max_workers=2),
             store=CampaignStore(tmp_path / "hang"),
             tracer=Tracer(sink=sink),
         )
@@ -446,7 +446,7 @@ class TestParallelFailures:
         engine = CampaignEngine(
             ChaosOMriq.name,
             _chaos_config("raise", retry),
-            executor=ParallelExecutor(max_workers=2, retry=retry),
+            executor=ParallelExecutor(max_workers=2),
             tracer=Tracer(sink=sink),
         )
         result = engine.run_transient()

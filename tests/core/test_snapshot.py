@@ -1,16 +1,14 @@
-"""Fork execution of stored configs + persistent replay cache.
+"""Executor choice, stored fork configs and the persistent replay cache.
 
 The contract under test is the usual one: *results are byte-identical,
 only wall-clock changes*.  The fork tests here are what is left of the
-removed snapshot executor's suite and run on
-:class:`~repro.core.batch_injector.BatchExecutor`, the one fork executor;
-``tests/core/test_batch_injector.py`` holds its parity suite.  A config
-stored with the retired ``snapshot`` key must still select fork execution
-and reproduce the serial campaign bit for bit, and a fork child dying at
-the injection point must charge the same attempt counts and synthesize
-the same DUE rows as a serial task raising.  The persistent
-:class:`~repro.core.snapshot.ReplayCache` must likewise never change
-artifacts: a hit only swaps simulated golden launches for replayed ones.
+removed snapshot executor's suite; ``tests/core/test_batch_injector.py``
+holds the parity suite of :class:`~repro.core.batch_injector.BatchExecutor`,
+the one fork executor.  A config stored with the retired ``snapshot`` key
+must still select fork execution and reproduce the serial campaign bit
+for bit.  The persistent :class:`~repro.core.snapshot.ReplayCache` must
+likewise never change artifacts: a hit only swaps simulated golden
+launches for replayed ones.
 """
 
 from __future__ import annotations
@@ -18,28 +16,25 @@ from __future__ import annotations
 import json
 import threading
 
-import numpy as np
 import pytest
 
 import repro
 from repro.core.batch_injector import BatchExecutor
 from repro.core.campaign import CampaignConfig
-from repro.core.engine import CampaignEngine, SerialExecutor, choose_executor
-from repro.core.resilience import HARNESS_FAILURE_SYMPTOM, RetryPolicy
+from repro.core.engine import (
+    CampaignEngine,
+    ParallelExecutor,
+    SerialExecutor,
+    choose_executor,
+)
 from repro.core.snapshot import ReplayCache, default_cache_root
 from repro.core.store import CampaignStore
 from repro.obs import MetricsRegistry
 from repro.runner.sandbox import SandboxConfig
-from repro.workloads.omriq import OMriq
-from repro.workloads.registry import WORKLOADS
 
 _WORKLOAD = "303.ostencil"  # multi-kernel, small: 21 golden launches
 _N = 10
 _SEED = 3
-
-# Fast-but-real backoff (jitter off so retry schedules are deterministic).
-_FAST_RETRY = dict(backoff_base=0.001, backoff_factor=1.0, backoff_max=0.01,
-                   jitter=0.0)
 
 
 def _config(**overrides) -> CampaignConfig:
@@ -76,14 +71,15 @@ def serial_csv(tmp_path_factory) -> bytes:
 
 class TestForkParity:
     def test_supported_on_posix(self):
-        executor = choose_executor(_config(batch_launch=True), workers=2)
-        assert isinstance(executor, BatchExecutor)
-
-    def test_sharded_snapshot_matches_serial(self, tmp_path, serial_csv):
-        csv = _campaign_csv(
-            tmp_path, "snap2", executor=BatchExecutor(max_workers=2)
-        )
-        assert csv == serial_csv
+        """Fork execution is chosen on POSIX by ``batch_launch`` alone:
+        ``workers`` always means the pool, and neither means serial."""
+        batch = _config(batch_launch=True)
+        assert isinstance(choose_executor(batch), BatchExecutor)
+        for config in (batch, _config()):
+            pool = choose_executor(config, workers=2)
+            assert isinstance(pool, ParallelExecutor)
+            assert pool.max_workers == 2
+        assert isinstance(choose_executor(_config()), SerialExecutor)
 
     def test_config_knob_selects_snapshot_executor(self, tmp_path, serial_csv):
         registry = MetricsRegistry()
@@ -93,23 +89,6 @@ class TestForkParity:
         )
         assert csv == serial_csv
         assert registry.counter_values()["engine.snapshot.forks"] == _N
-
-
-class TestNonPosixFallback:
-    def test_delegates_to_serial_executor(self, tmp_path, serial_csv,
-                                          monkeypatch):
-        import os
-
-        monkeypatch.delattr(os, "fork")
-        csv = _campaign_csv(tmp_path, "nofork", executor=BatchExecutor())
-        assert csv == serial_csv
-
-    def test_engine_default_executor_degrades_to_serial(self, monkeypatch):
-        import os
-
-        monkeypatch.delattr(os, "fork")
-        engine = CampaignEngine(_WORKLOAD, _stored_snapshot_config())
-        assert isinstance(engine.executor, SerialExecutor)
 
 
 class TestRunBatchStop:
@@ -133,68 +112,6 @@ class TestRunBatchStop:
         engine.plan_transient()
         results = engine.run_batch([0, 1, 2, 3], stop=stop)
         assert len(results) == 1  # the in-flight run lands, no new one starts
-
-
-# -- quarantine / retry parity -------------------------------------------------
-
-
-class SnapChaosOMriq(OMriq):
-    """OMriq variant that raises whenever the fault corrupts the output.
-
-    The failure is a deterministic function of the injected fault (seed 7
-    corrupts exactly 2 of 12 outputs for this workload name — the site RNG
-    stream is keyed by it), so serial and forked campaigns fail — and
-    quarantine — exactly the same tasks.
-    """
-
-    name = "999.snapchaos"
-    description = "OMriq variant that fails the harness on corrupted output"
-
-    def run(self, ctx) -> None:
-        super().run(ctx)
-        data = np.frombuffer(ctx.files[self.output_file], dtype=np.float32)
-        finite = data[np.isfinite(data)]
-        corrupted = finite.size != data.size or bool(
-            (np.abs(finite) > 1e6).any()
-        )
-        if corrupted:
-            # Outside run_app's catch list: kills the injection task (in a
-            # fork child: the child process) rather than classifying.
-            raise RuntimeError("snapchaos: corrupted device output")
-
-
-@pytest.fixture()
-def _chaos_workload():
-    WORKLOADS[SnapChaosOMriq.name] = SnapChaosOMriq
-    yield
-    WORKLOADS.pop(SnapChaosOMriq.name, None)
-
-
-class TestQuarantineParity:
-    def _chaos_config(self):
-        return CampaignConfig(
-            workload=SnapChaosOMriq.name,
-            num_transient=12,
-            seed=7,
-            retry=RetryPolicy(max_attempts=2, **_FAST_RETRY),
-        )
-
-    def test_fork_child_death_quarantines_like_serial(self, tmp_path,
-                                                      _chaos_workload):
-        serial = _campaign_csv(
-            tmp_path, "chaos-serial", executor=SerialExecutor(),
-            config=self._chaos_config(),
-        )
-        store = CampaignStore(tmp_path / "chaos-snap")
-        result = repro.run_campaign(
-            self._chaos_config(), executor=BatchExecutor(), store=store
-        )
-        assert (tmp_path / "chaos-snap" / "results.csv").read_bytes() == serial
-        quarantined = [
-            r for r in result.results
-            if r.outcome.symptom == HARNESS_FAILURE_SYMPTOM
-        ]
-        assert len(quarantined) == 2
 
 
 # -- persistent replay cache ---------------------------------------------------

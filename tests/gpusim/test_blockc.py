@@ -466,31 +466,27 @@ class TestCompilationCache:
     EXIT ;
 """
 
-    def test_layout_shared_across_instances(self):
-        """Two kernel objects assembled from the same source share one
-        compiled layout (the process-global content-keyed cache) while
-        binding their own instruction objects."""
-        a = assemble(self._SRC).get("cached")
-        b = assemble(self._SRC).get("cached")
-        ca = blockc.compiled_for(a)
-        cb = blockc.compiled_for(b)
-        assert ca.fingerprint == cb.fingerprint
-        assert blockc._CODE_CACHE[ca.fingerprint] is (
-            blockc._CODE_CACHE[cb.fingerprint]
+    def test_layout_shared_across_instances(self, monkeypatch):
+        """Module loads of one image share its kernel objects, and so one
+        set of compiled tables; a kernel assembled on its own binds its
+        own."""
+        monkeypatch.setattr(driver_module, "_images", {})
+        device = _device(True)
+        driver = driver_module.CudaDriver(device)
+        a, b = (
+            driver.cuModuleGetFunction(
+                driver.cuModuleLoadData(self._SRC), "cached"
+            ).kernel
+            for _ in range(2)
         )
-        assert ca is not cb
+        assert blockc.compiled_for(a, device) is blockc.compiled_for(b, device)
+        assert device.blockc_blocks_compiled == 1
+        other = assemble(self._SRC).get("cached")
+        assert blockc.compiled_for(other) is not blockc.compiled_for(a)
 
     def test_cached_on_kernel_instance(self):
         kernel = assemble(self._SRC).get("cached")
         assert blockc.compiled_for(kernel) is blockc.compiled_for(kernel)
-
-    def test_invalidate_forces_rebuild(self):
-        kernel = assemble(self._SRC).get("cached")
-        compiled = blockc.compiled_for(kernel)
-        blockc.invalidate(kernel)
-        rebuilt = blockc.compiled_for(kernel)
-        assert rebuilt is not compiled
-        assert rebuilt.fingerprint == compiled.fingerprint
 
     def test_want_blocks_upgrades_table_only_entry(self):
         kernel = assemble(self._SRC).get("cached")
@@ -513,32 +509,7 @@ class TestCompilationCache:
         kernel.instructions[1] = donor.instructions[1]
         rebuilt = blockc.compiled_for(kernel)
         assert rebuilt is not compiled
-        assert rebuilt.fingerprint != compiled.fingerprint
-
-    def test_fingerprint_covers_branch_targets(self):
-        """Identical instruction text, different label placement: the
-        fingerprints must differ (a jump lands on a different pc)."""
-        before = """
-.kernel k
-    MOV R1, RZ ;
-    BRA SKIP ;
-    IADD R1, R1, 1 ;
-SKIP:
-    IADD R1, R1, 2 ;
-    EXIT ;
-"""
-        after = """
-.kernel k
-    MOV R1, RZ ;
-    BRA SKIP ;
-    IADD R1, R1, 1 ;
-    IADD R1, R1, 2 ;
-SKIP:
-    EXIT ;
-"""
-        fp_a = blockc.content_fingerprint(assemble(before).get("k").instructions)
-        fp_b = blockc.content_fingerprint(assemble(after).get("k").instructions)
-        assert fp_a != fp_b
+        assert rebuilt.instructions[1] is donor.instructions[1]
 
 
 class TestCampaignParity:
@@ -761,30 +732,28 @@ NEXT:
         assert spans == [(0, 3), (3, 4), (5, 7)]
 
     def test_unsplit_blocks_shared(self):
-        """A span no hooked pc splits is bound once per kernel instance and
-        compiled once per process."""
+        """A span no hooked pc splits is bound once per kernel instance."""
         kernel = assemble(self._SRC).get("two")
-        plain = blockc.compiled_for(kernel).blocks
-        compiled = blockc.compiled_for(kernel, breaks=frozenset({4}))
+        device = _device(True)
+        plain = blockc.compiled_for(kernel, device).blocks
+        compiled = blockc.compiled_for(kernel, device, breaks=frozenset({4}))
         hooked = compiled.layouts[frozenset({4})]
         assert hooked[0] is plain[0]
         assert hooked[3] is not plain[3]
-        code = blockc._CODE_CACHE[compiled.fingerprint]
-        cached = dict(code)
-        other = assemble(self._SRC).get("two")
-        device = _device(True)
-        blockc.compiled_for(other, device, breaks=frozenset({4}))
-        assert dict(code) == cached  # nothing recompiled
-        assert device.blockc_blocks_compiled == 3  # but bound afresh
+        # (0, 3) and (3, 7) unhooked, then only (3, 4) and (5, 7) hooked.
+        assert device.blockc_blocks_compiled == 4
 
-    def test_invalidate_instrumented_drops_hooked_layouts(self):
+    def test_invalidate_instrumented_keeps_compiled_tables(self):
+        """Re-arming a function re-charges its JIT but keeps its blocks:
+        its instructions are the same objects, so no code is stale."""
         kernel = assemble(self._SRC).get("two")
         compiled = blockc.compiled_for(kernel, breaks=frozenset({4}))
         runtime = NVBitRuntime()
-        runtime.invalidate_instrumented(CudaFunction(kernel, module=None))
-        rebuilt = blockc.compiled_for(kernel, want_blocks=False)
-        assert rebuilt is not compiled
-        assert rebuilt.layouts == {}
+        func = CudaFunction(kernel, module=None)
+        runtime.invalidate_instrumented(func)
+        assert runtime._record(func).dirty
+        assert blockc.compiled_for(kernel, want_blocks=False) is compiled
+        assert frozenset({4}) in compiled.layouts
 
 
 class TestSteppingDeviceSteps:

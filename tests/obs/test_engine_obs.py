@@ -105,7 +105,7 @@ class TestInjectionEvents:
     @pytest.mark.slow
     def test_events_sum_to_tally_parallel(self):
         engine, sink = _traced_engine(
-            executor=ParallelExecutor(max_workers=2, chunksize=2), injections=4
+            executor=ParallelExecutor(max_workers=2), injections=4
         )
         result = engine.run_transient()
         rebuilt = tally_from_trace(sink.events)

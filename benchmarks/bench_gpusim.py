@@ -8,7 +8,9 @@ versus block-compiled, two ways:
 
 * a synthetic ALU-loop microbench (tight straight-line loop body, the
   best case for block compilation and the number the ``blockc``
-  acceptance floor is defined against),
+  acceptance floor is defined against), and a second loop of the other
+  opcodes blocks inline (S2R, ``c[..]`` reads, SHFL, F2F and FP64), with
+  no floor,
 * one uninstrumented golden run of each workload (the realistic mix of
   ALU, memory and control instructions), and
 * instrumented runs of Fig 3's permanent-fault programs: each program
@@ -87,10 +89,34 @@ DONE:
     EXIT ;
 """
 
+# The same loop shape over special-register reads, ``c[..]`` operands, a
+# shuffle, FP32<->FP64 conversions and FP64 math.
+_INLINED_SRC = """
+.kernel hot
+.params 1
+    MOV R1, RZ ;
+    MOV R6, 0x3f800000 ;
+LOOP:
+    ISETP.GE.AND P0, R1, c[0x0][0x0], PT ;
+@P0 BRA DONE ;
+    S2R R2, SR_TID.X ;
+    S2R R3, SR_CTAID.X ;
+    IADD R4, R2, c[0x0][0x0] ;
+    SHFL.DOWN R5, R4, 1 ;
+    F2F.F64.F32 R8, R6 ;
+    DMUL R10, R8, R8 ;
+    DFMA R12, R10, R8, R10 ;
+    F2F.F32.F64 R7, R12 ;
+    IADD R1, R1, 1 ;
+    BRA LOOP ;
+DONE:
+    EXIT ;
+"""
 
-def _micro_run(block_compile: bool, iterations: int):
+
+def _micro_run(source: str, block_compile: bool, iterations: int):
     """One timed launch; returns (warp_instructions, seconds, counters)."""
-    kernel = assemble(_MICRO_SRC).get("hot")
+    kernel = assemble(source).get("hot")
     device = Device(num_sms=1, block_compile=block_compile)
     device.launch(kernel, 1, 32, [10])  # warm: pays codegen outside the clock
     before = device.instructions_executed
@@ -101,14 +127,14 @@ def _micro_run(block_compile: bool, iterations: int):
     return executed, seconds, (device.instructions_executed, device.cycles)
 
 
-def _measure_micro():
+def _measure_micro(source: str):
     iterations = 100 if quick_mode() else 1000
     rounds = 1 if quick_mode() else 3
     best = {False: 0.0, True: 0.0}
     executed = counters = None
     for _ in range(rounds):
         for block_compile in (False, True):
-            n, seconds, totals = _micro_run(block_compile, iterations)
+            n, seconds, totals = _micro_run(source, block_compile, iterations)
             best[block_compile] = max(best[block_compile], n / seconds)
             if counters is None:
                 executed, counters = n, totals
@@ -254,9 +280,10 @@ def _measure_instrumented():
 
 
 def test_interpreter_throughput(benchmark):
-    micro, workloads, instrumented = benchmark.pedantic(
+    micro, inlined, workloads, instrumented = benchmark.pedantic(
         lambda: (
-            _measure_micro(), _measure_workloads(), _measure_instrumented()
+            _measure_micro(_MICRO_SRC), _measure_micro(_INLINED_SRC),
+            _measure_workloads(), _measure_instrumented(),
         ),
         rounds=1, iterations=1,
     )
@@ -266,6 +293,7 @@ def test_interpreter_throughput(benchmark):
         "quick": quick_mode(),
         "cpu_count": os.cpu_count(),
         "microbench": micro,
+        "microbench_inlined": inlined,
         "workloads": workloads,
         "instrumented": instrumented,
         "micro_speedup_floor": _MIN_MICRO_SPEEDUP,
@@ -276,13 +304,17 @@ def test_interpreter_throughput(benchmark):
 
     table_rows = [
         [
-            "microbench (ALU loop)",
-            micro["warp_instructions"],
-            f"{micro['step_winstr_per_sec'] / 1e3:.1f}k/s",
-            f"{micro['blockc_winstr_per_sec'] / 1e3:.1f}k/s",
-            f"{micro['speedup']:.2f}x",
+            label,
+            row["warp_instructions"],
+            f"{row['step_winstr_per_sec'] / 1e3:.1f}k/s",
+            f"{row['blockc_winstr_per_sec'] / 1e3:.1f}k/s",
+            f"{row['speedup']:.2f}x",
             "-",
         ]
+        for label, row in (
+            ("microbench (ALU loop)", micro),
+            ("microbench (S2R/c[..]/SHFL/FP64)", inlined),
+        )
     ] + [
         [
             row["workload"],

@@ -52,6 +52,7 @@ from repro.core.injector import TransientInjectorTool
 from repro.core.resilience import RetryPolicy, TaskFailure
 from repro.cuda.driver import CudaEvent
 from repro.errors import ReproError
+from repro.gpusim import blockc
 from repro.gpusim.context import InstrSite
 from repro.gpusim.multifault import (
     CheckpointPlan,
@@ -149,6 +150,8 @@ class MultiFaultInjectorTool(TransientInjectorTool):
                     # the same (cycle-charged) recompile here.
                     self.nvbit.invalidate_instrumented(func)
                 self._recompile_pending = False
+                if self._device is None:
+                    _bind_plain_layouts(driver)
                 self._instrument(func)
                 self.nvbit.enable_instrumented(func, True)
                 self._armed = True
@@ -221,6 +224,23 @@ class MultiFaultInjectorTool(TransientInjectorTool):
             # (A non-final group's launch must finish cleanly instead —
             # its memory is the next target's golden prefix.)
             raise _ForkParentDone()
+
+
+def _bind_plain_layouts(driver) -> None:
+    """Bind the uninstrumented block layout of every kernel the program
+    has loaded, in the counting pass before its first fork.
+
+    Replayed launches never simulate, so a counting pass over a cached
+    tape binds none of the layouts its fork children's post-target
+    launches run; bound here, every child inherits them instead of
+    binding its own copy and losing it at exit.
+    """
+    device = driver.device
+    if not device.block_compile:
+        return
+    for module in driver.modules:
+        for func in module.functions.values():
+            blockc.compiled_for(func.kernel, device)
 
 
 def _group_tasks(

@@ -37,10 +37,11 @@ Both tiers come from the same opcode templates
 templated pc to the stepping handler generated from its template (compiled
 once per distinct template per process), and a block inlines the same
 template's expression as statements — register reads as views of the
-hoisted register file, immediates as shared read-only arrays, the one
-masked store last.  A shape the inliner does not take (a ``c[..]``
-operand, an FP64 read, a malformed instruction) calls the stepping
-handler, as does every other opcode with a hand-written handler.
+hoisted register file, ``c[..]`` reads as the launch's shared broadcast,
+immediates as shared read-only arrays, the one masked store last.  A
+shape the inliner does not take (an FP64 read of ``c[..]``, a malformed
+instruction) calls the stepping handler, as does every opcode with a
+hand-written handler.
 
 The scheduler (``SM._run_slice_fast``) only executes a block whole when it
 fits the warp's remaining quantum **and** the watchdog budget has headroom
@@ -84,6 +85,8 @@ from repro.gpusim.exec_units import (
     HANDLERS,
     LANE_OPS,
     READERS,
+    SHFL_MODES,
+    SREG_EXPRS,
     WRITERS,
     LaneOp,
     _imm_array,
@@ -92,7 +95,7 @@ from repro.gpusim.exec_units import (
 )
 from repro.gpusim.warp import NO_LANES
 from repro.sass.isa import WARP_SIZE
-from repro.sass.operands import Imm, MemRef, Pred, Reg
+from repro.sass.operands import ConstMem, Imm, MemRef, Pred, Reg
 from repro.sass.program import register_count
 
 # Must equal the SM scheduling quantum (repro.gpusim.sm imports it from
@@ -109,9 +112,15 @@ _BRANCHING = frozenset({"BRA", "SSY", "PBK"})
 # ends with one.  SSY and PBK only push a stack entry, so blocks hold them.
 _ENDS_BLOCK = CONTROL_OPCODES - {"SSY", "PBK"}
 
-# The execution mask of an @!PT instruction: no lane.
+# The execution mask of an @!PT instruction: no lane; and the value of a
+# ``!PT`` / ``PT`` predicate source.
 _NO_LANE_MASK = np.zeros(WARP_SIZE, dtype=bool)
 _NO_LANE_MASK.flags.writeable = False
+_ALL_LANE_MASK = np.ones(WARP_SIZE, dtype=bool)
+_ALL_LANE_MASK.flags.writeable = False
+
+# The raw bits of an FP32 -0.0: ``-RZ`` read as FP64 (widened).
+_F32_NEG_ZERO = 0x80000000
 
 
 def _CONTROL(*_args) -> None:  # pragma: no cover - dispatch sentinel, never called
@@ -208,7 +217,8 @@ def _stepping_handler(op: LaneOp):
             for i, kind in enumerate(op.reads) if kind is not None
         )
         lines.append(
-            f"    _write_{op.writer}(warp, instr, {op.expr.format(*args)}, mask)"
+            f"    _write_{op.writer}(warp, instr, "
+            f"{op.expr.format(*args, mask='mask')}, mask)"
         )
         namespace = dict(_STEP_GLOBALS)
         exec(compile("\n".join(lines), "<gpusim-step>", "exec"), namespace)
@@ -279,23 +289,35 @@ def _is_unguarded(guard) -> bool:
 # Inlining a template into block code
 # ---------------------------------------------------------------------------
 
-# A register read as an expression over the hoisted ``_r = warp.regs``:
-# views where the reader's copy is value-equivalent (no template
-# expression mutates a read, and the one store comes last, so
-# ``IADD R1, R1, 1`` stays exact).  The kinds in ``_SIGNED`` apply -/|..|
-# as their readers do; RZ reads zero unmodified.
-_REG_READS = {
-    "u32": "_r[{}]",
-    "i64": "_r[{}].view(_I32).astype(_I64)",
-    "zx64": "_r[{}].astype(_I64)",
-    "f32": "_r[{}].view(_F32)",
+# A source row read as an expression: the row is a register of the
+# hoisted ``_r = warp.regs`` or a constant-bank broadcast of the hoisted
+# ``_k = warp.ctx.const.broadcast``, read as views where the reader's copy
+# is value-equivalent (no template expression mutates a read, and the one
+# store comes last, so ``IADD R1, R1, 1`` stays exact).  The kinds in
+# ``_SIGNED`` apply -/|..| to a register as their readers do; RZ reads zero
+# unmodified, except as FP64, where ``-RZ`` is -0.0.
+_ROW_READS = {
+    "u32": "{}",
+    "i32": "{}.view(_I32)",
+    "i64": "{}.view(_I32).astype(_I64)",
+    "zx64": "{}.astype(_I64)",
+    "f32": "{}.view(_F32)",
+    **{f"lane_{mode}": f"_shfl_source({mode!r}, {{}})" for mode in SHFL_MODES},
 }
-_SIGNED = frozenset({"i64", "f32"})
+_SIGNED = frozenset({"i64", "f32", "f64"})
+
+# A register pair as float64 (``read_f64``): its two rows, transposed into
+# one contiguous copy and viewed whole.
+_F64_PAIR = "_r[{}:{}].T.copy().view(_F64)[:, 0]"
 
 _STORES = {
     "u32": "_np.copyto(_r[{dest}], {value}, where={mask})",
     "int": "_np.copyto(_r[{dest}], ({value}).astype(_U32), where={mask})",
     "f32": "_np.copyto(_r[{dest}], ({value}).view(_U32), where={mask})",
+    "f64": (
+        "_np.copyto(_r[{dest}:{dest} + 2], "
+        f"({{value}}).view(_U32).reshape({WARP_SIZE}, 2).T, where={{mask}})"
+    ),
     "pred": "_np.copyto(_p[{dest}], {value}, where={mask}, casting='unsafe')",
 }
 
@@ -305,6 +327,7 @@ _HOISTED = (
     ("_p", "warp.preds"),
     ("_r", "warp.regs"),
     ("_g", "warp.ctx.global_mem"),
+    ("_k", "warp.ctx.const.broadcast"),
 )
 
 # The expression names, bound as keyword defaults of a block that inlines
@@ -332,18 +355,28 @@ class _ConstPool:
 def _read_expr(op, kind: str, const) -> str | None:
     """One source read as an expression, or ``None`` if not inlinable."""
     if kind == "pred":
-        if not isinstance(op, Pred) or op.is_pt:
+        if not isinstance(op, Pred):
             return None
+        if op.is_pt:
+            return const(_NO_LANE_MASK if op.negate else _ALL_LANE_MASK)
         return f"(~_p[{op.index}])" if op.negate else f"_p[{op.index}]"
-    if kind not in _REG_READS:
-        return None
+    if kind == "sreg":
+        return SREG_EXPRS[op.name]  # the template checked it is one
     if isinstance(op, Imm):
         return const(_imm_array(kind, op.bits))
+    if isinstance(op, ConstMem):
+        if kind == "f64":
+            return None  # traps in the reader
+        return _ROW_READS[kind].format(f"_k({op.offset})")
     if not isinstance(op, Reg):
         return None
     if op.is_rz:
-        return const(_imm_array(kind, 0))
-    expr = _REG_READS[kind].format(op.index)
+        negative = kind == "f64" and op.negate
+        return const(_imm_array(kind, _F32_NEG_ZERO if negative else 0))
+    if kind == "f64":
+        expr = _F64_PAIR.format(op.index, op.index + 2)
+    else:
+        expr = _ROW_READS[kind].format(f"_r[{op.index}]")
     if kind in _SIGNED:
         if op.absolute:
             expr = f"_np.abs({expr})"
@@ -377,14 +410,19 @@ def _inline(instr, mask: str, const) -> list[str] | None:
     else:
         dropped = not isinstance(dest, Reg) or dest.is_rz
     if dropped:
-        return ["pass"]  # the writer stores nothing
+        # The writer stores nothing, but a c[..] read still validates.
+        return [
+            f"_k({src.offset})"
+            for src, kind in zip(instr.sources, op.reads)
+            if kind is not None and isinstance(src, ConstMem)
+        ] or ["pass"]
     lines = []
     for i, expr in enumerate(args):
         if expr is not None and op.expr.count(f"{{{i}}}") > 1:
             lines.append(f"_x{i} = {expr}")
             args[i] = f"_x{i}"
     lines.append(_STORES[op.writer].format(
-        dest=dest.index, value=op.expr.format(*args), mask=mask,
+        dest=dest.index, value=op.expr.format(*args, mask=mask), mask=mask,
     ))
     return lines
 

@@ -8,9 +8,12 @@ every executed instruction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
+
+from repro.sass.isa import WARP_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.gpusim.warp import Warp
@@ -18,9 +21,28 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sass.instruction import Instruction
 
 
+# CTA-wide special register -> its value in a context.
+_CTA_VALUES = {
+    **{f"SR_CTAID.{axis}": (lambda ctx, i=i: ctx.ctaid[i]) for i, axis in enumerate("XYZ")},
+    **{f"SR_NTID.{axis}": (lambda ctx, i=i: ctx.ntid[i]) for i, axis in enumerate("XYZ")},
+    **{f"SR_NCTAID.{axis}": (lambda ctx, i=i: ctx.nctaid[i]) for i, axis in enumerate("XYZ")},
+    "SR_SMID": lambda ctx: ctx.sm_id,
+    "SR_GRIDID": lambda ctx: ctx.grid_id,
+    "SRZ": lambda ctx: 0,
+}
+
+
+@lru_cache(maxsize=1024)
+def _broadcast(value: int) -> np.ndarray:
+    """``value`` in every lane, shared read-only by every reader."""
+    lanes = np.full(WARP_SIZE, value, dtype=np.uint32)
+    lanes.flags.writeable = False
+    return lanes
+
+
 @dataclass
 class ExecContext:
-    """Everything a warp needs that is not warp-local state."""
+    """Everything a warp needs that is not warp-local state: one per CTA."""
 
     global_mem: "GlobalMemory"
     shared: "SharedMemory"
@@ -31,6 +53,12 @@ class ExecContext:
     sm_id: int
     grid_id: int
     clock: Callable[[], int]
+
+    def sreg(self, key: str | int) -> np.ndarray:
+        """The lanes of a CTA-wide special register (by name) or of one
+        warp's ``SR_WARPID`` (by its id): read-only broadcasts, each
+        value's built once per process (the most recent 1,024 kept)."""
+        return _broadcast(key if isinstance(key, int) else _CTA_VALUES[key](self))
 
 
 class InstrSite:

@@ -2,15 +2,18 @@
 
 Every handler operates on whole warps: operands are read as length-32 numpy
 arrays, computed under ``mask`` (the lanes that actually execute), and
-written back masked.  Integer arithmetic is performed in int64/uint64 and
-wrapped to 32 bits, matching hardware wrap-around without numpy overflow
-noise; FP32/FP64 use IEEE float32/float64 views of the register file.
+written back masked.  Integer arithmetic wraps to 32 bits: in uint32 when
+the result's low 32 bits do not depend on the width (an add, multiply or
+shift of unmodified sources), else in int64/uint64, whose exact result
+keeps the same low 32 bits; FP32/FP64 use IEEE float32/float64 views of
+the register file.
 
-The hot ALU opcodes are not hand-written handlers but templates
-(:data:`LANE_OPS`): one function per opcode turns an instruction into its
-source reads, one numpy expression and its writer (:class:`LaneOp`),
-resolving modifiers, compare/combine ops, constant ``PT`` selectors and
-immediate shift counts there and only there.  :mod:`repro.gpusim.blockc`
+The ALU, conversion, FP64, special-register, predicate and shuffle
+opcodes are not hand-written handlers but templates (:data:`LANE_OPS`):
+one function per opcode turns an instruction into its source reads, one
+numpy expression and its writer (:class:`LaneOp`), resolving modifiers,
+compare/combine ops, constant ``PT`` selectors, immediate shift counts and
+the integer width there and only there.  :mod:`repro.gpusim.blockc`
 generates both execution tiers from a template: the stepping handler
 (compiled once per distinct template) and the statements it inlines into
 block-compiled code.  Every other opcode has a handler in :data:`HANDLERS`.
@@ -46,7 +49,34 @@ from repro.sass.operands import ConstMem, Imm, MemRef, Pred, Reg, SpecialReg
 from repro.gpusim.warp import Warp
 
 _U32 = np.uint32
-_LANES = np.arange(WARP_SIZE)
+_LANES = np.arange(WARP_SIZE, dtype=np.int64)
+
+# Each lane's id, as SR_LANEID reads it (shared, so read-only).
+LANE_IDS = np.arange(WARP_SIZE, dtype=_U32)
+LANE_IDS.flags.writeable = False
+
+# SHFL's lane-argument modes, in the order its template checks them.
+SHFL_MODES = ("idx", "up", "down", "bfly")
+
+
+def shfl_source(mode: str, raw: np.ndarray) -> np.ndarray:
+    """SHFL's source lane per lane from its lane argument's raw bits.
+
+    ``.IDX`` reads lane ``arg & 31``; ``.UP``, ``.DOWN`` and ``.BFLY`` read
+    ``lane - arg``, ``lane + arg`` and ``lane ^ arg``, and a lane whose
+    source falls outside the warp reads its own value, so it points at
+    itself here.
+    """
+    arg = raw.astype(np.int64)
+    if mode == "idx":
+        return arg & (WARP_SIZE - 1)
+    if mode == "up":
+        source = _LANES - arg
+    elif mode == "down":
+        source = _LANES + arg
+    else:
+        source = _LANES ^ arg
+    return np.where((source >= 0) & (source < WARP_SIZE), source, _LANES)
 
 
 # ---------------------------------------------------------------------------
@@ -65,21 +95,27 @@ _LANES = np.arange(WARP_SIZE)
 _IMM_CACHE: dict[tuple[str, int], np.ndarray] = {}
 
 
+# Read kind -> its lanes from an immediate's raw broadcast, as the kind's
+# reader below reads an immediate.
+_IMM_FORMS = {
+    "u32": lambda raw: raw,
+    "i32": lambda raw: raw.view(np.int32),
+    "i64": lambda raw: raw.view(np.int32).astype(np.int64),  # sign-extended
+    "zx64": lambda raw: raw.astype(np.int64),  # zero-extended (.U32 compares)
+    "f32": lambda raw: raw.view(np.float32),
+    "f64": lambda raw: raw.view(np.float32).astype(np.float64),  # FP32, widened
+    **{
+        f"lane_{mode}": (lambda raw, mode=mode: shfl_source(mode, raw))
+        for mode in SHFL_MODES
+    },
+}
+
+
 def _imm_array(kind: str, bits: int) -> np.ndarray:
     key = (kind, bits)
     cached = _IMM_CACHE.get(key)
     if cached is None:
-        raw = np.full(WARP_SIZE, bits, dtype=_U32)
-        if kind == "u32":
-            cached = raw
-        elif kind == "i64":
-            # Same sign-extension the generic int path performs.
-            cached = raw.astype(np.int32).astype(np.int64)
-        elif kind == "zx64":
-            # Zero-extended int64 (the raw.astype(int64) of a U32 compare).
-            cached = raw.astype(np.int64)
-        else:  # "f32"
-            cached = raw.view(np.float32).copy()
+        cached = _IMM_FORMS[kind](np.full(WARP_SIZE, bits, dtype=_U32))
         cached.flags.writeable = False
         _IMM_CACHE[key] = cached
     return cached
@@ -99,8 +135,14 @@ def read_raw(warp: Warp, op) -> np.ndarray:
     if isinstance(op, Imm):
         return _imm_array("u32", op.bits)
     if isinstance(op, ConstMem):
-        return np.full(WARP_SIZE, warp.ctx.const.read32(op.offset), dtype=_U32)
+        return warp.ctx.const.broadcast(op.offset)
     raise DeviceTrap(f"operand {op!r} cannot be read as a value")
+
+
+def read_i32(warp: Warp, op) -> np.ndarray:
+    """Read an operand's raw bits as int32 (no -/|..| modifiers applied:
+    the templates read only unmodified sources this way)."""
+    return read_raw(warp, op).view(np.int32)
 
 
 def read_int(warp: Warp, op) -> np.ndarray:
@@ -143,14 +185,15 @@ def read_f32(warp: Warp, op) -> np.ndarray:
 
 
 def read_f64(warp: Warp, op) -> np.ndarray:
-    """Read a register-pair operand as float64."""
+    """Read a register-pair operand as float64, FP -/|..| applied (also
+    to RZ: ``-RZ`` reads -0.0)."""
     if isinstance(op, Reg):
         if op.is_rz:
             value = np.zeros(WARP_SIZE, dtype=np.float64)
         else:
-            lo = warp.regs[op.index].astype(np.uint64)
-            hi = warp.regs[op.index + 1].astype(np.uint64)
-            value = ((hi << np.uint64(32)) | lo).view(np.float64).copy()
+            # The pair's rows (low word first), transposed into one
+            # contiguous copy and viewed as float64.
+            value = warp.regs[op.index:op.index + 2].T.copy().view(np.float64)[:, 0]
         if op.absolute:
             value = np.abs(value)
         if op.negate:
@@ -158,13 +201,20 @@ def read_f64(warp: Warp, op) -> np.ndarray:
         return value
     if isinstance(op, Imm):
         # Immediates for FP64 ops are interpreted as FP32 and widened.
-        return np.full(WARP_SIZE, np.float32(np.uint32(op.bits).view(np.float32)), dtype=np.float64)
+        return _imm_array("f64", op.bits)
     raise DeviceTrap(f"operand {op!r} cannot be read as FP64")
 
 
 def read_zx64(warp: Warp, op) -> np.ndarray:
     """Read an operand's raw bits zero-extended to int64 (``.U32`` compares)."""
     return read_raw(warp, op).astype(np.int64)
+
+
+def read_sreg(warp: Warp, op) -> np.ndarray:
+    """Read a special register's lanes (read-only: see :data:`SREG_EXPRS`)."""
+    if not isinstance(op, SpecialReg):
+        raise DeviceTrap("S2R requires a special-register source")
+    return _SREG_READS[op.name](warp)
 
 
 def read_pred_src(warp: Warp, op) -> np.ndarray:
@@ -203,17 +253,14 @@ def write_f32(warp: Warp, instr: Instruction, values: np.ndarray, mask: np.ndarr
 
 
 def write_f64(warp: Warp, instr: Instruction, values: np.ndarray, mask: np.ndarray) -> None:
+    """Write a float64 array into the destination pair, low word first:
+    one masked copy of its words, viewed as ``(2, WARP_SIZE)``."""
     dest = instr.dest
     if not isinstance(dest, Reg) or dest.is_rz:
         return
-    bits = values.astype(np.float64).view(np.uint64)
     np.copyto(
-        warp.regs[dest.index],
-        (bits & np.uint64(0xFFFFFFFF)).astype(_U32),
-        where=mask,
-    )
-    np.copyto(
-        warp.regs[dest.index + 1], (bits >> np.uint64(32)).astype(_U32),
+        warp.regs[dest.index:dest.index + 2],
+        values.view(_U32).reshape(WARP_SIZE, 2).T,
         where=mask,
     )
 
@@ -228,25 +275,79 @@ def write_pred(warp: Warp, instr: Instruction, values: np.ndarray, mask: np.ndar
 # Reads and writers by name, as the templates below use them.
 READERS = {
     "u32": read_raw,        # raw bits, -/|..| ignored
+    "i32": read_i32,        # raw bits as int32, -/|..| ignored
     "i64": read_int,        # sign-extended, integer -/|..| applied
     "zx64": read_zx64,      # raw bits zero-extended, -/|..| ignored
     "f32": read_f32,        # float32, FP -/|..| applied
-    "f64": read_f64,        # register pair as float64
+    "f64": read_f64,        # register pair as float64, FP -/|..| applied
     "pred": read_pred_src,  # predicate, ``!`` applied
+    "sreg": read_sreg,      # special register
+    # SHFL's source lane per lane (see shfl_source), one kind per mode.
+    **{
+        f"lane_{mode}": (
+            lambda warp, op, mode=mode: shfl_source(mode, read_raw(warp, op))
+        )
+        for mode in SHFL_MODES
+    },
 }
 
 WRITERS = {
     "u32": write_u32,    # a uint32 array, stored as is
     "int": write_u32,    # an int64/uint64 array, stored as its low 32 bits
     "f32": write_f32,    # a float32 array, stored as its bits
+    "f64": write_f64,    # a float64 array, stored as a register pair
     "pred": write_pred,  # a bool array
 }
 
-# The names a template expression may use besides its reads.
+# The names a template expression may use besides its reads and
+# ``{mask}``, the instruction's execution mask.
 EXPR_NAMES = {
     "_np": np, "_I32": np.int32, "_I64": np.int64, "_U32": np.uint32,
     "_U64": np.uint64, "_F32": np.float32, "_F64": np.float64,
+    "_LANE_IDS": LANE_IDS, "_shfl_source": shfl_source,
 }
+
+# Special register -> its lanes as an expression over ``warp``, written
+# once for both tiers.  Thread ids are the warp's own rows, uncopied;
+# lane ids are shared; the CTA-wide values (and each warp's id) are the
+# shared broadcasts of :meth:`~repro.gpusim.context.ExecContext.sreg`.
+# Every one is read-only to its reader.  ``SR_CLOCK`` observes the tick
+# counter, so its readers always step.
+SREG_EXPRS = {
+    **{f"SR_TID.{axis}": f"warp.tid_{axis.lower()}" for axis in "XYZ"},
+    "SR_LANEID": "_LANE_IDS",
+    "SR_WARPID": "warp.ctx.sreg(warp.warp_id)",
+    **{
+        name: f"warp.ctx.sreg({name!r})"
+        for name in (
+            *(f"SR_{reg}.{axis}" for reg in ("CTAID", "NTID", "NCTAID") for axis in "XYZ"),
+            "SR_SMID", "SR_GRIDID", "SRZ",
+        )
+    },
+    "SR_CLOCK": f"_np.full({WARP_SIZE}, warp.ctx.clock() & 0xFFFFFFFF, dtype=_U32)",
+}
+
+
+def _sreg_reader(expr: str):
+    namespace = dict(EXPR_NAMES)
+    exec(compile(f"def _s(warp):\n    return {expr}", "<gpusim-sreg>", "exec"), namespace)
+    return namespace["_s"]
+
+
+_SREG_READS = {name: _sreg_reader(expr) for name, expr in SREG_EXPRS.items()}
+
+
+def reads_clock(instr: Instruction) -> bool:
+    """Does this instruction observe the device tick counter (SR_CLOCK)?
+
+    Such instructions see ``instructions_executed`` at their exact dynamic
+    position, so the block compiler must step them individually — a bulk
+    ``tick_n`` charge up front would make the read observably early.
+    """
+    return any(
+        isinstance(op, SpecialReg) and op.name == "SR_CLOCK"
+        for op in instr.sources
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +359,11 @@ class LaneOp(NamedTuple):
 
     ``reads[i]`` is how source ``i`` is read (a :data:`READERS` key, or
     ``None`` when the value is not needed), ``expr`` one numpy expression
-    over the reads, written ``{i}``, and ``writer`` how its value is
-    stored (a :data:`WRITERS` key).  Reads are read-only data (register
-    views or shared immediates in compiled blocks): ``expr`` never
-    mutates one, and the writer copies its value into the destination.
+    over the reads, written ``{i}``, and the execution mask, written
+    ``{mask}``, and ``writer`` how its value is stored (a :data:`WRITERS`
+    key).  Reads are read-only data (register views or shared broadcasts
+    in compiled blocks): ``expr`` never mutates one, and the writer
+    copies its value into the destination.
     """
 
     reads: tuple[str | None, ...]
@@ -289,35 +391,64 @@ def _uniform(kind: str, count: int, expr: str, writer: str):
     return template
 
 
+def _modified(sources) -> bool:
+    """Does any source carry a -/|..| modifier?"""
+    return any(isinstance(op, Reg) and (op.negate or op.absolute) for op in sources)
+
+
+def _wrapping(count: int, expr: str):
+    """IADD / IADD3 / IMAD: uint32 lanes wrap to the low 32 bits of the
+    exact int64 result, so unmodified sources compute at native width;
+    a -/|..| source reads sign-extended into int64."""
+    native = LaneOp(("u32",) * count, expr, "u32")
+    wide = LaneOp(("i64",) * count, expr, "int")
+
+    def template(instr: Instruction) -> LaneOp:
+        return wide if _modified(_sources(instr, count)) else native
+
+    return template
+
+
 def _imul(instr: Instruction) -> LaneOp:
-    _sources(instr, 2)
-    expr = "({0} * {1}) >> 32" if instr.has_modifier("HI") else "{0} * {1}"
-    return LaneOp(("i64", "i64"), expr, "int")
+    sources = _sources(instr, 2)
+    if instr.has_modifier("HI"):
+        return LaneOp(("i64", "i64"), "({0} * {1}) >> 32", "int")
+    if _modified(sources):
+        return LaneOp(("i64", "i64"), "{0} * {1}", "int")
+    return LaneOp(("u32", "u32"), "{0} * {1}", "u32")
 
 
 def _iscadd(instr: Instruction) -> LaneOp:
-    shift = _sources(instr, 3)[2]
+    sources = _sources(instr, 3)
+    shift = sources[2]
     if isinstance(shift, Imm):
-        return LaneOp(
-            ("i64", "i64", None), f"({{0}} << {shift.bits & 31}) + {{1}}", "int"
-        )
+        expr = f"({{0}} << {shift.bits & 31}) + {{1}}"
+        if _modified(sources):
+            return LaneOp(("i64", "i64", None), expr, "int")
+        return LaneOp(("u32", "u32", None), expr, "u32")
     return LaneOp(("i64",) * 3, "({0} << ({2} & 31)) + {1}", "int")
 
 
 def _shift(instr: Instruction) -> LaneOp:
     """SHL / SHR on the count's low byte: 32 or more clears the value,
-    except that ``SHR.S32`` shifts in sign bits (at most 31)."""
+    except that ``SHR.S32`` shifts in sign bits (at most 31).  The value
+    is read as raw bits (-/|..| ignored); an immediate count below 32
+    shifts it at native width."""
     count = _sources(instr, 2)[1]
     sym = "<<" if instr.opcode == "SHL" else ">>"
-    if sym == ">>" and instr.has_modifier("S32"):
+    signed = sym == ">>" and instr.has_modifier("S32")
+    if signed:
         value, cap = "{0}.view(_I32).astype(_I64)", 31
     else:
         value, cap = "{0}.astype(_U64)", 32
     if isinstance(count, Imm):
-        return LaneOp(
-            ("u32", None), f"{value} {sym} {min(count.bits & 0xFF, cap)}", "int"
-        )
-    if cap == 31:
+        bits = min(count.bits & 0xFF, cap)
+        if bits < 32:
+            if signed:
+                return LaneOp(("u32", None), f"({{0}}.view(_I32) >> {bits}).view(_U32)", "u32")
+            return LaneOp(("u32", None), f"{{0}} {sym} {bits}", "u32")
+        return LaneOp(("u32", None), f"{value} {sym} {bits}", "int")
+    if signed:
         return LaneOp(
             ("u32", "zx64"), f"{value} >> _np.minimum({{1}} & 0xFF, 31)", "int"
         )
@@ -340,10 +471,16 @@ def _lop(instr: Instruction) -> LaneOp:
     raise DeviceTrap("LOP requires .AND/.OR/.XOR/.NOT")
 
 
-def _fmnmx(instr: Instruction) -> LaneOp:
-    _sources(instr, 2)
-    fn = "fmax" if instr.has_modifier("MAX") else "fmin"
-    return LaneOp(("f32", "f32"), f"_np.{fn}({{0}}, {{1}})", "f32")
+def _minmax(kind: str):
+    """FMNMX / DMNMX: ``.MAX`` takes the larger source, else the smaller
+    (a NaN source yields the other)."""
+
+    def template(instr: Instruction) -> LaneOp:
+        _sources(instr, 2)
+        fn = "fmax" if instr.has_modifier("MAX") else "fmin"
+        return LaneOp((kind, kind), f"_np.{fn}({{0}}, {{1}})", kind)
+
+    return template
 
 
 _CMP_OPS = {
@@ -356,26 +493,37 @@ _CMP_OPS = {
 }
 
 
+def _combine(instr: Instruction) -> str:
+    """The .AND (default) / .OR / .XOR combination of a predicate op."""
+    if instr.has_modifier("OR"):
+        return "|"
+    return "^" if instr.has_modifier("XOR") else "&"
+
+
 def _setp(kind: str):
     """ISETP / FSETP / DSETP: the first compare modifier, then the
     .AND (default) / .OR / .XOR combination with an optional predicate
-    source.  A constant ``PT``/``!PT`` source is folded here."""
+    source.  A constant ``PT``/``!PT`` source is folded here.  ISETP
+    compares raw bits as uint32 with ``.U32``, unmodified sources as
+    int32 and -/|..| sources sign-extended into int64."""
 
     def template(instr: Instruction) -> LaneOp:
-        _sources(instr, 2)
+        sources = _sources(instr, 2)
         cmp = next((_CMP_OPS[mod] for mod in instr.modifiers if mod in _CMP_OPS), None)
         if cmp is None:
             raise DeviceTrap(
                 f"{instr.opcode} at pc {instr.pc} lacks a comparison modifier"
             )
-        read = "zx64" if kind == "i64" and instr.has_modifier("U32") else kind
+        read = kind
+        if kind == "int":
+            read = (
+                "u32" if instr.has_modifier("U32")
+                else "i64" if _modified(sources) else "i32"
+            )
         expr = f"_np.{cmp}({{0}}, {{1}})"
         if len(instr.sources) < 3:
             return LaneOp((read, read), expr, "pred")
-        combine = (
-            "|" if instr.has_modifier("OR")
-            else "^" if instr.has_modifier("XOR") else "&"
-        )
+        combine = _combine(instr)
         psrc = instr.sources[2]
         if isinstance(psrc, Pred) and psrc.is_pt:
             true = not psrc.negate
@@ -389,6 +537,11 @@ def _setp(kind: str):
         return LaneOp((read, read, "pred"), f"{expr} {combine} {{2}}", "pred")
 
     return template
+
+
+def _psetp(instr: Instruction) -> LaneOp:
+    _sources(instr, 2)
+    return LaneOp(("pred", "pred"), f"{{0}} {_combine(instr)} {{1}}", "pred")
 
 
 def _sel(kind: str):
@@ -406,16 +559,56 @@ def _sel(kind: str):
     return template
 
 
+def _s2r(instr: Instruction) -> LaneOp:
+    """S2R / CS2R: the special register's lanes, stored as is."""
+    src = _sources(instr, 1)[0]
+    if not isinstance(src, SpecialReg):
+        raise DeviceTrap("S2R requires a special-register source")
+    if src.name not in SREG_EXPRS:
+        raise DeviceTrap(f"unsupported special register {src.name}")
+    return LaneOp(("sreg",), "{0}", "u32")
+
+
+def _f2f(instr: Instruction) -> LaneOp:
+    """F2F: ``.F64.F32`` widens an FP32 source into a pair, ``.F32.F64``
+    narrows a pair; otherwise FP32 to FP32, rounded by ``.TRUNC`` /
+    ``.FLOOR`` / ``.CEIL``."""
+    _sources(instr, 1)
+    mods = instr.modifiers
+    if "F64" in mods and "F32" in mods:
+        if mods.index("F64") < mods.index("F32"):
+            return LaneOp(("f32",), "{0}.astype(_F64)", "f64")
+        return LaneOp(("f64",), "{0}.astype(_F32)", "f32")
+    rounding = next(
+        (fn for mod, fn in (("TRUNC", "trunc"), ("FLOOR", "floor"), ("CEIL", "ceil"))
+         if mod in mods),
+        None,
+    )
+    return LaneOp(("f32",), "{0}" if rounding is None else f"_np.{rounding}({{0}})", "f32")
+
+
+def _shfl(instr: Instruction) -> LaneOp:
+    """SHFL: each lane takes its source lane's value; a lane whose source
+    is out of range or not executing keeps its own."""
+    _sources(instr, 2)
+    mode = next((mode for mode in SHFL_MODES if instr.has_modifier(mode.upper())), None)
+    if mode is None:
+        raise DeviceTrap("SHFL requires .IDX/.UP/.DOWN/.BFLY")
+    return LaneOp(
+        ("u32", f"lane_{mode}"), "_np.where({mask}[{1}], {0}[{1}], {0})", "u32"
+    )
+
+
 # opcode -> template(instr) -> LaneOp; a template raises DeviceTrap for a
 # malformed shape, which the instruction's handler raises when executed.
 LANE_OPS = {
     "MOV": _uniform("u32", 1, "{0}", "u32"),
-    "IADD": _uniform("i64", 2, "{0} + {1}", "int"),
-    "IADD3": _uniform("i64", 3, "{0} + {1} + {2}", "int"),
+    "IADD": _wrapping(2, "{0} + {1}"),
+    "IADD3": _wrapping(3, "{0} + {1} + {2}"),
     "IMUL": _imul,
-    "IMAD": _uniform("i64", 3, "{0} * {1} + {2}", "int"),
+    "IMAD": _wrapping(3, "{0} * {1} + {2}"),
     "ISCADD": _iscadd,
-    "ISETP": _setp("i64"),
+    "ISETP": _setp("int"),
     "SHL": _shift,
     "SHR": _shift,
     "LOP": _lop,
@@ -427,72 +620,21 @@ LANE_OPS = {
         "({0}.astype(_F64) * {1}.astype(_F64) + {2}.astype(_F64)).astype(_F32)",
         "f32",
     ),
-    "FMNMX": _fmnmx,
+    "FMNMX": _minmax("f32"),
     "FSEL": _sel("f32"),
     "FSETP": _setp("f32"),
+    "DADD": _uniform("f64", 2, "{0} + {1}", "f64"),
+    "DMUL": _uniform("f64", 2, "{0} * {1}", "f64"),
+    "DFMA": _uniform("f64", 3, "{0} * {1} + {2}", "f64"),
+    "DMNMX": _minmax("f64"),
     "DSETP": _setp("f64"),
+    "F2F": _f2f,
+    "PSETP": _psetp,
+    "S2R": _s2r,
+    "SHFL": _shfl,
 }
+LANE_OPS["CS2R"] = LANE_OPS["S2R"]
 LANE_OPS["MOV32I"] = LANE_OPS["MOV"]
-
-
-# ---------------------------------------------------------------------------
-# Handlers: data movement and system
-# ---------------------------------------------------------------------------
-
-def _full(value: int) -> np.ndarray:
-    return np.full(WARP_SIZE, value, dtype=_U32)
-
-
-# One reader per special register, so an S2R builds only the register it
-# reads.  The result is read-only to the caller (``write_u32`` copies it
-# into the destination), which lets the thread-id rows go out uncopied.
-_SREG_READERS = {
-    "SR_LANEID": lambda warp: _LANES.astype(_U32),
-    "SR_WARPID": lambda warp: _full(warp.warp_id),
-    "SRZ": lambda warp: np.zeros(WARP_SIZE, dtype=_U32),
-    "SR_TID.X": lambda warp: warp.tid_x,
-    "SR_TID.Y": lambda warp: warp.tid_y,
-    "SR_TID.Z": lambda warp: warp.tid_z,
-    "SR_CTAID.X": lambda warp: _full(warp.ctx.ctaid[0]),
-    "SR_CTAID.Y": lambda warp: _full(warp.ctx.ctaid[1]),
-    "SR_CTAID.Z": lambda warp: _full(warp.ctx.ctaid[2]),
-    "SR_NTID.X": lambda warp: _full(warp.ctx.ntid[0]),
-    "SR_NTID.Y": lambda warp: _full(warp.ctx.ntid[1]),
-    "SR_NTID.Z": lambda warp: _full(warp.ctx.ntid[2]),
-    "SR_NCTAID.X": lambda warp: _full(warp.ctx.nctaid[0]),
-    "SR_NCTAID.Y": lambda warp: _full(warp.ctx.nctaid[1]),
-    "SR_NCTAID.Z": lambda warp: _full(warp.ctx.nctaid[2]),
-    "SR_SMID": lambda warp: _full(warp.ctx.sm_id),
-    "SR_GRIDID": lambda warp: _full(warp.ctx.grid_id),
-    "SR_CLOCK": lambda warp: _full(warp.ctx.clock() & 0xFFFFFFFF),
-}
-
-
-def _read_special(warp: Warp, name: str) -> np.ndarray:
-    reader = _SREG_READERS.get(name)
-    if reader is None:
-        raise DeviceTrap(f"unsupported special register {name}")
-    return reader(warp)
-
-
-def _h_s2r(warp, instr, mask):
-    src = instr.sources[0]
-    if not isinstance(src, SpecialReg):
-        raise DeviceTrap("S2R requires a special-register source")
-    write_u32(warp, instr, _read_special(warp, src.name), mask)
-
-
-def reads_clock(instr: Instruction) -> bool:
-    """Does this instruction observe the device tick counter (SR_CLOCK)?
-
-    Such instructions see ``instructions_executed`` at their exact dynamic
-    position, so the block compiler must step them individually — a bulk
-    ``tick_n`` charge up front would make the read observably early.
-    """
-    return any(
-        isinstance(op, SpecialReg) and op.name == "SR_CLOCK"
-        for op in instr.sources
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -639,62 +781,9 @@ def _h_i2f(warp, instr, mask):
     write_f32(warp, instr, a.astype(np.float32), mask)
 
 
-def _h_f2f(warp, instr, mask):
-    mods = instr.modifiers
-    if "F64" in mods and "F32" in mods and mods.index("F64") < mods.index("F32"):
-        # F2F.F64.F32: widen FP32 source into an FP64 destination pair.
-        write_f64(warp, instr, read_f32(warp, instr.sources[0]).astype(np.float64), mask)
-    elif "F32" in mods and "F64" in mods:
-        # F2F.F32.F64: narrow FP64 pair into FP32.
-        write_f32(warp, instr, read_f64(warp, instr.sources[0]).astype(np.float32), mask)
-    else:
-        result = read_f32(warp, instr.sources[0])
-        if instr.has_modifier("TRUNC"):
-            result = np.trunc(result)
-        elif instr.has_modifier("FLOOR"):
-            result = np.floor(result)
-        elif instr.has_modifier("CEIL"):
-            result = np.ceil(result)
-        write_f32(warp, instr, result, mask)
-
-
-def _h_dadd(warp, instr, mask):
-    write_f64(warp, instr, read_f64(warp, instr.sources[0]) + read_f64(warp, instr.sources[1]), mask)
-
-
-def _h_dmul(warp, instr, mask):
-    write_f64(warp, instr, read_f64(warp, instr.sources[0]) * read_f64(warp, instr.sources[1]), mask)
-
-
-def _h_dfma(warp, instr, mask):
-    a = read_f64(warp, instr.sources[0])
-    b = read_f64(warp, instr.sources[1])
-    c = read_f64(warp, instr.sources[2])
-    write_f64(warp, instr, a * b + c, mask)
-
-
-def _h_dmnmx(warp, instr, mask):
-    a = read_f64(warp, instr.sources[0])
-    b = read_f64(warp, instr.sources[1])
-    result = np.fmax(a, b) if instr.has_modifier("MAX") else np.fmin(a, b)
-    write_f64(warp, instr, result, mask)
-
-
 # ---------------------------------------------------------------------------
 # Handlers: predicate manipulation and warp-wide ops
 # ---------------------------------------------------------------------------
-
-def _h_psetp(warp, instr, mask):
-    a = read_pred_src(warp, instr.sources[0])
-    b = read_pred_src(warp, instr.sources[1])
-    if instr.has_modifier("OR"):
-        result = a | b
-    elif instr.has_modifier("XOR"):
-        result = a ^ b
-    else:
-        result = a & b
-    write_pred(warp, instr, result, mask)
-
 
 def _h_p2r(warp, instr, mask):
     packed = np.zeros(WARP_SIZE, dtype=np.int64)
@@ -720,29 +809,6 @@ def _h_vote(warp, instr, mask):
     else:
         raise DeviceTrap("VOTE requires .ALL or .ANY")
     write_pred(warp, instr, np.full(WARP_SIZE, outcome, dtype=bool), mask)
-
-
-def _h_shfl(warp, instr, mask):
-    value = read_raw(warp, instr.sources[0])
-    lane_arg = read_raw(warp, instr.sources[1]).astype(np.int64)
-    if instr.has_modifier("IDX"):
-        source_lane = lane_arg & 31
-    elif instr.has_modifier("UP"):
-        source_lane = _LANES - lane_arg
-    elif instr.has_modifier("DOWN"):
-        source_lane = _LANES + lane_arg
-    elif instr.has_modifier("BFLY"):
-        source_lane = _LANES ^ lane_arg
-    else:
-        raise DeviceTrap("SHFL requires .IDX/.UP/.DOWN/.BFLY")
-    in_range = (source_lane >= 0) & (source_lane < WARP_SIZE)
-    clipped = np.minimum(np.maximum(source_lane, 0), WARP_SIZE - 1)
-    gathered = value[clipped]
-    # Out-of-range (or inactive-source) lanes keep their own value.
-    source_inactive = ~mask[clipped]
-    keep_own = ~in_range | source_inactive
-    result = np.where(keep_own, value, gathered)
-    write_u32(warp, instr, result.astype(np.int64), mask)
 
 
 # ---------------------------------------------------------------------------
@@ -941,8 +1007,6 @@ GLOBAL_LOADS = frozenset({"LD", "LDG"})
 GLOBAL_STORES = frozenset({"ST", "STG"})
 
 HANDLERS = {
-    "S2R": _h_s2r,
-    "CS2R": _h_s2r,
     "IMNMX": _h_imnmx,
     "IABS": _h_iabs,
     "FLO": _h_flo,
@@ -955,16 +1019,9 @@ HANDLERS = {
     "MUFU": _h_mufu,
     "F2I": _h_f2i,
     "I2F": _h_i2f,
-    "F2F": _h_f2f,
-    "DADD": _h_dadd,
-    "DMUL": _h_dmul,
-    "DFMA": _h_dfma,
-    "DMNMX": _h_dmnmx,
-    "PSETP": _h_psetp,
     "P2R": _h_p2r,
     "R2P": _h_r2p,
     "VOTE": _h_vote,
-    "SHFL": _h_shfl,
     **dict.fromkeys(GLOBAL_LOADS, _h_load_global),
     **dict.fromkeys(GLOBAL_STORES, _h_store_global),
     "LDS": _h_load_shared,

@@ -619,9 +619,13 @@ def _read_replay_log(path: str | os.PathLike) -> ReplayLog:
     if raw[: len(_MAGIC)] != _MAGIC:
         raise ReproError(f"{path} is not a replay log (bad magic)")
     offset = len(_MAGIC)
-    (header_len,) = struct.unpack_from("<I", raw, offset)
-    offset += 4
-    header = json.loads(raw[offset : offset + header_len].decode())
+    try:
+        (header_len,) = struct.unpack_from("<I", raw, offset)
+        offset += 4
+        header = json.loads(raw[offset : offset + header_len].decode())
+    except (struct.error, ValueError) as exc:
+        # A torn write: the file ends inside its header.
+        raise ReproError(f"{path} has a truncated header: {exc}") from None
     offset += header_len
     if header.get("page_size") != PAGE_SIZE:
         raise ReproError(

@@ -10,6 +10,9 @@ slice.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.errors import DeviceTrap
@@ -22,7 +25,7 @@ from repro.gpusim.blockc import (
 )
 from repro.gpusim.context import ExecContext, InstrSite
 from repro.gpusim.warp import NO_LANES, Warp
-from repro.sass.isa import WARP_SIZE
+from repro.sass.isa import NUM_PREDICATES, PT, WARP_SIZE
 from repro.sass.program import Kernel
 
 # Warp-instructions per scheduling slice.  Equal to the maximum compiled
@@ -181,15 +184,21 @@ class SM:
             budget -= 1
 
 
-def _build_warps(kernel: Kernel, ctx: ExecContext, num_regs: int) -> list[Warp]:
-    """Split a block's threads into warps with linearised thread ids.
+class _CtaShape(NamedTuple):
+    """The thread layout of one block shape, shared read-only by every
+    CTA of that shape: per warp, its valid lanes and its thread-id rows."""
 
-    All three thread-id components (and the valid mask) are built once for
-    the whole block — zero-padded to a warp multiple, then reshaped to
-    ``(num_warps, WARP_SIZE)`` — so each warp receives row views instead of
-    one ``np.concatenate`` per warp per component.
-    """
-    bx, by, bz = ctx.ntid
+    num_warps: int
+    valid: np.ndarray  # (num_warps, WARP_SIZE) bool
+    invalid: np.ndarray  # its complement, the lanes that start exited
+    tid: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+@lru_cache(maxsize=64)
+def _cta_shape(ntid: tuple[int, int, int]) -> _CtaShape:
+    """Linearised thread ids and valid masks for a block shape, zero-padded
+    to a warp multiple and reshaped to ``(num_warps, WARP_SIZE)`` rows."""
+    bx, by, bz = ntid
     total = bx * by * bz
     num_warps = -(-total // WARP_SIZE)
     padded = num_warps * WARP_SIZE
@@ -202,14 +211,39 @@ def _build_warps(kernel: Kernel, ctx: ExecContext, num_regs: int) -> list[Warp]:
     valid = np.zeros(padded, dtype=bool)
     valid[:total] = True
     valid = valid.reshape(num_warps, WARP_SIZE)
+    invalid = ~valid
+    for array in (tid, valid, invalid):
+        array.flags.writeable = False
+    return _CtaShape(
+        num_warps, valid, invalid,
+        [(tid[0, w], tid[1, w], tid[2, w]) for w in range(num_warps)],
+    )
+
+
+def _build_warps(kernel: Kernel, ctx: ExecContext, num_regs: int) -> list[Warp]:
+    """Split a block's threads into warps with linearised thread ids.
+
+    The thread-id rows and valid masks come from the block shape's cached
+    layout (:func:`_cta_shape`); the registers, predicates, exited masks
+    and local memory of all the CTA's warps are allocated at once, one
+    array each, and every warp gets its row of them.
+    """
+    shape = _cta_shape(ctx.ntid)
+    count = shape.num_warps
+    regs = np.zeros((count, max(num_regs, 1), WARP_SIZE), dtype=np.uint32)
+    preds = np.zeros((count, NUM_PREDICATES, WARP_SIZE), dtype=bool)
+    preds[:, PT] = True
+    exited = shape.invalid.copy()
+    local_bytes = kernel.local_bytes
+    local = (
+        np.zeros((count, max(local_bytes // 4, 1), WARP_SIZE), dtype=np.uint32)
+        if local_bytes else [None] * count
+    )
     warps = []
-    for warp_id in range(num_warps):
+    for warp_id in range(count):
         warp = Warp(
-            warp_id=warp_id,
-            num_regs=num_regs,
-            valid_mask=valid[warp_id],
-            tid=(tid[0, warp_id], tid[1, warp_id], tid[2, warp_id]),
-            local_bytes=kernel.local_bytes,
+            warp_id, regs[warp_id], preds[warp_id], shape.valid[warp_id],
+            exited[warp_id], shape.tid[warp_id], local[warp_id], local_bytes,
         )
         warp.ctx = ctx
         warps.append(warp)

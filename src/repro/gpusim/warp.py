@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import DeviceTrap
-from repro.sass.isa import NUM_PREDICATES, WARP_SIZE
+from repro.sass.isa import WARP_SIZE
 from repro.sass.operands import Pred
 
 # The bytes of a lane mask with no lane set.
@@ -67,28 +67,32 @@ class Warp:
     def __init__(
         self,
         warp_id: int,
-        num_regs: int,
-        valid_mask: np.ndarray,
+        regs: np.ndarray,
+        preds: np.ndarray,
+        valid: np.ndarray,
+        exited: np.ndarray,
         tid: tuple[np.ndarray, np.ndarray, np.ndarray],
+        local: np.ndarray | None = None,
         local_bytes: int = 0,
     ) -> None:
+        """A warp over arrays its CTA allocated: ``regs`` ``(num_regs,
+        WARP_SIZE)`` zeros, ``preds`` ``(NUM_PREDICATES, WARP_SIZE)`` with
+        only PT set, ``exited`` the complement of ``valid`` and ``local``
+        its local memory (or ``None``), all its own.  ``valid`` and the
+        ``tid`` rows may be shared read-only: ``active`` starts as
+        ``valid`` itself, and is only ever replaced, never written."""
         self.warp_id = warp_id
-        self.regs = np.zeros((max(num_regs, 1), WARP_SIZE), dtype=np.uint32)
-        self.preds = np.zeros((NUM_PREDICATES, WARP_SIZE), dtype=bool)
-        self.preds[7] = True  # PT
+        self.regs = regs
+        self.preds = preds
         self.pc = 0
-        self.valid = valid_mask.copy()
-        self.active = valid_mask.copy()
-        self.exited = ~valid_mask
+        self.valid = valid
+        self.active = valid
+        self.exited = exited
         self.stack: list[StackEntry] = []
         self.tid_x, self.tid_y, self.tid_z = tid
         self.at_barrier = False
-        self.done = not self.active.any()
-        self.local = (
-            np.zeros((max(local_bytes // 4, 1), WARP_SIZE), dtype=np.uint32)
-            if local_bytes
-            else None
-        )
+        self.done = valid.tobytes() == NO_LANES
+        self.local = local
         self.local_bytes = local_bytes
 
     # -- register access (lane-scalar helpers used by the NVBit layer) -------

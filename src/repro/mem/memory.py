@@ -260,11 +260,17 @@ class SharedMemory:
 
 
 class ConstantBank:
-    """Read-only constant bank; bank 0 holds the 32-bit kernel parameters."""
+    """Read-only constant bank; bank 0 holds the 32-bit kernel parameters.
+
+    A launch gets its own bank, so a word's lanes change only when the
+    parameters are installed: :meth:`broadcast` builds each offset's
+    broadcast once per installation and shares it.
+    """
 
     def __init__(self, size: int = 4096) -> None:
         self.size = size
         self.data = np.zeros(size, dtype=np.uint8)
+        self._broadcasts: dict[int, np.ndarray] = {}
 
     def write_params(self, words: list[int]) -> None:
         """Host-side: install kernel parameters at offset 0."""
@@ -272,11 +278,23 @@ class ConstantBank:
             raise MemoryViolation(4 * len(words), 4, "constant", "out-of-bounds")
         arr = np.array(words, dtype=np.uint64).astype(np.uint32)
         self.data.view(np.uint32)[: len(words)] = arr
+        self._broadcasts.clear()
 
     def read32(self, offset: int) -> int:
         if offset % 4 != 0 or offset < 0 or offset + 4 > self.size:
             raise MemoryViolation(offset, 4, "constant", "out-of-bounds")
         return int(self.data.view(np.uint32)[offset // 4])
+
+    def broadcast(self, offset: int) -> np.ndarray:
+        """The word at ``offset`` in every lane, as a ``c[..]`` operand
+        reads it: one shared read-only array per offset.  Its first read
+        goes through :meth:`read32`, which validates the offset."""
+        lanes = self._broadcasts.get(offset)
+        if lanes is None:
+            lanes = np.full(WARP_SIZE, self.read32(offset), dtype=np.uint32)
+            lanes.flags.writeable = False
+            self._broadcasts[offset] = lanes
+        return lanes
 
     def load32(self, offsets: np.ndarray, mask: np.ndarray) -> np.ndarray:
         active = offsets[mask]

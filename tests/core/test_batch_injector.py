@@ -26,6 +26,7 @@ from repro.core.resilience import (
     TaskFailure,
 )
 from repro.core.store import CampaignStore
+from repro.cuda import driver as driver_module
 from repro.obs import MetricsRegistry
 from repro.workloads.omriq import OMriq
 from repro.workloads.registry import WORKLOADS
@@ -284,6 +285,30 @@ class TestForkChildMeasures:
         values = registry.counter_values()
         assert values["engine.batch.checkpoints"] == _N
         assert "engine.blockc.blocks_compiled" not in values
+
+
+    def test_warm_cache_compiles_no_more_blocks_than_cold(
+        self, tmp_path, monkeypatch
+    ):
+        """A warm replay cache replays the golden run, so no simulated
+        launch binds the uninstrumented layouts: the counting pass binds
+        them before its first fork, and every child inherits them instead
+        of binding its own."""
+        cache = str(tmp_path / "cache")
+        compiled, csvs = {}, {}
+        for label in ("cold", "warm"):
+            monkeypatch.setattr(driver_module, "_images", {})  # a fresh process
+            registry = MetricsRegistry()
+            csvs[label] = _campaign_csv(
+                tmp_path, label, executor=BatchExecutor(),
+                config=_config(batch_launch=True, replay_cache=cache),
+                registry=registry,
+            )
+            values = registry.counter_values()
+            assert values["engine.batch.checkpoints"] == _N
+            compiled[label] = values.get("engine.blockc.blocks_compiled", 0)
+        assert csvs["warm"] == csvs["cold"]
+        assert compiled["warm"] <= compiled["cold"]
 
 
 class TestPredicateDestinationFaults:

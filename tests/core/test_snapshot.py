@@ -14,6 +14,7 @@ launches for replayed ones.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import threading
 
 import pytest
@@ -29,6 +30,7 @@ from repro.core.engine import (
 )
 from repro.core.snapshot import ReplayCache, default_cache_root
 from repro.core.store import CampaignStore
+from repro.gpusim.replay import load_replay_log
 from repro.obs import MetricsRegistry
 from repro.runner.sandbox import SandboxConfig
 
@@ -228,3 +230,75 @@ class TestReplayCache:
         values = registry.counter_values()
         assert values["engine.cache.hits"] == 1
         assert values["engine.snapshot.forks"] == _N
+
+
+def _store_repeatedly(root, tape, start, rounds) -> None:
+    """One writer of the concurrent-store test (runs in its own process)."""
+    log = load_replay_log(tape)
+    cache = ReplayCache(root)
+    start.wait()
+    for _ in range(rounds):
+        cache.store(_WORKLOAD, SandboxConfig(), log)
+
+
+class TestConcurrentCacheWrites:
+    """Two processes store one key at once; torn entries are misses."""
+
+    @pytest.fixture
+    def recorded(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        _campaign_csv(tmp_path, "record", config=_config(replay_cache=str(cache_dir)))
+        return next(cache_dir.glob("*.bin"))
+
+    def test_two_processes_store_one_key(self, tmp_path, recorded):
+        whole = load_replay_log(recorded)
+        root = tmp_path / "race"
+        cache = ReplayCache(root)
+        ctx = multiprocessing.get_context("spawn")
+        start = ctx.Event()
+        writers = [
+            ctx.Process(
+                target=_store_repeatedly, args=(str(root), str(recorded), start, 25)
+            )
+            for _ in range(2)
+        ]
+        for writer in writers:
+            writer.start()
+        start.set()
+        seen = 0
+        while any(writer.is_alive() for writer in writers):
+            log = cache.lookup(_WORKLOAD, SandboxConfig())
+            if log is not None:  # a reader sees nothing or a whole entry
+                assert log.content_hash == whole.content_hash
+                seen += 1
+        for writer in writers:
+            writer.join()
+            assert writer.exitcode == 0
+        log = cache.lookup(_WORKLOAD, SandboxConfig())
+        assert log is not None and log.content_hash == whole.content_hash
+        assert [len(rec.data) for rec in log.launches] == [
+            len(rec.data) for rec in whole.launches
+        ]
+        path = cache.path_for(_WORKLOAD, SandboxConfig())
+        assert path.read_bytes() == recorded.read_bytes()
+        assert sorted(p.name for p in root.iterdir()) == [path.name, path.with_suffix(".json").name]
+
+    @pytest.mark.parametrize("keep", [0, 3, 10, 200, -1])
+    def test_truncated_entry_is_a_miss_and_rerecorded(
+        self, tmp_path, recorded, serial_csv, keep
+    ):
+        """A torn write at the final path (cut in the magic, the header
+        length, the header or the tape) reads as a miss; the campaign
+        records the tape again and stores it whole."""
+        whole = recorded.read_bytes()
+        recorded.write_bytes(whole[:keep])
+        cache = ReplayCache(recorded.parent)
+        assert cache.lookup(_WORKLOAD, _config().sandbox) is None
+        registry = MetricsRegistry()
+        csv = _campaign_csv(
+            tmp_path, "after-truncation",
+            config=_config(replay_cache=str(recorded.parent)), registry=registry,
+        )
+        assert csv == serial_csv
+        assert registry.counter_values()["engine.cache.misses"] == 1
+        assert recorded.read_bytes() == whole

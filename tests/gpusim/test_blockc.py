@@ -15,8 +15,12 @@ compiled blocks).
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.batch_injector import BatchExecutor
 from repro.core.campaign import CampaignConfig
@@ -27,14 +31,14 @@ from repro.core.store import CampaignStore
 from repro.cuda import driver as driver_module
 from repro.cuda.driver import CudaFunction
 from repro.errors import DeviceTrap, MemoryViolation, WatchdogTimeout
-from repro.gpusim import blockc
+from repro.gpusim import blockc, exec_units
 from repro.gpusim import sm as sm_module
 from repro.gpusim.device import Device
 from repro.gpusim.replay import ReplayRecorder
 from repro.nvbit.api import NVBitRuntime
 from repro.runner.sandbox import SandboxConfig, run_app
 from repro.sass import assemble
-from repro.sass.isa import opcode_by_id
+from repro.sass.isa import SPECIAL_REGISTERS, opcode_by_id
 from repro.workloads import WORKLOAD_CLASSES, get_workload
 from tests.conftest import read_u32
 from tests.gpusim.helpers import run_tool_both_ways
@@ -177,7 +181,10 @@ class TestStraightLineParity:
 
 # Operand shapes of a value source (``{r}`` is its register) and of a
 # predicate source, and the guards every shape runs under.
-_SHAPES = ("{r}", "-{r}", "|{r}|", "-|{r}|", "RZ", "{imm0}", "{imm1}", "c[0x0][0x8]")
+_SHAPES = (
+    "{r}", "-{r}", "|{r}|", "-|{r}|", "RZ", "-RZ", "{imm0}", "{imm1}",
+    "c[0x0][0x8]",
+)
 _PRED_SHAPES = ("P1", "!P1", "PT", "!PT")
 _GUARDS = ("", "@P0 ", "@!P0 ", "@!PT ")
 _IMMS = {"int": ("7", "-3"), "f32": ("2.5f", "-0.75f"), "f64": ("2.5f", "-0.75f")}
@@ -203,7 +210,16 @@ _VARIANTS = {
     **{f"{op}.LT.{combine}": (2, kind, True)
        for op, kind in (("ISETP", "int"), ("FSETP", "f32"), ("DSETP", "f64"))
        for combine in ("OR", "XOR")},
+    **{f"SHFL.{mode}": (2, "int", False) for mode in ("IDX", "UP", "DOWN", "BFLY")},
+    **{f"F2F{mods}": (1, "f32", False)
+       for mods in ("", ".F32.F32", ".TRUNC", ".FLOOR", ".CEIL", ".F64.F32")},
+    "F2F.F32.F64": (1, "f64", False),
+    **{op: (2, "f64", False) for op in ("DADD", "DMUL", "DMNMX", "DMNMX.MAX")},
+    "DFMA": (3, "f64", False),
 }
+
+# Variants whose destination is a register pair (R20:R21).
+_PAIR_DESTS = frozenset({"DADD", "DMUL", "DFMA", "DMNMX", "DMNMX.MAX", "F2F.F64.F32"})
 
 _SPECIAL_INTS = [
     0, 1, 2, 3, 31, 32, 33, 63, 64, 100, 255, 256, 0x7FFFFFFF, 0x80000000,
@@ -222,8 +238,10 @@ def _shape_kernel(mnemonic: str) -> tuple[str, int]:
     its own 32-lane slot.  Returns ``(text, slots)``."""
     count, kind, takes_pred = _VARIANTS[mnemonic]
     setp = "SETP" in mnemonic
+    pair = mnemonic in _PAIR_DESTS
     regs = [f"R{10 + 2 * i}" for i in range(count)]  # even: FP64 pairs
     imm0, imm1 = _IMMS[kind]
+    # An FP64 read of c[..] traps (TestMalformedShapes covers it).
     shapes = [s for s in _SHAPES if kind != "f64" or not s.startswith("c[")]
     operand_lists = []
     # Each position takes every shape, the others registers, then the
@@ -260,9 +278,14 @@ def _shape_kernel(mnemonic: str) -> tuple[str, int]:
                 lines.append("    P2R R20 ;")
             else:
                 lines.append("    MOV R20, R9 ;")
+                if pair:
+                    lines.append("    MOV R21, R4 ;")
                 lines.append(f"{guard}{mnemonic} R20, {', '.join(ops)} ;")
             lines.append(f"    STG.32 [R52+0x{128 * slot:x}], R20 ;")
             slot += 1
+            if pair:
+                lines.append(f"    STG.32 [R52+0x{128 * slot:x}], R21 ;")
+                slot += 1
     lines.append("    EXIT ;")
     return "\n".join(lines), slot
 
@@ -308,9 +331,112 @@ class TestTemplateShapes:
         assert results[False][:3] == results[True][:3]
         assert results[False][3] == 0 and results[True][3] > 0
 
+    def test_special_registers(self):
+        """S2R of every special register but SR_CLOCK (whose readers step),
+        under every guard, in four 3-D CTAs of two warps each."""
+        names = [name for name in SPECIAL_REGISTERS if name != "SR_CLOCK"]
+        lines = [
+            ".kernel sregs",
+            ".params 1",
+            "    S2R R1, SR_TID.X ;",
+            "    S2R R2, SR_TID.Y ;",
+            "    S2R R3, SR_TID.Z ;",
+            "    S2R R4, SR_CTAID.X ;",
+            "    S2R R5, SR_CTAID.Y ;",
+            "    ISCADD R6, R2, R1, 4 ;",     # tid.x + 16 tid.y
+            "    ISCADD R6, R3, R6, 5 ;",     # + 32 tid.z
+            "    ISCADD R7, R5, R4, 1 ;",     # ctaid.x + 2 ctaid.y
+            "    ISCADD R6, R7, R6, 6 ;",     # + 64 CTA index
+            "    MOV R9, c[0x0][0x0] ;",
+            "    ISCADD R10, R6, R9, 2 ;",
+            "    LOP.AND R8, R6, 5 ;",
+            "    ISETP.NE.AND P0, R8, RZ, PT ;",
+        ]
+        slot = 0
+        for name in names:
+            for guard in _GUARDS:
+                lines.append("    MOV R20, 0x5a5a ;")
+                lines.append(f"{guard}S2R R20, {name} ;")
+                lines.append(f"    STG.32 [R10+0x{1024 * slot:x}], R20 ;")
+                slot += 1
+        lines.append("    CS2R R20, SRZ ;")
+        lines.append(f"    STG.32 [R10+0x{1024 * slot:x}], R20 ;")
+        lines.append("    EXIT ;")
+        text = "\n".join(lines)
+        results = {}
+        for block_compile in (False, True):
+            device = _device(block_compile)
+            out = device.malloc(1024 * (slot + 1))
+            device.launch(assemble(text).get("sregs"), (2, 2, 1), (16, 2, 2), [out])
+            results[block_compile] = (
+                read_u32(device, out, 256 * (slot + 1)),
+                device.instructions_executed, device.cycles,
+                device.blockc_block_hits,
+            )
+        (step, *step_counts), (compiled, *compiled_counts) = results[False], results[True]
+        assert (step == compiled).all()
+        assert step_counts[:2] == compiled_counts[:2]
+        assert step_counts[2] == 0 and compiled_counts[2] > 0
+        # Spot checks: lane ids, warp ids and CTA ids land where expected.
+        rows = step.reshape(slot + 1, 4, 64)
+        per_guard = len(_GUARDS)
+        lane = rows[names.index("SR_LANEID") * per_guard]
+        assert (lane == np.arange(64) % 32).all()
+        warp = rows[names.index("SR_WARPID") * per_guard]
+        assert (warp == np.arange(64) // 32).all()
+        ctaid_y = rows[names.index("SR_CTAID.Y") * per_guard]
+        assert (ctaid_y == np.array([0, 0, 1, 1])[:, None]).all()
+
+    @pytest.mark.parametrize("combine", ["AND", "OR", "XOR"])
+    def test_psetp(self, combine):
+        """PSETP under every guard, every predicate shape in each source."""
+        lines = [
+            ".kernel psetp",
+            ".params 2",
+            "    S2R R50, SR_TID.X ;",
+            "    MOV R51, c[0x0][0x0] ;",
+            "    ISCADD R52, R50, R51, 2 ;",
+            "    MOV R53, c[0x0][0x4] ;",
+            "    ISCADD R53, R50, R53, 2 ;",
+            "    LDG.32 R4, [R53] ;",
+        ]
+        shapes = ("P1", "!P1", "P3", "!P3", "PT", "!PT")
+        slot = 0
+        for a in shapes:
+            for b in shapes:
+                for guard in _GUARDS:
+                    lines.append("    R2P PT, R4 ;")
+                    lines.append(f"{guard}PSETP.{combine} P2, {a}, {b} ;")
+                    lines.append("    P2R R20 ;")
+                    lines.append(f"    STG.32 [R52+0x{128 * slot:x}], R20 ;")
+                    slot += 1
+        lines.append("    EXIT ;")
+        text = "\n".join(lines)
+        bits = np.random.default_rng(3).integers(0, 128, 32).astype(np.uint32)
+        results = {}
+        for block_compile in (False, True):
+            device = _device(block_compile)
+            out = device.malloc(128 * slot)
+            src = device.malloc(bits.nbytes)
+            device.global_mem.write_bytes(src, bits.tobytes())
+            device.launch(assemble(text).get("psetp"), 1, 32, [out, src])
+            results[block_compile] = (
+                bytes(read_u32(device, out, 32 * slot)),
+                device.instructions_executed, device.cycles,
+                device.blockc_block_hits,
+            )
+        assert results[False][:3] == results[True][:3]
+        assert results[False][3] == 0 and results[True][3] > 0
+
+    def test_every_templated_opcode_has_a_shape_case(self):
+        covered = {mnemonic.split(".")[0] for mnemonic in _VARIANTS}
+        covered |= {"S2R", "CS2R", "PSETP"}  # their own tests above
+        assert set(exec_units.LANE_OPS) <= covered
+
     def test_register_and_immediate_shapes_are_inlined(self):
         """The compiled tier inlines a template's statements; only shapes
-        its reads cannot inline call the stepping handler."""
+        its reads cannot inline call the stepping handler: here an FP64
+        read of ``c[..]``, which traps."""
         text = """
 .kernel k
 .params 1
@@ -318,13 +444,131 @@ class TestTemplateShapes:
     FSEL R3, -R4, RZ, !PT ;
 @!P0 ISETP.LT.U32.XOR P1, R1, RZ, !P2 ;
     IADD R5, R1, c[0x0][0x0] ;
-    DSETP.LT.AND P1, R6, R8, PT ;
+    DSETP.LT.AND P1, R6, -R8, PT ;
+    DADD R10, c[0x0][0x8], R8 ;
+    S2R R12, SR_CTAID.X ;
+    SHFL.DOWN R13, R5, c[0x0][0x4] ;
+    PSETP.OR P3, !P1, PT ;
+    F2F.F64.F32 R14, -R5 ;
     EXIT ;
 """
         instructions = assemble(text).get("k").instructions
-        source = blockc._gen_block_source(instructions, 0, 5, blockc._ConstPool())
+        source = blockc._gen_block_source(instructions, 0, 10, blockc._ConstPool())
         calls = [line.strip() for line in source.splitlines() if "(warp, _i" in line]
-        assert calls == ["_h3(warp, _i3, _a)", "_h4(warp, _i4, _a)"]
+        assert calls == ["_h5(warp, _i5, _a)"]
+
+
+class TestBenchmarkKernelsInline:
+    """Every instruction of the benchmark programs' kernels that can sit
+    in a block runs inlined there: only ``RED``, a serial per-lane
+    atomic, calls its handler."""
+
+    @pytest.mark.parametrize("program", PERM_PROGRAMS)
+    def test_no_block_calls_a_handler_but_red(self, program, monkeypatch):
+        monkeypatch.setattr(driver_module, "_images", {})
+        run_app(get_workload(program), config=SandboxConfig(block_compile=False))
+        kernels = [
+            kernel for sass in driver_module._images.values()
+            for kernel in sass.kernels.values()
+        ]
+        assert kernels
+        called = set()
+        for kernel in kernels:
+            instructions = kernel.instructions
+            for start, end in blockc._block_spans(instructions, frozenset()):
+                source = blockc._gen_block_source(
+                    instructions, start, end, blockc._ConstPool()
+                )
+                called.update(
+                    instructions[start + int(idx)].opcode
+                    for idx in re.findall(r"_h(\d+)\(warp, _i", source)
+                )
+        assert called <= {"RED"}
+
+
+_U32_EDGES = st.sampled_from([0, 1, 2, 31, 32, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF])
+_U32 = st.one_of(_U32_EDGES, st.integers(0, 0xFFFFFFFF))
+_IMM = st.one_of(_U32, st.integers(-64, -1).map(lambda v: v & 0xFFFFFFFF))
+
+
+def _signed(value: int) -> int:
+    return value - (1 << 32) if value & 0x80000000 else value
+
+
+def _eval(op, rows) -> np.ndarray:
+    """A template's expression over whole-warp source rows (uint32 bits),
+    each read as its kind reads an immediate."""
+    args = [
+        None if kind is None else f"_v{i}" for i, kind in enumerate(op.reads)
+    ]
+    names = dict(exec_units.EXPR_NAMES)
+    for i, kind in enumerate(op.reads):
+        if kind is not None:
+            names[f"_v{i}"] = exec_units._IMM_FORMS[kind](
+                np.array(rows[i], dtype=np.uint32)
+            )
+    value = eval(op.expr.format(*args, mask="_mask"), names)
+    return np.asarray(value).astype(np.int64).astype(np.uint32)
+
+
+class TestNativeWidth:
+    """The uint32 / int32 forms of the integer templates store the low 32
+    bits of the exact Python-int result, as the int64 forms do."""
+
+    @staticmethod
+    def _lanes(values):
+        return [[v] * 32 for v in values]
+
+    @settings(max_examples=150, deadline=None)
+    @given(a=_U32, b=_U32, c=_IMM, shift=st.integers(0, 40))
+    def test_against_python_ints(self, a, b, c, shift):
+        sa, sb, sc = _signed(a), _signed(b), _signed(c)
+        cases = {
+            "IADD R0, R1, R2": ((a, b), sa + sb),
+            f"IADD R0, R1, {_signed(c)}": ((a, c), sa + sc),
+            "IADD3 R0, R1, R2, R3": ((a, b, c), sa + sb + sc),
+            "IMAD R0, R1, R2, R3": ((a, b, c), sa * sb + sc),
+            "IMUL R0, R1, R2": ((a, b), sa * sb),
+            f"ISCADD R0, R1, R2, {shift & 31}": ((a, b, 0), (sa << (shift & 31)) + sb),
+            f"SHL R0, R1, {shift}": ((a, 0), a << shift if shift < 32 else 0),
+            f"SHR.U32 R0, R1, {shift}": ((a, 0), a >> shift if shift < 32 else 0),
+            f"SHR.S32 R0, R1, {shift}": ((a, 0), sa >> min(shift, 31)),
+        }
+        for text, (inputs, expected) in cases.items():
+            instr = assemble(f".kernel k\n    {text} ;\n    EXIT ;").get("k").instructions[0]
+            op = exec_units.LANE_OPS[instr.opcode](instr)
+            if text.startswith(("IADD ", "IADD3", "IMAD", "IMUL", "ISCADD")) or shift < 32:
+                assert op.writer == "u32", text  # the native form
+            got = _eval(op, self._lanes(inputs))
+            assert (got == (expected & 0xFFFFFFFF)).all(), text
+
+    @settings(max_examples=150, deadline=None)
+    @given(a=_U32, b=_IMM)
+    def test_compares_against_python_ints(self, a, b):
+        for cmp, fn in (("LT", "__lt__"), ("GE", "__ge__"), ("EQ", "__eq__"), ("NE", "__ne__")):
+            for unsigned in (False, True):
+                mods = f"{cmp}.U32" if unsigned else cmp
+                instr = assemble(
+                    f".kernel k\n    ISETP.{mods}.AND P0, R1, R2 ;\n    EXIT ;"
+                ).get("k").instructions[0]
+                op = exec_units.LANE_OPS["ISETP"](instr)
+                assert op.reads == (("u32",) * 2 if unsigned else ("i32",) * 2)
+                x, y = (a, b) if unsigned else (_signed(a), _signed(b))
+                got = _eval(op, self._lanes((a, b)))
+                assert (got == int(getattr(x, fn)(y))).all(), mods
+
+    def test_modified_sources_keep_the_int64_forms(self):
+        for text in (
+            "IADD R0, -R1, R2", "IADD3 R0, R1, |R2|, R3", "IMAD R0, R1, R2, -|R3|",
+            "IMUL R0, -R1, R2", "ISCADD R0, R1, -R2, 3", "IMUL.HI R0, R1, R2",
+            "ISCADD R0, R1, R2, R3", "SHL R0, R1, 32", "SHR.U32 R0, R1, R2",
+        ):
+            instr = assemble(f".kernel k\n    {text} ;\n    EXIT ;").get("k").instructions[0]
+            assert exec_units.LANE_OPS[instr.opcode](instr).writer == "int", text
+        instr = assemble(
+            ".kernel k\n    ISETP.LT.AND P0, -R1, R2 ;\n    EXIT ;"
+        ).get("k").instructions[0]
+        assert exec_units.LANE_OPS["ISETP"](instr).reads == ("i64", "i64")
 
 
 class TestMalformedShapes:
@@ -337,6 +581,10 @@ class TestMalformedShapes:
         ("IADD R0, R1, [R2]", "cannot be read as a value"),
         ("SEL R0, R1, R2, R3", "expected predicate source"),
         ("IADD3 R0, R1, R2", "IADD3 at pc 2 takes 3 source operands"),
+        ("DADD R0, c[0x0][0x0], R2", "cannot be read as FP64"),
+        ("SHFL R0, R1, 1", "SHFL requires .IDX/.UP/.DOWN/.BFLY"),
+        ("S2R R0, R1", "S2R requires a special-register source"),
+        ("MOV R0, c[0x0][0x1000]", "out-of-bounds"),
     ])
     def test_same_trap_only_when_executed(self, instr, message):
         for guard in ("@!PT ", "@P0 ", ""):
@@ -351,7 +599,7 @@ class TestMalformedShapes:
                 try:
                     device.launch(kernel, 1, 32, [])
                     raised = None
-                except DeviceTrap as exc:
+                except (DeviceTrap, MemoryViolation) as exc:
                     raised = str(exc)
                 outcomes.append((raised, device.instructions_executed))
             assert outcomes[0] == outcomes[1], guard

@@ -1,9 +1,10 @@
 """Pin test for the vectorised warp construction in ``repro.gpusim.sm``.
 
-``_build_warps`` builds all thread-id components and valid masks for a
-block with one pad-and-reshape instead of one ``np.concatenate`` per warp
-per component.  This test pins bit-equality of the produced warps against
-the straightforward per-warp reference construction the vectorised code
+``_build_warps`` takes all thread-id components and valid masks for a
+block from one pad-and-reshape, cached per block shape, and allocates the
+registers, predicates and exited masks of all the CTA's warps at once.
+This test pins bit-equality of the produced warps against the
+straightforward per-warp reference construction the vectorised code
 replaced, across block shapes that exercise every padding case.
 """
 
@@ -14,7 +15,7 @@ from repro.gpusim.context import ExecContext
 from repro.gpusim.sm import _build_warps
 from repro.gpusim.warp import Warp
 from repro.sass import assemble
-from repro.sass.isa import WARP_SIZE
+from repro.sass.isa import NUM_PREDICATES, WARP_SIZE
 
 _KERNEL = assemble(
     """
@@ -63,16 +64,19 @@ def _reference_warps(kernel, ctx) -> list[Warp]:
         valid = np.concatenate(
             [np.ones(lanes.size, dtype=bool), np.zeros(pad, dtype=bool)]
         )
+        preds = np.zeros((NUM_PREDICATES, WARP_SIZE), dtype=bool)
+        preds[7] = True  # PT
         warp = Warp(
             warp_id=warp_id,
-            num_regs=kernel.num_regs,
-            valid_mask=valid,
+            regs=np.zeros((max(kernel.num_regs, 1), WARP_SIZE), dtype=np.uint32),
+            preds=preds,
+            valid=valid,
+            exited=~valid,
             tid=(
                 padded(lanes % bx),
                 padded(lanes // bx % by),
                 padded(lanes // (bx * by)),
             ),
-            local_bytes=kernel.local_bytes,
         )
         warp.ctx = ctx
         warps.append(warp)
@@ -102,19 +106,32 @@ def test_matches_reference_construction(ntid):
         assert np.array_equal(new.active, old.active)
         assert np.array_equal(new.exited, old.exited)
         assert new.done == old.done
+        assert np.array_equal(new.regs, old.regs)
+        assert np.array_equal(new.preds, old.preds)
+        assert new.local is None
         for axis in ("tid_x", "tid_y", "tid_z"):
             assert getattr(new, axis).dtype == getattr(old, axis).dtype
             assert np.array_equal(getattr(new, axis), getattr(old, axis))
 
 
 def test_valid_masks_are_independent_per_warp():
-    """Row views of one block-wide array back the masks; mutating one
-    warp's execution state must never leak into another (Warp copies its
-    ``valid_mask`` argument and derives ``exited`` freshly)."""
+    """Row views of one CTA-wide array back each warp's registers,
+    predicates and exited mask; mutating one warp's must never leak into
+    another.  The valid masks and thread ids are shared by every CTA of
+    the shape, so they are read-only: no warp can change another's
+    (``active`` starts as ``valid`` and is only ever replaced)."""
     ctx = _ctx((40, 1, 1))
     first, second = _build_warps(_KERNEL, ctx, _KERNEL.num_regs)
-    first.valid[:] = False
-    first.active[:] = False
     first.exited[:] = True  # everything in warp 0 exits
-    assert second.valid.sum() == 8  # warp 1 keeps its 8 live lanes
+    first.regs[:] = 7
+    first.preds[:] = True
     assert second.exited.sum() == WARP_SIZE - 8  # only its padded lanes
+    assert not second.regs.any()
+    assert second.preds.sum() == WARP_SIZE  # PT only
+    assert first.active is first.valid
+    for shared in (first.valid, first.tid_x, second.valid, second.tid_z):
+        with pytest.raises(ValueError):
+            shared[0] = 1
+    again = _build_warps(_KERNEL, _ctx((40, 1, 1)), _KERNEL.num_regs)
+    assert np.shares_memory(again[1].valid, second.valid)  # cached per shape
+    assert not np.shares_memory(again[1].regs, second.regs)

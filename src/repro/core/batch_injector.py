@@ -9,7 +9,7 @@ When the count crosses a fault's ``instruction_count`` the tool takes an
 in-launch checkpoint (a copy-on-write :class:`OverlayForker` fork): the
 overlay child applies *its* fault to the live instruction site and runs
 the divergent suffix — the rest of the launch, the host program's tail,
-tail fast-forward re-arming on reconvergence — on inherited state, while
+tail fast-forward replay on reconvergence — on inherited state, while
 the clean counting pass continues toward the next checkpoint.  Faults
 whose count the launch never reaches are forked at launch exit and
 complete as not-injected runs, exactly like their serial counterparts.
@@ -20,10 +20,10 @@ expensive duplicate is the per-group host run and tape replay.  The tool
 therefore services a whole **chain** of fault groups from one pass.
 Because the clean pass never injects, its memory after cleanly
 simulating a target launch still equals golden; a
-:class:`~repro.gpusim.multifault.SweepCursor` re-arms tape replay at the
-next boundary and retargets the *next* group's stop launch, while the
-tool swaps in that group's params and checkpoint plan at the previous
-target's exit.  One host run and one pass over the tape then service
+:class:`~repro.gpusim.multifault.SweepCursor` replays from the tape
+again at the next boundary and retargets the *next* group's stop launch,
+while the tool swaps in that group's params and checkpoint plan at the
+previous target's exit.  One host run and one pass over the tape then service
 every fault group that shares a tape, an opcode group and a sandbox.
 
 :class:`BatchExecutor` wires the tool into the engine's executor
@@ -248,8 +248,8 @@ def _group_tasks(
 ) -> tuple[list[list[InjectionTask]], list[InjectionTask]]:
     """Partition tasks into fork groups and pass-through singles.
 
-    Groupable tasks are transient, carry a pre-target replay window, and
-    share (tape, stop launch, target kernel instance, opcode group) — the
+    Groupable tasks are transient, carry a replay reference, and share
+    (tape, stop launch, target kernel instance, opcode group) — the
     preconditions for the post-fork params swap.  Everything else runs
     through the plain per-task path.
     """
@@ -263,7 +263,6 @@ def _group_tasks(
         key = (
             ref.path,
             ref.stop_launch,
-            ref.pre,
             ref.tail,
             task.params.kernel_name,
             task.params.kernel_count,
@@ -282,16 +281,16 @@ def _chain_groups(
 ) -> list[list[list[InjectionTask]]]:
     """Merge fork groups into sweep chains.
 
-    Groups sharing a tape, an opcode group and a sandbox — with both the
-    pre-target window and the tail enabled, which the sweep's retarget
-    relies on — chain in stop-launch order so one parent pass services
-    all of them.  Everything else stays a single-group chain.
+    Groups sharing a tape, an opcode group and a sandbox — with the tail
+    enabled, which the sweep's retarget relies on — chain in stop-launch
+    order so one parent pass services all of them.  Everything else stays
+    a single-group chain.
     """
     chains: dict[tuple, list[list[InjectionTask]]] = {}
     ordered: list[list[list[InjectionTask]]] = []
     for group in groups:
         ref = group[0].replay
-        if not (ref.pre and ref.tail):
+        if not ref.tail:
             ordered.append([list(group)])
             continue
         key = (ref.path, group[0].params.group, group[0].sandbox)
@@ -342,8 +341,8 @@ class BatchExecutor:
             outputs, leftover, failures = self._run_chain(chain, app)
             yield from outputs
             for task in leftover:
-                # Never ran (unreadable tape, early disarm, a target that
-                # never armed): fall back uncharged.
+                # Never ran (unreadable tape, the cursor went off early, a
+                # target that never armed): fall back uncharged.
                 yield run_with_retries(task, app, tracer, policy, notify)
             for task, error in failures:
                 yield run_with_retries(
@@ -367,15 +366,13 @@ class BatchExecutor:
         if app is None:
             app = get_workload(chain[0][0].workload)
         forker = OverlayForker()
-        if ref.pre and ref.tail:
+        if ref.tail:
             cursor = SweepCursor(
                 log, [group[0].replay.stop_launch for group in chain]
             )
             injector = MultiFaultInjectorTool(chain, forker, cursor=cursor)
         else:
-            cursor = ReplayCursor(
-                log, ref.stop_launch, pre=ref.pre, tail=ref.tail
-            )
+            cursor = ReplayCursor(log, ref.stop_launch)
             injector = MultiFaultInjectorTool(chain, forker)
         buffer = MemorySink()
         try:
@@ -418,8 +415,8 @@ class BatchExecutor:
             except BaseException:
                 os._exit(_CHILD_FAILED)
             os._exit(0)
-        # The counting pass completed without unwinding: the cursor
-        # disarmed or a later group's target never armed.
+        # The counting pass completed without unwinding: the cursor went
+        # off or a later group's target never armed.
         forker.drain()
         outputs, failures = self._collect(forker)
         if outputs or failures:

@@ -93,6 +93,7 @@ from repro.core.site_selection import (
 )
 from repro.errors import ReproError
 from repro.gpusim.replay import (
+    GOLDEN,
     ReplayCursor,
     ReplayRecorder,
     ReplayRef,
@@ -736,65 +737,60 @@ class CampaignEngine:
 
     def run_golden(self) -> RunArtifacts:
         cache = self._replay_cache()
-        if cache is not None and self._run_golden_cached(cache):
-            return self.golden
-        recorder = ReplayRecorder() if self.config.fast_forward else None
-        with self.tracer.span("golden", workload=self.app.name) as span:
-            if span is not None and cache is not None:
-                span.attrs["replay_cache"] = "miss"
-            self.golden = capture_golden(
-                self.app, self._sandbox_config(), tracer=self.tracer,
-                recorder=recorder,
-            )
-        self.golden_time = self.golden.wall_time
-        self._record_run_metrics(self.golden)
-        if self.store is not None:
-            self.store.save_golden(self.golden)
-        self._phase("golden", self.golden_time)
-        if recorder is not None:
-            self._save_replay_log(recorder, cache=cache)
-        return self.golden
-
-    def _run_golden_cached(self, cache) -> bool:
-        """Service the golden run from the persistent replay cache.
-
-        On a hit the host program still runs, but every launch replays
-        from the cached tape — reference artifacts (reads come from
-        restored memory) and device counters (recorded deltas) are
-        identical to a simulated golden run at a fraction of the cost.  A
-        missing, invalid (content hash) or stale (launch mismatch — the
-        cursor disarms and the run simulates) entry counts a miss and
-        falls back to the recording path.
-        """
-        log = cache.lookup(self.app.name, self._sandbox_config())
-        if log is None:
-            self.registry.counter("engine.cache.misses").inc()
-            return False
-        cursor = ReplayCursor(log, stop_launch=len(log), pre=True, tail=False)
-        with self.tracer.span("golden", workload=self.app.name) as span:
-            if span is not None:
-                span.attrs["replay_cache"] = "hit"
-            golden = capture_golden(
-                self.app, self._sandbox_config(), tracer=self.tracer,
-                replay=cursor,
-            )
-        if cursor.skipped != len(log):
-            # The tape no longer describes this run (e.g. an edited
-            # workload under an unchanged cache key); the artifacts are
-            # still correct — the cursor degraded to simulation — but the
-            # tape must be re-recorded, so treat the lookup as a miss.
-            self.registry.counter("engine.cache.misses").inc()
-            return False
-        self.registry.counter("engine.cache.hits").inc()
+        recorder = None
+        golden = self._run_golden_cached(cache) if cache is not None else None
+        if golden is None:
+            recorder = ReplayRecorder() if self.config.fast_forward else None
+            with self.tracer.span("golden", workload=self.app.name) as span:
+                if span is not None and cache is not None:
+                    span.attrs["replay_cache"] = "miss"
+                golden = capture_golden(
+                    self.app, self._sandbox_config(), tracer=self.tracer,
+                    recorder=recorder,
+                )
         self.golden = golden
         self.golden_time = golden.wall_time
         self._record_run_metrics(golden)
         if self.store is not None:
             self.store.save_golden(golden)
         self._phase("golden", self.golden_time)
-        self._replay_log = log
-        self._replay_path = str(cache.path_for(self.app.name, self._sandbox_config()))
-        return True
+        if recorder is not None:
+            self._save_replay_log(recorder, cache=cache)
+        return golden
+
+    def _run_golden_cached(self, cache) -> RunArtifacts | None:
+        """The golden run serviced from the persistent replay cache, or
+        ``None`` on a miss.
+
+        On a hit the host program still runs, but every launch replays
+        from the cached tape — reference artifacts (reads come from
+        restored memory) and device counters (recorded deltas) are
+        identical to a simulated golden run at a fraction of the cost.  A
+        missing or invalid (content hash) entry counts a miss, and so does
+        a stale one: the hit needs the cursor to replay every taped launch
+        and never go off.  A stale tape (e.g. an edited workload under an
+        unchanged cache key) still yields correct artifacts — the cursor
+        degraded to simulation — but must be re-recorded.
+        """
+        log = cache.lookup(self.app.name, self._sandbox_config())
+        if log is not None:
+            cursor = ReplayCursor(log)
+            with self.tracer.span("golden", workload=self.app.name) as span:
+                if span is not None:
+                    span.attrs["replay_cache"] = "hit"
+                golden = capture_golden(
+                    self.app, self._sandbox_config(), tracer=self.tracer,
+                    replay=cursor,
+                )
+            if cursor.state == GOLDEN and cursor.skipped == len(log):
+                self.registry.counter("engine.cache.hits").inc()
+                self._replay_log = log
+                self._replay_path = str(
+                    cache.path_for(self.app.name, self._sandbox_config())
+                )
+                return golden
+        self.registry.counter("engine.cache.misses").inc()
+        return None
 
     def _save_replay_log(self, recorder: ReplayRecorder, cache=None) -> None:
         """Serialize the golden run's replay log where every worker can read it.
@@ -840,12 +836,10 @@ class CampaignEngine:
         """The fast-forward reference for one transient site (or None).
 
         ``stop_launch`` is the golden sequence number of the targeted
-        launch: everything strictly before it replays (``pre``), the target
-        simulates, and — with ``tail_fast_forward`` — the launches after it
-        replay again once the run's memory re-converges with golden.  A
-        site targeting the very first launch has no pre window but still
-        carries a tail-only reference; sites absent from the log carry
-        none.
+        launch: everything before it replays, the target simulates, and —
+        with ``tail_fast_forward`` — the launches after it replay again
+        once the run's memory re-converges with golden.  Sites absent
+        from the log carry no reference.
         """
         if self._replay_log is None or self._replay_path is None:
             return None
@@ -854,12 +848,10 @@ class CampaignEngine:
         )
         if stop is None:
             return None
-        pre = stop > 0
-        tail = self.config.tail_fast_forward
-        if not pre and not tail:
-            return None
         return ReplayRef(
-            path=self._replay_path, stop_launch=stop, pre=pre, tail=tail
+            path=self._replay_path,
+            stop_launch=stop,
+            tail=self.config.tail_fast_forward,
         )
 
     def run_profile(self, mode: ProfilingMode | None = None) -> ProgramProfile:

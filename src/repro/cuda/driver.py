@@ -129,10 +129,11 @@ class CudaDriver:
         self.device = device
         self.interceptor = interceptor  # the NVBit runtime, if attached
         # Golden-replay fast-forward (repro.gpusim.replay.ReplayCursor):
-        # launches strictly before the injection target apply the recorded
-        # golden delta instead of simulating; with tail fast-forward the
-        # cursor also tracks post-target divergence (the device calls its
-        # begin/end launch hooks) and re-arms once state re-converges.
+        # while memory equals golden, launches that need not simulate apply
+        # the recorded golden delta instead; with tail fast-forward the
+        # cursor also tracks divergence after a simulated launch (the device
+        # calls its begin/end launch hooks) and replays again once state
+        # re-converges.
         self.replay = replay
         if replay is not None:
             device.replay_tracker = replay
@@ -201,7 +202,7 @@ class CudaDriver:
         data = self.device.global_mem.read_bytes(address, nbytes)
         if self.replay is not None:
             # Tail tracking: reading a divergent page makes the divergence
-            # host-visible, which permanently disarms tail fast-forward.
+            # host-visible, which turns the cursor off.
             self.replay.note_host_read(address, nbytes)
         self._dispatch(CudaEvent.MEMCPY_DTOH, (address, nbytes), is_exit=True)
         return data
@@ -297,8 +298,8 @@ class CudaDriver:
         if self.replay is not None:
             # The golden run recorded no errors (a faulted golden launch
             # aborts recording), so any sticky error is an anomaly the host
-            # may branch on: tail fast-forward must never re-arm.
-            self.replay.disarm_tail()
+            # may branch on: the tape may no longer describe the run.
+            self.replay.note_cuda_error()
         return code
 
     def _dispatch(self, event: CudaEvent, payload: Any, is_exit: bool) -> None:

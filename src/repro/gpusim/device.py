@@ -19,6 +19,7 @@ from repro.arch.families import ArchFamily, arch_by_name
 from repro.errors import DeviceException, LaunchError, WatchdogTimeout
 from repro.gpusim import blockc
 from repro.gpusim.context import ExecContext
+from repro.gpusim.replay import DIVERGED
 from repro.gpusim.sm import SM, Hooks
 from repro.mem.memory import ConstantBank, GlobalMemory, SharedMemory
 from repro.sass.program import Kernel
@@ -90,7 +91,7 @@ class Device:
         # write delta and end-of-launch counters.
         self.replay_recorder = None
         # Tail fast-forward (repro.gpusim.replay.ReplayCursor): while the
-        # cursor is tracking post-target divergence, every simulated launch
+        # cursor is diverged (tracking divergence), every simulated launch
         # is bracketed by its begin/end hooks so the divergence set stays
         # current at each launch boundary.
         self.replay_tracker = None
@@ -207,7 +208,7 @@ class Device:
         if recorder is not None:
             recorder.begin_launch(self)
         tracker = self.replay_tracker
-        tracking = tracker is not None and tracker.tracking
+        tracking = tracker is not None and tracker.state == DIVERGED
         if tracking:
             tracker.begin_simulated_launch(self)
 
@@ -246,7 +247,7 @@ class Device:
             # A faulted launch leaves partial writes behind: any recording
             # in progress would replay wrong state, so discard it entirely;
             # likewise a tracked launch's divergence set is no longer
-            # trustworthy, so the tail permanently disarms.
+            # trustworthy, so the replay cursor goes off.
             if recorder is not None:
                 recorder.abort()
                 self.global_mem.end_write_tracking()

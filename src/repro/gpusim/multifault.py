@@ -42,20 +42,20 @@ clean counting pass and consults two pieces of machinery here:
   duplicated cost is the *per-group* host run and tape replay, not the
   in-launch prefix.  The sweep removes that too: because the clean pass
   never injects, its memory after cleanly simulating a target launch is
-  still bit-identical to golden, so the same parent can re-arm tape
-  replay and continue to the *next* group's target launch.  One host run
-  and one pass over the tape then service every fault group that shares
+  still bit-identical to golden, so the same parent's cursor returns to
+  golden and replays on to the *next* group's target launch.  One host
+  run and one pass over the tape then service every fault group that shares
   a tape, an opcode group and a sandbox — regardless of which launches
   they target.
 
 Equivalence with the serial path is structural rather than re-derived:
 from the fork point onward a child executes exactly the instructions the
 serial injection run would execute from the same dynamic instruction, on
-bit-identical device state — including the armed tail-tracking window,
-which the child inherits mid-launch and folds at the launch boundary
-exactly as a serial run does (so tail fast-forward re-arms per fault on
-reconvergence).  Records, artifacts and simulated-cycle totals therefore
-match byte for byte.
+bit-identical device state — including the diverged cursor's shadow and
+divergence set, which the child inherits mid-launch and folds at the
+launch boundary exactly as a serial run does (so each child's cursor
+returns to golden when its fault re-converges).  Records, artifacts and
+simulated-cycle totals therefore match byte for byte.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.gpusim.replay import TAIL_PATIENCE, ReplayCursor, ReplayLog
+from repro.gpusim.replay import GOLDEN, OFF, ReplayCursor, ReplayLog
 
 
 @dataclass(frozen=True)
@@ -252,27 +252,21 @@ class OverlayForker:
 
 
 class SweepCursor(ReplayCursor):
-    """A replay cursor that retargets across a sorted series of stop launches.
+    """A replay cursor whose targets are a sorted series of stop launches.
 
-    The first stop behaves exactly like a plain :class:`ReplayCursor`
-    target: pre-target replay, shadow snapshot at the boundary, tail
-    tracking through the target launch.  The twist is what happens after:
-    the sweep's parent never injects, so its memory after cleanly
-    simulating a target launch still equals golden, the divergence set
-    empties at the next boundary, and the cursor re-arms — at which point
-    it can treat the *next* stop in the series as a fresh target instead
-    of replaying to the end of the tape.
-
+    The base cursor already handles every stop: a target launch simulates
+    from ``golden``, and the sweep's parent never injects, so its memory
+    after that launch still equals golden, the divergence set empties at
+    the next boundary and the cursor replays again up to the next stop.
     Three pieces keep a child forked at stop ``T`` bit-identical to a
     serial run whose cursor targeted ``T`` alone:
 
-    * **Retarget reset** — reaching a stop while replaying (or while
-      tracking with an empty divergence set, for back-to-back stops)
-      resets ``skipped`` to the stop's sequence index, zeroes
-      ``tail_skipped`` / ``converged_at`` and restores full tail
-      patience, then runs the normal target-boundary transition (fresh
-      shadow snapshot, tracking).  That is exactly the state a serial
-      cursor has after pre-replaying ``[0, T)``.
+    * **Retarget reset** — at a stop with an empty divergence set the
+      cursor takes the stop as its target and resets ``skipped`` to the
+      stop's sequence index, ``tail_skipped`` to zero and
+      ``converged_at`` to ``None``: exactly the state of a serial cursor
+      that replayed ``[0, T)``.  The base cursor then snapshots a fresh
+      shadow and tracks the target launch.
 
     * **Counter fixup** — the parent simulates each non-final target
       launch under instrumentation, so its cycle counter picks up
@@ -290,21 +284,15 @@ class SweepCursor(ReplayCursor):
       and any pending fixup, and thereafter behaves exactly like the
       serial single-target cursor it is equivalent to.
 
-    Every guard of the base cursor stays conservative: if the tape
-    disarms (mismatch, host-visible divergence, patience), the remaining
-    stops are simply never reached, the affected groups fork no children,
-    and the executor falls back to per-task serial runs.
+    If the cursor goes off (mismatch, host-visible divergence, patience),
+    the remaining stops are simply never reached, the affected groups
+    fork no children, and the executor falls back to per-task serial
+    runs.
     """
 
-    def __init__(
-        self,
-        log: ReplayLog,
-        stops: Sequence[int],
-        pre: bool = True,
-        tail: bool = True,
-    ) -> None:
+    def __init__(self, log: ReplayLog, stops: Sequence[int]) -> None:
         ordered = sorted(set(stops))
-        super().__init__(log, ordered[0], pre=pre, tail=tail)
+        super().__init__(log, ordered[0], tail=True)
         self._stops = ordered[1:]
         self._entry_snap = None  # counters at target arming (before JIT charge)
         self._launch_snap = None  # fallback: counters at simulated-launch begin
@@ -359,25 +347,21 @@ class SweepCursor(ReplayCursor):
         self, device, kernel_name, grid, block, args, shared_bytes, instrumented
     ):
         self._apply_fixup(device)
+        seq = device.launch_count
         if (
             self._stops
-            and self._state in (self._TRACKING, self._REPLAYING)
+            and seq == self._stops[0]
+            and self.state != OFF
             and not self.divergent
-            and device.launch_count == self._stops[0]
         ):
             # Memory equals golden at this boundary (the parent never
-            # injects), so the next stop is reachable as a fresh target.
-            seq = device.launch_count
+            # injects): retarget as a serial cursor that replayed [0, seq).
             self.stop_launch = self._stops.pop(0)
-            self._patience = TAIL_PATIENCE
-            self.converged_at = None
+            self.state = GOLDEN
             self.skipped = seq
             self.tail_skipped = 0
+            self.converged_at = None
             self._shadow = None
-            self._pending = None
-            return self._reach_target(
-                device, seq, kernel_name, grid, block, args, shared_bytes
-            )
         return super().consult(
             device, kernel_name, grid, block, args, shared_bytes, instrumented
         )
@@ -390,10 +374,10 @@ class SweepCursor(ReplayCursor):
         super().begin_simulated_launch(device)
 
     def end_simulated_launch(self, device) -> None:
-        pending = self._pending
+        rec = self._pending
         snap = self._entry_snap if self._entry_snap is not None else self._launch_snap
         self._entry_snap = None
         self._launch_snap = None
         super().end_simulated_launch(device)
-        if self._stops and pending is not None and snap is not None:
-            self._fixup = (snap, pending[1])
+        if self._stops and rec is not None and snap is not None:
+            self._fixup = (snap, rec)

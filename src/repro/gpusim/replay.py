@@ -20,40 +20,40 @@ Three pieces:
   on-disk format (:func:`save_replay_log` / :func:`load_replay_log`; loads
   are cached per process so parallel campaign workers share one read-only
   copy);
-* :class:`ReplayCursor` — one per injection run, consulted by
-  :meth:`repro.cuda.driver.CudaDriver.cuLaunchKernel`: launches before the
-  target instance apply the recorded delta with one vectorised numpy copy
-  instead of simulating; the target launch and everything after it (state
-  may have diverged) simulate normally.
+* :class:`ReplayCursor` — one per run, consulted by
+  :meth:`repro.cuda.driver.CudaDriver.cuLaunchKernel`: while memory
+  equals golden (the cursor's ``golden`` state) a launch applies its
+  recorded delta with one vectorised numpy copy instead of simulating;
+  a launch that must simulate — the target, or any instrumented launch —
+  runs normally.
 
 **Tail fast-forward** closes the other half of the gap: masked faults
 dominate real campaigns, and a masked fault's architectural state usually
 re-converges with the golden run within a few launches.  With ``tail``
-enabled the cursor keeps going after the target: at the target boundary it
-snapshots a *shadow* of golden global memory (memory still equals golden
-there), then after every simulated launch it advances the shadow by the
-recorded golden delta and maintains the *divergence set* — the 256-byte
-pages whose live contents differ from the shadow — from
-:class:`~repro.mem.memory.GlobalMemory` dirty-page tracking.  At the first
-launch boundary where the divergence set is empty the fault is
-architecturally dead: the cursor **re-arms** and replays every remaining
-launch from the tape.  Re-arm is conservative — a host read
-(``cuMemcpyDtoH``) touching a divergent page, any recorded CUDA error, an
-instrumented post-target launch, running past the tape, or any metadata
-mismatch permanently disarms the tail, falling back to simulation.
+enabled a must-simulate launch does not end replay for good: at its
+boundary the cursor snapshots a *shadow* of golden global memory (memory
+still equals golden there) and enters ``diverged``; after every simulated
+launch it advances the shadow by the recorded golden delta and maintains
+the *divergence set* — the 256-byte pages whose live contents differ from
+the shadow — from :class:`~repro.mem.memory.GlobalMemory` dirty-page
+tracking.  At the first launch boundary where the divergence set is empty
+the fault is architecturally dead: the cursor returns to ``golden`` and
+replays the remaining launches from the tape.  Anything the tape cannot
+vouch for — a host read (``cuMemcpyDtoH``) touching a divergent page, a
+CUDA error after the target, running past the tape, or any metadata
+mismatch — turns the cursor ``off``, falling back to simulation.
 
 Correctness is enforceable because the whole stack is deterministic: the
 recorded per-launch metadata (kernel name, instance, grid, block,
-arguments, shared memory) is verified against the live launch, and any
-mismatch — or any instrumented launch — permanently disarms the cursor,
-falling back to full simulation.  The only persistent cross-launch device
-state is global memory (shared memory, constant banks and warp state are
-rebuilt per launch), so page-exact equality with the shadow at a launch
-boundary implies the remaining launches are bit-identical to the tape.
-``results.csv`` is byte-identical with fast-forward (pre or tail) on or
-off; skipped launches reconstruct their ``instructions_executed``/cycle
-accounting from the recorded counters, so traces, metrics and the
-Figure 4/5 overhead numbers stay exact.
+arguments, shared memory) is verified against the live launch before it
+replays or is tracked.  The only persistent cross-launch device state is
+global memory (shared memory, constant banks and warp state are rebuilt
+per launch), so page-exact equality with the shadow at a launch boundary
+implies the remaining launches are bit-identical to the tape.
+``results.csv`` is byte-identical with fast-forward (before or after the
+target) on or off; skipped launches reconstruct their
+``instructions_executed``/cycle accounting from the recorded counters, so
+traces, metrics and the Figure 4/5 overhead numbers stay exact.
 """
 
 from __future__ import annotations
@@ -79,6 +79,11 @@ _MAGIC = b"RPRL\x01\n"
 # dirty-page tracking on every remaining launch for nothing.  Giving up is
 # always safe — it only forfeits a possible speedup.
 TAIL_PATIENCE = 8
+
+#: The three :class:`ReplayCursor` states.
+GOLDEN = "golden"
+DIVERGED = "diverged"
+OFF = "off"
 
 
 Dim3 = tuple[int, int, int]
@@ -246,80 +251,65 @@ class ReplayRecorder:
 class ReplayCursor:
     """Per-run fast-forward state, consulted once per ``cuLaunchKernel``.
 
-    ``stop_launch`` is the global sequence index of the target launch: only
-    launches with a strictly smaller index may be pre-replayed (``pre``).
-    With ``tail`` enabled the cursor does not die at the target: it tracks
-    post-target divergence against a golden shadow and re-arms the moment
-    the divergence set empties at a launch boundary, replaying the rest of
-    the run from the tape.
+    The cursor is in one of three states:
 
-    The cursor is a five-state machine:
+    ``golden``
+        memory equals golden at this boundary, so a launch replays from
+        the tape;
+    ``diverged``
+        a simulated launch opened shadow tracking: every launch simulates
+        and folds its dirty pages and the recorded golden delta into the
+        shadow and the divergence set;
+    ``off``
+        the tape can no longer describe this run; everything simulates.
 
-    ``PRE``
-        pre-target replay armed (the PR-4 behaviour);
-    ``WAIT``
-        no pre-target window (``pre=False``) — simulate, waiting for the
-        target boundary to start tail tracking;
-    ``TRACKING``
-        post-target: every simulated launch folds its dirty pages and the
-        recorded golden delta into the shadow/divergence set;
-    ``REPLAYING``
-        re-armed: the divergence set emptied at a boundary, remaining
-        launches replay from the tape;
-    ``OFF``
-        permanently disarmed; everything simulates.
+    One rule decides what a golden boundary does: a launch must simulate
+    when it is instrumented or is the target (``stop_launch``, a global
+    launch-sequence index; ``None`` for a targetless cursor).  A transient
+    task is the one-target case, the cached golden run the no-target case,
+    and :class:`~repro.gpusim.multifault.SweepCursor` a sorted series of
+    targets.  The transitions:
 
-    Disarm rules are conservative.  Reaching the target ends ``PRE``; an
-    instrumented post-target launch (permanent/intermittent-style tooling
-    the tape does not cover), running past the tape, a metadata or
-    memory-size mismatch, a faulted launch, a recorded CUDA error, or a
-    host read of a divergent page all turn the tail ``OFF`` for good.
-    Tracking also gives up (``patience``, default :data:`TAIL_PATIENCE`)
-    once the divergence set has stayed non-empty for that many launch
-    boundaries — re-converging faults die within a launch or two, and a
-    persistent one would pay dirty-page tracking forever for nothing.
+    ========  ===============================================  ========
+    from      event                                            to
+    ========  ===============================================  ========
+    golden    a launch that need not simulate (it replays)     golden
+    golden    a must-simulate launch, ``tail`` on: the shadow  diverged
+              snapshot is taken here
+    golden    a must-simulate launch, ``tail`` off             off
+    diverged  a boundary with an empty divergence set          golden
+    diverged  :data:`TAIL_PATIENCE` boundaries since the last  off
+              must-simulate launch, still divergent
+    diverged  a host read of a divergent page, a faulted       off
+              launch
+    any       a launch off the tape, mismatched metadata or    off
+              a different memory size
+    golden    a CUDA error before the first target             golden,
+                                                               tail off
+    any       a CUDA error after it                            off
+    ========  ===============================================  ========
+
+    ``skipped`` counts launches replayed before the first must-simulate
+    launch (while ``converged_at`` is still ``None``), ``tail_skipped``
+    the ones replayed after a re-convergence.
     """
 
-    _PRE = "pre"
-    _WAIT = "wait"
-    _TRACKING = "tracking"
-    _REPLAYING = "replaying"
-    _OFF = "off"
-
     def __init__(
-        self,
-        log: ReplayLog,
-        stop_launch: int,
-        pre: bool = True,
-        tail: bool = False,
-        patience: int | None = TAIL_PATIENCE,
+        self, log: ReplayLog, stop_launch: int | None = None, tail: bool = False
     ) -> None:
         self.log = log
-        self.stop_launch = min(stop_launch, len(log.launches))
+        self.stop_launch = (
+            stop_launch if stop_launch is None else min(stop_launch, len(log))
+        )
         self.tail = tail
-        self._patience = patience  # None: track until the tape runs out
-        self.skipped = 0  # launches replayed before the target (PRE)
-        self.tail_skipped = 0  # launches replayed after convergence (REPLAYING)
+        self.state = GOLDEN
+        self.skipped = 0
+        self.tail_skipped = 0
         self.converged_at = None  # launch seq where the divergence set emptied
         self.divergent: set[int] = set()
         self._shadow: np.ndarray | None = None  # golden global-memory mirror
-        self._pending: tuple[int, LaunchDelta] | None = None
-        if pre:
-            self._state = self._PRE
-        elif tail:
-            self._state = self._WAIT
-        else:
-            self._state = self._OFF
-
-    @property
-    def armed(self) -> bool:
-        """Pre-target replay active (compatibility with the PR-4 cursor)."""
-        return self._state == self._PRE
-
-    @property
-    def tracking(self) -> bool:
-        """Post-target divergence tracking active (checked by Device.launch)."""
-        return self._state == self._TRACKING
+        self._pending: LaunchDelta | None = None  # golden delta of the tracked launch
+        self._waited = 0  # divergent boundaries since the last must-simulate launch
 
     def consult(
         self,
@@ -332,110 +322,48 @@ class ReplayCursor:
         instrumented: bool,
     ) -> LaunchDelta | None:
         """The recorded delta to apply instead of simulating, or ``None``."""
-        state = self._state
-        if state == self._OFF:
+        if self.state == OFF:
             return None
         seq = device.launch_count
-        if state in (self._PRE, self._WAIT):
-            if seq >= self.stop_launch or instrumented:
-                return self._reach_target(
-                    device, seq, kernel_name, grid, block, args, shared_bytes
-                )
-            if state == self._WAIT:
-                return None
-            if device.global_mem.size != self.log.mem_size:
-                self._state = self._OFF
-                return None
-            rec = self.log.launches[seq]
-            if not rec.matches(kernel_name, grid, block, args, shared_bytes):
-                self._state = self._OFF
-                return None
-            return rec
-        if state == self._TRACKING:
-            return self._consult_tracking(
-                device, seq, kernel_name, grid, block, args, shared_bytes,
-                instrumented,
-            )
-        # REPLAYING: like PRE, but falling off the tape (or any mismatch) is
-        # safe — memory is the exact golden state at this boundary, so the
-        # cursor just retires and the rest simulates.
+        rec = self.log.launches[seq] if seq < len(self.log.launches) else None
         if (
-            not instrumented
-            and seq < len(self.log.launches)
-            and device.global_mem.size == self.log.mem_size
+            rec is None
+            or device.global_mem.size != self.log.mem_size
+            or not rec.matches(kernel_name, grid, block, args, shared_bytes)
         ):
-            rec = self.log.launches[seq]
-            if rec.matches(kernel_name, grid, block, args, shared_bytes):
+            # Past the tape or a different launch: the recording cannot
+            # describe this launch, replayed or tracked.
+            self._off()
+            return None
+        if self.state == DIVERGED and not self.divergent:
+            # Memory equals the shadow, which equals golden at this
+            # boundary: the fault is architecturally dead.
+            self.state = GOLDEN
+            self.converged_at = seq
+            self._shadow = None
+        must_simulate = instrumented or seq == self.stop_launch
+        if self.state == GOLDEN:
+            if not must_simulate:
                 return rec
-        self._disarm_tail()
-        return None
-
-    def _reach_target(
-        self, device, seq, kernel_name, grid, block, args, shared_bytes
-    ) -> None:
-        """Pre-target replay is over; start tail tracking if it soundly can.
-
-        The target boundary is the one place memory is known to equal
-        golden, so the shadow snapshot happens here.  An instrumented
-        launch *before* the target (``seq < stop_launch``), a target off
-        the tape, a memory-size mismatch or mismatched target metadata all
-        mean the tape cannot describe this run — tail stays off.
-        """
-        if (
-            not self.tail
-            or seq != self.stop_launch
-            or seq >= len(self.log.launches)
-            or device.global_mem.size != self.log.mem_size
-        ):
-            self._state = self._OFF
-            return None
-        rec = self.log.launches[seq]
-        if not rec.matches(kernel_name, grid, block, args, shared_bytes):
-            self._state = self._OFF
-            return None
-        self._shadow = device.global_mem.shadow_copy()
-        self.divergent = set()
-        self._pending = (seq, rec)
-        self._state = self._TRACKING
-        return None
-
-    def _consult_tracking(
-        self, device, seq, kernel_name, grid, block, args, shared_bytes,
-        instrumented,
-    ) -> LaunchDelta | None:
-        """A launch boundary while tracking: re-arm if converged, else keep
-        simulating (with tracking), or disarm if the tape can't follow."""
-        off_tape = (
-            instrumented
-            or seq >= len(self.log.launches)
-            or device.global_mem.size != self.log.mem_size
-        )
-        rec = None if off_tape else self.log.launches[seq]
-        if rec is not None and not rec.matches(
-            kernel_name, grid, block, args, shared_bytes
-        ):
-            rec = None
-        if rec is None:
-            # Instrumented, past the tape, or diverged launch sequence: the
-            # recording cannot describe this launch, tracked or replayed.
-            self._disarm_tail()
-            return None
-        if not self.divergent:
-            # Architecturally dead fault: memory equals the shadow, which
-            # equals golden at this boundary — re-arm and replay the rest.
-            self._rearm(seq)
-            return rec
-        if self._patience is not None:
-            self._patience -= 1
-            if self._patience < 0:
+            if not self.tail:
+                self._off()
+                return None
+            # The one place memory is known to equal golden: snapshot it.
+            self._shadow = device.global_mem.shadow_copy()
+            self.state = DIVERGED
+        if must_simulate:
+            self._waited = 0
+        else:
+            self._waited += 1
+            if self._waited > TAIL_PATIENCE:
                 # Still divergent after TAIL_PATIENCE boundaries: treat the
                 # fault as persistent and stop paying for tracking.
-                self._disarm_tail()
+                self._off()
                 return None
-        self._pending = (seq, rec)
+        self._pending = rec
         return None
 
-    # -- Device.launch hooks (TRACKING state only) ----------------------------
+    # -- Device.launch hooks (diverged state only) -----------------------------
 
     def begin_simulated_launch(self, device) -> None:
         """Open a dirty-page window around a tracked simulated launch."""
@@ -443,14 +371,13 @@ class ReplayCursor:
 
     def end_simulated_launch(self, device) -> None:
         """Fold one simulated launch into the shadow and divergence set."""
-        if self._state != self._TRACKING:
+        if self.state != DIVERGED:
             return
         written = device.global_mem.end_write_tracking()
-        pending, self._pending = self._pending, None
-        if pending is None:  # a launch consult never saw (shouldn't happen)
-            self._disarm_tail()
+        rec, self._pending = self._pending, None
+        if rec is None:  # a launch consult never saw (shouldn't happen)
+            self._off()
             return
-        _seq, rec = pending
         shadow = self._shadow
         if rec.pages.size:
             shadow.reshape(-1, PAGE_SIZE)[rec.pages] = rec.data.reshape(
@@ -470,58 +397,50 @@ class ReplayCursor:
 
     def launch_faulted(self, device) -> None:
         """A tracked launch raised: partial writes make the divergence set
-        untrustworthy (and golden saw no fault), so the tail turns off."""
+        untrustworthy (and golden saw no fault), so the cursor goes off."""
         device.global_mem.end_write_tracking()
-        self._disarm_tail()
+        self._off()
 
-    # -- host-traffic guards (CudaDriver) --------------------------------------
+    # -- host traffic (CudaDriver) ---------------------------------------------
 
     def note_host_write(self, address: int, payload: bytes) -> None:
         """Mirror a successful ``cuMemcpyHtoD`` into the shadow.
 
         Sound while the read/error guards hold: host state can only diverge
         from golden by observing divergent device bytes or a CUDA error,
-        both of which permanently disarm the tail — so any HtoD payload
-        reaching this point is golden-identical.
+        both of which turn the cursor off — so any HtoD payload reaching
+        this point is golden-identical.
         """
-        if self._state == self._TRACKING and len(payload):
+        if self.state == DIVERGED and len(payload):
             self._shadow[address : address + len(payload)] = np.frombuffer(
                 payload, dtype=np.uint8
             )
 
     def note_host_read(self, address: int, nbytes: int) -> None:
         """A ``cuMemcpyDtoH`` overlapping a divergent page makes divergence
-        host-visible: the host may now branch away from golden, so the tail
-        is permanently disarmed."""
-        if self._state != self._TRACKING or nbytes <= 0 or not self.divergent:
+        host-visible: the host may now branch away from golden, so the
+        cursor goes off."""
+        if self.state != DIVERGED or nbytes <= 0 or not self.divergent:
             return
         first = address >> PAGE_SHIFT
         last = (address + nbytes - 1) >> PAGE_SHIFT
         if any(first <= page <= last for page in self.divergent):
-            self._disarm_tail()
+            self._off()
 
-    def disarm_tail(self) -> None:
-        """A recorded CUDA error (or other host-visible anomaly the golden
-        run did not have): the host may branch on it, so tail fast-forward
-        can never re-arm in this run."""
-        if self._state in (self._WAIT, self._TRACKING, self._REPLAYING):
-            self._disarm_tail()
-        else:
-            # PRE keeps replaying (pre-target launches are verified per
-            # launch), but the tail may no longer arm at the target.
+    def note_cuda_error(self) -> None:
+        """A recorded CUDA error, which the golden run never had: the host
+        may branch on it.  Before the first target only the tail turns off
+        (the launches up to the target are still verified one by one);
+        after it the cursor goes off."""
+        if self.state == GOLDEN and self.converged_at is None:
             self.tail = False
+        else:
+            self._off()
 
     # -- internals -------------------------------------------------------------
 
-    def _rearm(self, seq: int) -> None:
-        self._state = self._REPLAYING
-        self.converged_at = seq
-        self._shadow = None
-        self._pending = None
-        self.divergent = set()
-
-    def _disarm_tail(self) -> None:
-        self._state = self._OFF
+    def _off(self) -> None:
+        self.state = OFF
         self._shadow = None
         self._pending = None
         self.divergent = set()
@@ -544,10 +463,10 @@ class ReplayCursor:
         device.active_sms.update(rec.active_sms)
         if rec.divergence_high_water > device.divergence_depth_high_water:
             device.divergence_depth_high_water = rec.divergence_high_water
-        if self._state == self._REPLAYING:
-            self.tail_skipped += 1
-        else:
+        if self.converged_at is None:
             self.skipped += 1
+        else:
+            self.tail_skipped += 1
         device.tick_n(rec.instructions, cycles=rec.cycles)
 
 
@@ -727,17 +646,16 @@ class ReplayRef:
     """A picklable pointer to one task's fast-forward window.
 
     ``path`` names the on-disk log; ``stop_launch`` is the target launch's
-    global sequence index.  ``pre`` replays the launches strictly before
-    the target; ``tail`` tracks post-target divergence and replays the
-    remaining launches once state re-converges with golden.  Workers thaw
-    the reference into a live :class:`ReplayCursor` via the per-process log
-    cache; a missing or unreadable log degrades to full simulation instead
-    of failing the task.
+    global sequence index: the launches before it replay, and with
+    ``tail`` the launches after it replay again once state re-converges
+    with golden.  Workers thaw the reference into a live
+    :class:`ReplayCursor` via the per-process log cache; a missing or
+    unreadable log degrades to full simulation instead of failing the
+    task.
     """
 
     path: str
     stop_launch: int
-    pre: bool = True
     tail: bool = False
 
     def cursor(self) -> ReplayCursor | None:
@@ -745,4 +663,4 @@ class ReplayRef:
             log = load_replay_log(self.path)
         except (OSError, ReproError):
             return None
-        return ReplayCursor(log, self.stop_launch, pre=self.pre, tail=self.tail)
+        return ReplayCursor(log, self.stop_launch, tail=self.tail)

@@ -78,7 +78,7 @@ class GlobalMemory:
         golden delta (applied to the mirror first) carries full-page
         contents, stale bytes included.  A freed-stale page the tape never
         rewrites can therefore only report a false *divergence* — which
-        merely keeps the tail disarmed, never replays wrong state.
+        merely keeps the cursor from replaying, never replays wrong state.
         """
         out = np.zeros(self.size, dtype=np.uint8)
         for start, end in zip(self._starts, self._ends):

@@ -16,7 +16,11 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core.batch_injector import BatchExecutor
+from repro.core.batch_injector import (
+    BatchExecutor,
+    _chain_groups,
+    _group_tasks,
+)
 from repro.core.campaign import CampaignConfig
 from repro.core.engine import CampaignEngine, EngineHooks, SerialExecutor
 from repro.core.groups import InstructionGroup
@@ -164,6 +168,48 @@ class TestBatchParity:
         )
         assert csv == serial_csv
         assert "engine.batch.checkpoints" not in registry.counter_values()
+
+
+class TestReplayAccountingParity:
+    """A batch child reports the replay accounting of its serial run.
+
+    The sweep's retarget reset exists only to keep these equal: each
+    child starts from the cursor a serial run targeting its launch alone
+    would have.
+    """
+
+    def test_per_run_counters_match_serial(self):
+        # Seed 4 targets launches 0, 0, 1, 4, ... and re-converges three
+        # faults: the launch-0 group heads a sweep chain, back to back
+        # with the launch-1 group.
+        config = _config(seed=4)
+        engine = CampaignEngine(_WORKLOAD, config)
+        engine.run_golden()
+        engine.run_profile()
+        sites = engine.select_sites()
+        tasks = engine._tasks(sites, "transient", range(len(sites)))
+        chains = _chain_groups(_group_tasks(tasks)[0])
+        assert any(
+            len(chain) > 1 and chain[0][0].replay.stop_launch == 0
+            for chain in chains
+        )
+
+        def accounting(executor, batch):
+            runs = {}
+            for output in executor.run(tasks, app=engine.app):
+                assert output.batch is batch  # forked, not a fallback
+                art = output.artifacts
+                runs[output.index] = (
+                    art.replay_launches_skipped,
+                    art.replay_tail_skipped,
+                    art.replay_converged_at,
+                )
+            return runs
+
+        serial = accounting(SerialExecutor(), batch=False)
+        assert accounting(BatchExecutor(), batch=True) == serial
+        assert len(serial) == _N
+        assert any(tail for _, tail, _ in serial.values())
 
 
 class TestNeverReachedTargets:

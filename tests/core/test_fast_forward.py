@@ -210,10 +210,10 @@ class TestReplayObservability:
             index: log.stop_launch_for(site.kernel_name, site.kernel_count)
             for index, site in enumerate(sites)
         }
-        # Sites whose target is the very first launch have no pre-target
-        # window (their cursor is tail-only and reports 0 pre-replayed
-        # launches).  Every windowed site replays exactly the launches
-        # strictly before its target, never past it.
+        # A site whose target is the very first launch has nothing to
+        # replay before it (its cursor simulates launch 0 at once and
+        # reports 0 launches skipped).  Every other site replays exactly
+        # the launches strictly before its target, never past it.
         windows = sorted(v for v in stops.values() if v)
         runs = [
             s for s in spans(sink.events, "run")

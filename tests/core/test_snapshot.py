@@ -30,7 +30,7 @@ from repro.core.engine import (
 )
 from repro.core.snapshot import ReplayCache, default_cache_root
 from repro.core.store import CampaignStore
-from repro.gpusim.replay import load_replay_log
+from repro.gpusim.replay import ReplayLog, load_replay_log
 from repro.obs import MetricsRegistry
 from repro.runner.sandbox import SandboxConfig
 
@@ -213,6 +213,30 @@ class TestReplayCache:
             config=_config(replay_cache=str(cache_dir)), registry=reg2,
         )
         assert reg2.counter_values()["engine.cache.hits"] == 1
+
+    def test_tape_the_run_outlives_is_a_miss_and_rerecorded(
+        self, tmp_path, serial_csv
+    ):
+        """A cached tape one launch short (the run goes on past its end)
+        must not count as a hit: the golden run simulated its last launch,
+        and a campaign on the short tape would give the sites that target
+        that launch no reference.  The miss re-records the entry."""
+        cache_dir = tmp_path / "cache"
+        _campaign_csv(tmp_path, "seed", config=_config(replay_cache=str(cache_dir)))
+        cache = ReplayCache(cache_dir)
+        full = cache.lookup(_WORKLOAD, SandboxConfig())
+        short = ReplayLog(full.mem_size, full.launches[:-1], workload=_WORKLOAD)
+        cache.store(_WORKLOAD, SandboxConfig(), short)
+        registry = MetricsRegistry()
+        csv = _campaign_csv(
+            tmp_path, "short-tape",
+            config=_config(replay_cache=str(cache_dir)), registry=registry,
+        )
+        assert csv == serial_csv
+        values = registry.counter_values()
+        assert values["engine.cache.misses"] == 1
+        assert "engine.cache.hits" not in values
+        assert len(cache.lookup(_WORKLOAD, SandboxConfig())) == len(full)
 
     def test_cache_plus_snapshot_compose(self, tmp_path, serial_csv):
         cache_dir = tmp_path / "cache"

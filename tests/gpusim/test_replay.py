@@ -1,9 +1,9 @@
-"""Golden-replay unit tests: recording, on-disk round-trip, cursor guards.
+"""Golden-replay unit tests: recording, on-disk round-trip, cursor states.
 
 Campaign-level parity (serial/parallel/resumed ``results.csv`` bytes) lives
 in ``tests/core/test_fast_forward.py``; this file exercises the subsystem
 directly: delta capture under realloc/free, the binary format, and the
-cursor's fail-safe disarm rules.
+cursor's transitions between its golden, diverged and off states.
 """
 
 import numpy as np
@@ -14,6 +14,7 @@ from repro.core.groups import InstructionGroup
 from repro.core.injector import TransientInjectorTool
 from repro.core.params import TransientParams
 from repro.errors import ReproError
+from repro.gpusim import replay
 from repro.gpusim.device import Device
 from repro.gpusim.replay import (
     ReplayCursor,
@@ -24,7 +25,7 @@ from repro.gpusim.replay import (
 )
 from repro.mem.memory import PAGE_SIZE
 from repro.runner.app import AppContext, Application
-from repro.runner.sandbox import run_app
+from repro.runner.sandbox import SandboxConfig, run_app
 
 _MODULE = """
 .kernel fill
@@ -257,7 +258,7 @@ class TestCursorReplay:
 
     def test_disarms_at_stop_launch(self, tmp_path):
         _, _, cursor = self._replay_run(2, tmp_path)
-        assert not cursor.armed  # reached the target, simulated from there
+        assert cursor.state == "off"  # reached the target, simulated from there
 
     def test_instrumented_launch_never_replayed(self, tmp_path):
         """The divergence guard: any instrumented launch (the injection
@@ -277,7 +278,7 @@ class TestCursorReplay:
             log.launches[0].shared_bytes,
             instrumented=True,
         )
-        assert rec is None and not cursor.armed
+        assert rec is None and cursor.state == "off"
 
     def test_metadata_mismatch_disarms(self, tmp_path):
         _, log = _record(ReallocApp())
@@ -294,7 +295,7 @@ class TestCursorReplay:
             log.launches[0].shared_bytes,
             instrumented=False,
         )
-        assert rec is None and not cursor.armed
+        assert rec is None and cursor.state == "off"
 
     def test_mem_size_mismatch_disarms(self, tmp_path):
         _, log = _record(ReallocApp())
@@ -307,7 +308,7 @@ class TestCursorReplay:
             small, first.kernel_name, first.grid, first.block, first.args,
             first.shared_bytes, instrumented=False,
         )
-        assert rec is None and not cursor.armed
+        assert rec is None and cursor.state == "off"
 
     def test_stop_launch_clamped_to_log(self, tmp_path):
         _, log = _record(ReallocApp())
@@ -486,8 +487,7 @@ class TestTailFastForward:
         save_replay_log(log, path)
         full = run_app(app_cls(), preload=[_injector(**inj)])
         cursor = ReplayRef(
-            path=str(path), stop_launch=stop_launch,
-            pre=stop_launch > 0, tail=tail,
+            path=str(path), stop_launch=stop_launch, tail=tail
         ).cursor()
         tailed = run_app(app_cls(), preload=[_injector(**inj)], replay=cursor)
         return full, tailed, cursor, log
@@ -513,9 +513,9 @@ class TestTailFastForward:
         assert cursor.skipped == 1
         assert cursor.converged_at is None
         assert cursor.tail_skipped == 0
-        # The final to_host of the corrupted buffer disarmed the tail (the
-        # divergence became host-visible) — the conservative rule fired.
-        assert not cursor.tracking
+        # The final to_host of the corrupted buffer turned the cursor off
+        # (the divergence became host-visible) — the conservative rule fired.
+        assert cursor.state == "off"
         assert tailed.replay_converged_at == -1
         # The SDC is host-visible in both runs, identically.
         golden, _ = _record(TailDivergentApp())
@@ -554,9 +554,10 @@ class TestTailFastForward:
         assert cursor.converged_at is None
 
     def test_instrumented_post_target_launch_disarms_replaying(self, tmp_path):
-        """A cursor whose window ends before the instrumented launch: the
-        clean launch 1 converges trivially (re-arm at 2), then the
-        instrumented launch 3 must drop the tape and simulate."""
+        """A cursor whose target comes before the instrumented launch: the
+        clean launch 1 converges trivially (golden again at 2), then the
+        instrumented launch 3 leaves the tape: it simulates and is tracked,
+        and the final read of its corruption turns the cursor off."""
         full, tailed, cursor, _ = self._tail_run(
             TailApp, tmp_path, kernel_count=1
         )
@@ -564,24 +565,22 @@ class TestTailFastForward:
         assert cursor.skipped == 1
         assert cursor.converged_at == 2
         assert cursor.tail_skipped == 1  # launch 2 replayed off the tape
-        assert not cursor.tracking and not cursor.armed
+        assert cursor.state == "off"
 
-    def test_low_patience_keeps_results_identical(self, tmp_path):
+    def test_low_patience_keeps_results_identical(self, tmp_path, monkeypatch):
         """Patience only forfeits speedup, never changes results: even a
         zero-patience cursor keeps byte parity on a persistent SDC."""
+        monkeypatch.setattr(replay, "TAIL_PATIENCE", 0)
         _, log = _record(TailDivergentApp())
         path = tmp_path / "replay.bin"
         save_replay_log(log, path)
         full = run_app(TailDivergentApp(), preload=[_injector()])
-        cursor = ReplayCursor(
-            load_replay_log(path), stop_launch=1, pre=True, tail=True,
-            patience=0,
-        )
+        cursor = ReplayCursor(load_replay_log(path), stop_launch=1, tail=True)
         tailed = run_app(
             TailDivergentApp(), preload=[_injector()], replay=cursor
         )
         _assert_run_parity(tailed, full)
-        assert not cursor.tracking
+        assert cursor.state == "off"
         assert cursor.converged_at is None
         assert cursor.tail_skipped == 0
 
@@ -595,64 +594,141 @@ class TestTailFastForward:
         assert cursor.converged_at is None
 
 
-class TestTailGuardsWhiteBox:
-    def _tracking_cursor(self, tmp_path) -> ReplayCursor:
-        _, log = _record(ReallocApp())
-        path = tmp_path / "replay.bin"
-        save_replay_log(log, path)
-        cursor = ReplayRef(path=str(path), stop_launch=1, tail=True).cursor()
-        cursor._state = cursor._TRACKING
-        cursor._shadow = np.zeros(log.mem_size, dtype=np.uint8)
-        return cursor
+class TailErrorApp(TailApp):
+    """A host upload past the end of device memory between launch 1 and
+    the overwrite: a CUDA error that no launch raised, in golden too."""
 
-    def test_host_read_of_clean_page_keeps_tracking(self, tmp_path):
-        cursor = self._tracking_cursor(tmp_path)
-        cursor.divergent = {5}
-        cursor.note_host_read(7 * PAGE_SIZE, 16)  # different page: harmless
-        assert cursor.tracking
-        cursor.note_host_read(5 * PAGE_SIZE + 10, 4)  # overlaps page 5
-        assert not cursor.tracking
-        assert cursor.converged_at is None
+    name = "replay_tail_error_app"
 
-    def test_host_read_straddling_into_divergent_page_disarms(self, tmp_path):
-        cursor = self._tracking_cursor(tmp_path)
-        cursor.divergent = {5}
-        cursor.note_host_read(4 * PAGE_SIZE + PAGE_SIZE - 1, 2)  # pages 4..5
-        assert not cursor.tracking
+    def mid(self, ctx: AppContext, buf) -> None:
+        driver = ctx.cuda.driver
+        driver.cuMemcpyHtoD(driver.device.global_mem.size, b"\0" * 4)
 
-    def test_patience_counts_non_converged_boundaries(self, tmp_path):
-        """With the divergence set non-empty, each boundary burns one unit
-        of patience; exhaustion disarms, convergence would re-arm first."""
-        cursor = self._tracking_cursor(tmp_path)
-        cursor._patience = 1
-        cursor.divergent = {5}
-        device = Device(global_mem_bytes=64 * 1024 * 1024)
-        rec = cursor.log.launches[1]
-        device.launch_count = 1
-        out = cursor.consult(
-            device, rec.kernel_name, rec.grid, rec.block, rec.args,
-            rec.shared_bytes, instrumented=False,
+
+class TailPeekCleanApp(TailApp):
+    """Reads four bytes of the page after the buffer between launch 1 and
+    the overwrite: host traffic that never touches the buffer's page."""
+
+    name = "replay_tail_peek_clean_app"
+
+    def mid(self, ctx: AppContext, buf) -> None:
+        ctx.cuda.driver.cuMemcpyDtoH(buf.address + PAGE_SIZE, 4)
+
+
+class TailPeekStraddleApp(TailApp):
+    """Reads the last byte of the page before the buffer and the buffer's
+    first byte between launch 1 and the overwrite."""
+
+    name = "replay_tail_peek_straddle_app"
+
+    def mid(self, ctx: AppContext, buf) -> None:
+        ctx.cuda.driver.cuMemcpyDtoH(buf.address - 1, 2)
+
+
+class _TracedCursor(ReplayCursor):
+    """Logs every launch (``R`` replayed, ``S`` simulated) and every host
+    event, each with the cursor state it left behind."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.trace: list[str] = []
+
+    def consult(self, device, *launch, instrumented):
+        rec = super().consult(device, *launch, instrumented=instrumented)
+        step = "R" if rec is not None else "S"
+        self.trace.append(f"{device.launch_count}{step}:{self.state}")
+        return rec
+
+    def note_host_read(self, address, nbytes):
+        super().note_host_read(address, nbytes)
+        self.trace.append(f"read:{self.state}")
+
+    def note_cuda_error(self):
+        super().note_cuda_error()
+        self.trace.append(f"error:{self.state}")
+
+    def launch_faulted(self, device):
+        super().launch_faulted(device)
+        self.trace.append(f"fault:{self.state}")
+
+
+def _row(row_id, expected, app=TailApp, tape=None, keep=None, stop=1,
+         tail=True, inject=None, mem=None):
+    """One transition row: run ``app`` against a cursor on ``tape``'s
+    golden recording (cut to ``keep`` launches) and expect ``expected``."""
+    setup = dict(app=app, tape=tape or app, keep=keep, stop=stop, tail=tail,
+                 inject=inject, mem=mem)
+    return pytest.param(setup, expected, id=row_id)
+
+
+_SDC = {}  # the default `_injector()`: bump instance 0 (launch 1), silent
+_SDC_LAUNCH_3 = {"kernel_count": 1}
+_CRASH = {"bit_pattern_value": 0.2}  # launch 1 dies with ERROR_ILLEGAL_ADDRESS
+
+_TRANSITIONS = [
+    _row("replay-while-golden", "0R:golden 1R:golden 2R:golden 3S:off "
+         "4S:off read:off", stop=3, tail=False),
+    _row("target-snapshots-shadow", "0R:golden 1S:diverged 2R:golden "
+         "3R:golden 4R:golden read:golden"),
+    _row("convergence-reenters-golden", "0R:golden 1S:diverged "
+         "2S:diverged 3R:golden 4R:golden read:golden", inject=_SDC),
+    _row("patience-runs-out", "0R:golden 1S:diverged 2S:diverged 3S:off "
+         "read:off", app=TailDivergentApp, inject=_SDC),
+    _row("host-read-of-divergent-page", "0R:golden 1S:diverged read:off "
+         "2S:off 3S:off 4S:off read:off", app=TailReadMidApp, inject=_SDC),
+    _row("host-read-straddling-divergent-page", "0R:golden "
+         "1S:diverged read:off 2S:off 3S:off 4S:off read:off",
+         app=TailPeekStraddleApp, inject=_SDC),
+    _row("host-read-of-clean-page", "0R:golden 1S:diverged read:diverged "
+         "2S:diverged 3R:golden 4R:golden read:golden", app=TailPeekCleanApp,
+         inject=_SDC),
+    _row("cuda-error-before-target", "0R:golden 1R:golden error:golden "
+         "2R:golden 3S:off 4S:off read:off", app=TailErrorApp, stop=3),
+    _row("cuda-error-after-target", "0R:golden 1S:diverged error:off "
+         "2S:off 3S:off 4S:off read:off", app=TailErrorApp),
+    _row("off-tape", "0R:golden 1R:golden 2R:golden 3S:off 4S:off read:off",
+         keep=3, stop=None),
+    _row("metadata-mismatch", "0R:golden 1R:golden 2S:off 3S:off read:off",
+         app=TailDivergentApp, tape=TailApp, stop=None),
+    _row("memory-size-mismatch", "0S:off 1S:off 2S:off 3S:off 4S:off "
+         "read:off", mem=32 * 1024 * 1024),
+    _row("faulted-launch", "0R:golden 1S:diverged fault:off error:off "
+         "2S:off 3S:off 4S:off read:off", inject=_CRASH),
+    _row("instrumented-before-target", "0R:golden 1S:diverged 2S:diverged "
+         "3S:diverged 4R:golden read:golden", stop=3, inject=_SDC),
+    _row("instrumented-after-target", "0R:golden 1S:diverged 2R:golden "
+         "3S:diverged 4S:diverged read:off", inject=_SDC_LAUNCH_3),
+    _row("targetless-replays-every-launch", "0R:golden 1R:golden 2R:golden "
+         "3R:golden 4R:golden read:golden", stop=None),
+]
+
+
+class TestCursorTransitions:
+    """Every cursor transition, driven through real runs.
+
+    ``TAIL_PATIENCE`` is 1 here, so two divergent boundaries in a row turn
+    the cursor off.  The rows of instrumented launches other than the
+    target are ones no tool produces today.
+    """
+
+    @pytest.mark.parametrize("setup, expected", _TRANSITIONS)
+    def test_transition(self, setup, expected, monkeypatch):
+        monkeypatch.setattr(replay, "TAIL_PATIENCE", 1)
+        _, log = _record(setup["tape"]())
+        if setup["keep"] is not None:
+            log.launches = log.launches[: setup["keep"]]
+        config = None
+        if setup["mem"] is not None:
+            config = SandboxConfig(global_mem_bytes=setup["mem"])
+
+        def tools():
+            inject = setup["inject"]
+            return None if inject is None else [_injector(**inject)]
+
+        full = run_app(setup["app"](), preload=tools(), config=config)
+        cursor = _TracedCursor(log, setup["stop"], tail=setup["tail"])
+        traced = run_app(
+            setup["app"](), preload=tools(), config=config, replay=cursor
         )
-        assert out is None and cursor.tracking  # one boundary tolerated
-        cursor.divergent = {5}  # still divergent at the next boundary
-        device.launch_count = 2
-        rec = cursor.log.launches[2]
-        out = cursor.consult(
-            device, rec.kernel_name, rec.grid, rec.block, rec.args,
-            rec.shared_bytes, instrumented=False,
-        )
-        assert out is None and not cursor.tracking  # patience exhausted
-        assert cursor.converged_at is None
-
-    def test_cuda_error_poisons_every_state(self, tmp_path):
-        # TRACKING: permanently off.
-        cursor = self._tracking_cursor(tmp_path)
-        cursor.disarm_tail()
-        assert not cursor.tracking and not cursor.armed
-        # PRE: pre-target replay survives, but the tail can never arm.
-        _, log = _record(ReallocApp())
-        path = tmp_path / "replay2.bin"
-        save_replay_log(log, path)
-        pre = ReplayRef(path=str(path), stop_launch=2, tail=True).cursor()
-        pre.disarm_tail()
-        assert pre.armed and not pre.tail
+        assert " ".join(cursor.trace) == expected
+        _assert_run_parity(traced, full)

@@ -19,7 +19,7 @@ import os
 import time
 from pathlib import Path
 
-from benchmarks.harness import campaign_seed, emit, quick_mode
+from benchmarks.harness import campaign_seed, emit, quick_mode, write_output
 from repro.core.adaptive import StoppingRule
 from repro.core.campaign import CampaignConfig
 from repro.core.engine import CampaignEngine
@@ -120,7 +120,7 @@ def test_adaptive_early_stopping(benchmark, tmp_path):
             registry.counter("engine.adaptive.batches").value
         ),
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    write_output(BENCH_PATH, json.dumps(payload, indent=2) + "\n")
 
     emit(
         "adaptive_early_stopping",

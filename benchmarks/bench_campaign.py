@@ -34,7 +34,7 @@ import os
 import time
 from pathlib import Path
 
-from benchmarks.harness import campaign_seed, emit, quick_mode
+from benchmarks.harness import campaign_seed, emit, quick_mode, write_output
 from repro.core.batch_injector import BatchExecutor
 from repro.core.campaign import CampaignConfig
 from repro.core.engine import CampaignEngine, ParallelExecutor
@@ -323,7 +323,7 @@ def test_campaign_wall_clock(benchmark, tmp_path):
         "scaling_efficiency_8v2": scaling_efficiency,
         "results_csv_byte_identical": True,
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    write_output(BENCH_PATH, json.dumps(payload, indent=2) + "\n")
 
     rows = [
         [

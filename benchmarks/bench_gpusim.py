@@ -41,7 +41,7 @@ import statistics
 import time
 from pathlib import Path
 
-from benchmarks.harness import emit, quick_mode, workload_names
+from benchmarks.harness import emit, quick_mode, workload_names, write_output
 from repro.core.campaign import CampaignConfig
 from repro.core.engine import CampaignEngine
 from repro.core.pf_injector import PermanentInjectorTool
@@ -300,7 +300,7 @@ def test_interpreter_throughput(benchmark):
         "workload_speedup_floor": _MIN_WORKLOAD_SPEEDUP,
         "counters_identical": True,
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    write_output(BENCH_PATH, json.dumps(payload, indent=2) + "\n")
 
     table_rows = [
         [

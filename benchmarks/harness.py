@@ -10,7 +10,11 @@ Environment knobs:
 * ``REPRO_SEED``      — campaign seed (default 2021, the paper's year).
 
 Every benchmark writes its rendered table/figure to
-``benchmarks/results/<name>.txt`` in addition to printing it.
+``benchmarks/results/<name>.txt`` in addition to printing it, and the
+trajectory benchmarks write their repo-root ``BENCH_*.json``.  Every such
+write goes through :func:`write_output`: in quick mode it lands at the
+same relative path under ``.bench_build/quick/`` (ignored by git), so a
+smoke run never replaces a recorded full-size result.
 """
 
 from __future__ import annotations
@@ -22,7 +26,9 @@ from repro.core.campaign import Campaign, CampaignConfig
 from repro.core.profiler import ProfilingMode
 from repro.workloads import WORKLOAD_CLASSES, get_workload
 
-RESULTS_DIR = Path(__file__).parent / "results"
+ROOT = Path(__file__).resolve().parent.parent
+RESULTS_DIR = ROOT / "benchmarks" / "results"
+QUICK_DIR = ROOT / ".bench_build" / "quick"
 
 _QUICK_SUBSET = ("303.ostencil", "314.omriq", "352.ep", "360.ilbdc")
 
@@ -57,9 +63,24 @@ def make_campaign(name: str, profiling: ProfilingMode = ProfilingMode.EXACT,
     return Campaign(get_workload(name), config)
 
 
+def output_path(path: Path) -> Path:
+    """Where a benchmark output recorded at ``path`` is written: ``path``
+    itself, or in quick mode its twin under :data:`QUICK_DIR`."""
+    if not quick_mode():
+        return path
+    return QUICK_DIR / Path(path).resolve().relative_to(ROOT)
+
+
+def write_output(path: Path, text: str) -> Path:
+    """Write a benchmark output (see :func:`output_path`); return where."""
+    target = output_path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(text)
+    return target
+
+
 def emit(name: str, text: str) -> None:
     """Print a rendered table/figure and persist it under results/."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+    write_output(RESULTS_DIR / f"{name}.txt", text + "\n")
     print()
     print(text)

@@ -68,7 +68,9 @@ def profile(
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
 ) -> ProgramProfile:
-    """Profile a workload: golden run, then an instrumented profiling run.
+    """Profile a workload: the golden run counts its instructions, and the
+    profile follows from those counts (see
+    :meth:`~repro.core.engine.CampaignEngine.run_profile`).
 
     Returns the :class:`ProgramProfile` with its ``workload`` field stamped,
     so :func:`select_sites` reproduces the engine's RNG stream.

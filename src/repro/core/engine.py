@@ -75,7 +75,7 @@ from repro.core.outcomes import classify
 from repro.core.params import IntermittentParams, PermanentParams, TransientParams
 from repro.core.pf_injector import IntermittentInjectorTool, PermanentInjectorTool
 from repro.core.profile_data import ProgramProfile
-from repro.core.profiler import ProfilerTool, ProfilingMode
+from repro.core.profiler import ProfilerTool, ProfilingMode, derived_profile
 from repro.core.report import OutcomeTally
 from repro.core.resilience import (
     CampaignInterrupted,
@@ -92,6 +92,7 @@ from repro.core.site_selection import (
     stratum_weights,
 )
 from repro.errors import ReproError
+from repro.gpusim.counts import LaunchCounter
 from repro.gpusim.replay import (
     GOLDEN,
     ReplayCursor,
@@ -720,6 +721,9 @@ class CampaignEngine:
         # on-disk copy every worker loads lazily (once per process).
         self._replay_log = None  # repro.gpusim.replay.ReplayLog | None
         self._replay_path: str | None = None
+        # The golden run's per-launch instruction counts (counted, or
+        # loaded with a cached tape); None when they are incomplete.
+        self._launch_counts = None  # list[repro.gpusim.counts.LaunchCounts] | None
 
     def _replay_cache(self):
         """The persistent cross-campaign replay cache, if configured.
@@ -740,14 +744,21 @@ class CampaignEngine:
         recorder = None
         golden = self._run_golden_cached(cache) if cache is not None else None
         if golden is None:
-            recorder = ReplayRecorder() if self.config.fast_forward else None
+            # The golden run counts its instructions: the derived profile
+            # and permanent-fault replay read the counts, which go in the
+            # tape (or stay in memory with fast-forward off).
+            counter = LaunchCounter()
+            recorder = (
+                ReplayRecorder(counter) if self.config.fast_forward else None
+            )
             with self.tracer.span("golden", workload=self.app.name) as span:
                 if span is not None and cache is not None:
                     span.attrs["replay_cache"] = "miss"
                 golden = capture_golden(
                     self.app, self._sandbox_config(), tracer=self.tracer,
-                    recorder=recorder,
+                    recorder=recorder, counter=counter,
                 )
+            self._launch_counts = counter.launches if counter.complete else None
         self.golden = golden
         self.golden_time = golden.wall_time
         self._record_run_metrics(golden)
@@ -785,6 +796,7 @@ class CampaignEngine:
             if cursor.state == GOLDEN and cursor.skipped == len(log):
                 self.registry.counter("engine.cache.hits").inc()
                 self._replay_log = log
+                self._launch_counts = log.counts
                 self._replay_path = str(
                     cache.path_for(self.app.name, self._sandbox_config())
                 )
@@ -833,54 +845,71 @@ class CampaignEngine:
         self._phase("replay", time.perf_counter() - started)
 
     def _replay_ref_for(self, site) -> ReplayRef | None:
-        """The fast-forward reference for one transient site (or None).
+        """The fast-forward reference for one site (or None).
 
-        ``stop_launch`` is the golden sequence number of the targeted
-        launch: everything before it replays, the target simulates, and —
-        with ``tail_fast_forward`` — the launches after it replay again
-        once the run's memory re-converges with golden.  Sites absent
-        from the log carry no reference.
+        For a transient site, ``stop_launch`` is the golden sequence number
+        of the targeted launch: everything before it replays, the target
+        simulates, and — with ``tail_fast_forward`` — the launches after it
+        replay again once the run's memory re-converges with golden.  Sites
+        absent from the log carry no reference.  A permanent or
+        intermittent site has no target: its reference carries the fault's
+        (opcode, SM, lane), and every launch the fault cannot reach
+        replays, which needs the tape's counts.
         """
-        if self._replay_log is None or self._replay_path is None:
+        log = self._replay_log
+        if log is None or self._replay_path is None:
             return None
-        stop = self._replay_log.stop_launch_for(
-            site.kernel_name, site.kernel_count
-        )
-        if stop is None:
+        if isinstance(site, TransientParams):
+            stop = log.stop_launch_for(site.kernel_name, site.kernel_count)
+            if stop is None:
+                return None
+            return ReplayRef(
+                path=self._replay_path,
+                stop_launch=stop,
+                tail=self.config.tail_fast_forward,
+            )
+        if log.counts is None:
             return None
+        fault = getattr(site, "permanent", site)
         return ReplayRef(
             path=self._replay_path,
-            stop_launch=stop,
+            stop_launch=None,
             tail=self.config.tail_fast_forward,
+            site=(fault.opcode_id, fault.sm_id, fault.lane_id),
         )
 
     def run_profile(self, mode: ProfilingMode | None = None) -> ProgramProfile:
+        """The instruction profile, derived from the golden run's counts.
+
+        The profile run ``ProfilerTool`` would make executes exactly the
+        golden run's instructions, so its profile follows from the counts
+        (:func:`~repro.core.profiler.derived_profile`), and so do the
+        device totals it would add, which are re-reported: golden's
+        instructions and warps, and golden's cycles plus the profiler's
+        instrumentation and JIT charges.  The profiler still runs when
+        there are no complete counts, or when a kernel reads
+        ``SR_CLOCK``.
+        """
         if self.golden is None:
             self.run_golden()
         mode = mode or self.config.profiling
         cache = self._replay_cache()
         if cache is not None and self._cached_profile(cache, mode):
             return self.profile
-        profiler = ProfilerTool(mode)
+        counts = self._launch_counts
         with self.tracer.span(
             "profile", workload=self.app.name, mode=mode.value
         ) as span:
             if span is not None and cache is not None:
                 span.attrs["replay_cache"] = "miss"
-            artifacts = run_app(
-                self.app,
-                preload=[profiler],
-                config=self._injection_config(),
-                tracer=self.tracer,
-            )
-        if artifacts.crashed or artifacts.timed_out:
-            raise RuntimeError(
-                f"profiling run failed unexpectedly: {artifacts.summary()}"
-            )
-        self.profile = profiler.profile
+            if counts is not None and not any(c.reads_clock for c in counts):
+                profile, counters = self._derived_profile(counts, mode)
+                if span is not None:
+                    span.attrs["derived"] = True
+            else:
+                profile, counters = self._counted_profile(mode)
+        self.profile = profile
         self.profile.workload = self.app.name
-        self.profile_time = artifacts.wall_time
-        self._record_run_metrics(artifacts)
         if self.store is not None:
             self.store.save_profile(self.profile)
         self._phase("profile", self.profile_time)
@@ -891,13 +920,48 @@ class CampaignEngine:
                 mode.value,
                 self._replay_log.content_hash,
                 self.profile,
-                counters={
-                    "gpusim.instructions_retired": artifacts.instructions_executed,
-                    "gpusim.cycles": artifacts.cycles,
-                    "gpusim.warps_launched": artifacts.warps_launched,
-                },
+                counters=counters,
             )
         return self.profile
+
+    def _derived_profile(
+        self, counts, mode: ProfilingMode
+    ) -> tuple[ProgramProfile, dict]:
+        """The profile from golden's counts, and the device totals the
+        profile run would have added, re-reported into the registry."""
+        started = time.perf_counter()
+        profile, hook_cycles = derived_profile(counts, mode)
+        golden = self.golden
+        counters = {
+            "gpusim.instructions_retired": golden.instructions_executed,
+            "gpusim.cycles": golden.cycles + hook_cycles,
+            "gpusim.warps_launched": golden.warps_launched,
+        }
+        for name, value in counters.items():
+            self.registry.counter(name).inc(value)
+        self.profile_time = time.perf_counter() - started
+        return profile, counters
+
+    def _counted_profile(self, mode: ProfilingMode) -> tuple[ProgramProfile, dict]:
+        """Run the profiler: its profile and the run's device totals."""
+        profiler = ProfilerTool(mode)
+        artifacts = run_app(
+            self.app,
+            preload=[profiler],
+            config=self._injection_config(),
+            tracer=self.tracer,
+        )
+        if artifacts.crashed or artifacts.timed_out:
+            raise RuntimeError(
+                f"profiling run failed unexpectedly: {artifacts.summary()}"
+            )
+        self.profile_time = artifacts.wall_time
+        self._record_run_metrics(artifacts)
+        return profiler.profile, {
+            "gpusim.instructions_retired": artifacts.instructions_executed,
+            "gpusim.cycles": artifacts.cycles,
+            "gpusim.warps_launched": artifacts.warps_launched,
+        }
 
     def _cached_profile(self, cache, mode: ProfilingMode) -> bool:
         """Service the profiling pass from the persistent replay cache.
@@ -1557,13 +1621,12 @@ class CampaignEngine:
     ) -> list[InjectionTask]:
         """Frozen, executor-ready tasks for ``indices`` of ``sites``.
 
-        Transient tasks carry their fast-forward reference.  Tasks are
-        grouped by target launch, so neighbours share the replay log's page
-        cache.  Results are keyed by index, so the ordering
-        cannot change results.csv.
+        Every task carries its fast-forward reference.  Tasks are grouped
+        by target launch (a targetless one sorts first), so neighbours
+        share the replay log's page cache.  Results are keyed by index, so
+        the ordering cannot change results.csv.
         """
         spec = self._injection_spec()
-        transient = kind == CampaignKind.TRANSIENT.value
         tasks = [
             InjectionTask(
                 index,
@@ -1571,13 +1634,15 @@ class CampaignEngine:
                 kind,
                 sites[index],
                 spec,
-                replay=self._replay_ref_for(sites[index]) if transient else None,
+                replay=self._replay_ref_for(sites[index]),
             )
             for index in indices
         ]
         tasks.sort(
             key=lambda t: (
-                t.replay.stop_launch if t.replay is not None else -1,
+                -1
+                if t.replay is None or t.replay.stop_launch is None
+                else t.replay.stop_launch,
                 t.index,
             )
         )

@@ -12,15 +12,29 @@ Two modes, as in paper §III-A:
 Counting uses an after-instruction callback that adds the number of lanes
 that actually executed (``InstrSite.num_executed``), so predicated-off
 instructions contribute nothing — the paper's profiling rule.
+
+A campaign does not run this tool when it can help it: the golden run
+executes the same instructions and counts them itself
+(:mod:`repro.gpusim.counts`), and :func:`derived_profile` builds the
+profile this tool would build from those counts.  The tool stays as the
+paper's profiler, the measurement of Figure 4, and the oracle the derived
+profile is tested against.
 """
 
 from __future__ import annotations
 
 import enum
+from typing import Sequence
 
 from repro.core.profile_data import KernelProfile, ProgramProfile
 from repro.cuda.driver import CudaEvent, CudaFunction
 from repro.gpusim.context import InstrSite
+from repro.gpusim.counts import LaunchCounts
+from repro.gpusim.device import (
+    INSTRUMENTATION_FIXED_CYCLES,
+    INSTRUMENTATION_PER_THREAD_CYCLES,
+    JIT_COMPILE_CYCLES,
+)
 from repro.nvbit.instr import IPoint
 from repro.nvbit.tool import NVBitTool
 
@@ -93,3 +107,39 @@ class ProfilerTool(NVBitTool):
     def _count(self, site: InstrSite) -> None:
         if self._current is not None:
             self._current.add(site.instr.opcode, site.num_executed)
+
+
+def derived_profile(
+    counts: Sequence[LaunchCounts], mode: ProfilingMode = ProfilingMode.EXACT
+) -> tuple[ProgramProfile, int]:
+    """The profile :class:`ProfilerTool` would count over a run whose
+    launches executed ``counts``, and the cycles its hooks would add.
+
+    The tool hooks every instruction of the launches it instruments (all
+    of them in exact mode; in approximate mode the first launch of each
+    function handle, whose counts the later ones copy, flagged), and it
+    JIT-compiles each handle once.  Each hooked warp-level execution costs
+    :data:`~repro.gpusim.device.INSTRUMENTATION_FIXED_CYCLES` plus one
+    cycle per executing thread, and each compile
+    :data:`~repro.gpusim.device.JIT_COMPILE_CYCLES`.
+    """
+    profile = ProgramProfile()
+    invocations: dict[str, int] = {}
+    first: dict[int, KernelProfile] = {}
+    hook_cycles = 0
+    for launch in counts:
+        invocation = invocations.get(launch.kernel_name, 0)
+        invocations[launch.kernel_name] = invocation + 1
+        record = KernelProfile(launch.kernel_name, invocation)
+        if mode is ProfilingMode.EXACT or launch.handle not in first:
+            record.counts = launch.thread_counts()
+            first.setdefault(launch.handle, record)
+            hook_cycles += (
+                INSTRUMENTATION_FIXED_CYCLES * launch.total_warp_execs
+                + INSTRUMENTATION_PER_THREAD_CYCLES * launch.total_thread_execs
+            )
+        else:
+            record.counts = dict(first[launch.handle].counts)
+            record.approximated = True
+        profile.append(record)
+    return profile, hook_cycles + JIT_COMPILE_CYCLES * len(first)

@@ -105,7 +105,8 @@ class ReplayCache:
         """The cached tape for this (workload, config), or ``None``.
 
         The load validates the embedded content hash and the recorded
-        workload id; any failure is a miss, never an error.
+        workload id, and the tape must carry the golden run's instruction
+        counts; any failure is a miss, never an error.
         """
         path = self.path_for(workload, config)
         try:
@@ -113,6 +114,10 @@ class ReplayCache:
         except (OSError, ReproError):
             return None
         if log.workload and log.workload != workload:
+            return None
+        if log.counts is None:
+            # Taped without instruction counts: re-record, so the profile
+            # can be derived and permanent tasks get their reach data.
             return None
         return log
 

@@ -247,6 +247,10 @@ class CudaDriver:
                 # instead of simulating it.
                 self.replay.apply(self.device, replayed)
             else:
+                if self.device.launch_counter is not None:
+                    # Counts are kept per function handle: two loads of
+                    # one image share a kernel, not their handles.
+                    self.device.launch_counter.note_function(func)
                 self.device.launch(
                     func.kernel, grid, block, params.args, shared_bytes, hooks=hooks
                 )

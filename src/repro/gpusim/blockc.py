@@ -607,15 +607,47 @@ _NO_BREAKS: frozenset[int] = frozenset()
 
 
 class Block:
-    """One compiled basic block: ``run(warp, device)`` executes it whole."""
+    """One compiled basic block: ``run(warp, device)`` executes it whole.
 
-    __slots__ = ("start", "end", "length", "run")
+    ``countable`` and ``guarded`` serve the golden run's instruction counts
+    (:mod:`repro.gpusim.counts`): every exec mask of a countable block
+    follows from ``warp.active`` before its run and, when it is
+    ``guarded`` (some pc carries a predicate guard), the predicates after
+    it.
+    """
 
-    def __init__(self, start: int, end: int, run) -> None:
+    __slots__ = ("start", "end", "length", "run", "countable", "guarded")
+
+    def __init__(self, start: int, end: int, run, instructions) -> None:
         self.start = start
         self.end = end
         self.length = end - start
         self.run = run
+        self.countable, self.guarded = _count_shape(instructions[start:end])
+
+
+def _count_shape(instructions) -> tuple[bool, bool]:
+    """``(countable, guarded)`` of a block's instructions.
+
+    A guarded pc's exec mask is ``active`` and its predicate at that pc,
+    which equals the predicate after the run unless the pc or a later one
+    writes it (``R2P`` may write any).  A block where that happens is not
+    countable from its boundaries, so the counting run steps it.
+    """
+    guarded = False
+    written: set[int] = set()  # predicates written at or after this pc
+    every = False  # an R2P at or after this pc
+    for instr in reversed(instructions):
+        if instr.opcode == "R2P":
+            every = True
+        elif instr.dest_pred is not None:
+            written.add(instr.dest_pred)
+        guard = instr.guard
+        if guard is not None and not guard.is_pt:
+            guarded = True
+            if every or guard.index in written:
+                return False, True
+    return True, guarded
 
 
 class CompiledKernel:
@@ -672,7 +704,7 @@ class CompiledKernel:
                 source = _gen_block_source(instructions, *span, pool)
                 namespace["_C"] = pool.values
                 exec(compile(source, "<gpusim-blockc>", "exec"), namespace)
-                block = Block(*span, namespace[f"_b{span[0]}"])
+                block = Block(*span, namespace[f"_b{span[0]}"], instructions)
                 self._bound[span] = block
                 bound += 1
             blocks[span[0]] = block

@@ -95,6 +95,11 @@ class Device:
         # is bracketed by its begin/end hooks so the divergence set stays
         # current at each launch boundary.
         self.replay_tracker = None
+        # Instruction counts (repro.gpusim.counts.LaunchCounter): when
+        # attached (the golden run), every uninstrumented launch counts its
+        # executions per opcode, the input of the derived profile and of
+        # permanent-fault replay.
+        self.launch_counter = None
 
     def start_host_measures(self) -> None:
         """Start the run's host-side measures afresh: its wall clock
@@ -139,10 +144,14 @@ class Device:
         self.instructions_executed -= n
         self.cycles -= n
 
-    def charge_instrumentation(self, executed_threads: int) -> None:
-        """Simulated cost of one instrumentation callback invocation."""
+    def charge_instrumentation(
+        self, executed_threads: int, callbacks: int = 1
+    ) -> None:
+        """Simulated cost of ``callbacks`` instrumentation callback
+        invocations, which saw ``executed_threads`` executing threads
+        between them."""
         self.cycles += (
-            INSTRUMENTATION_FIXED_CYCLES
+            INSTRUMENTATION_FIXED_CYCLES * callbacks
             + INSTRUMENTATION_PER_THREAD_CYCLES * executed_threads
         )
 
@@ -211,6 +220,8 @@ class Device:
         tracking = tracker is not None and tracker.state == DIVERGED
         if tracking:
             tracker.begin_simulated_launch(self)
+        counter = self.launch_counter
+        tallies = None if counter is None else counter.begin_launch(hooks)
 
         num_blocks = grid3[0] * grid3[1] * grid3[2]
         try:
@@ -234,8 +245,12 @@ class Device:
                         grid_id=grid_id,
                         clock=lambda: self.instructions_executed,
                     )
+                    tally = (
+                        None if tallies is None
+                        else tallies.setdefault(sm.sm_id, ({}, {}))
+                    )
                     try:
-                        sm.run_block(kernel, ctx, compiled, blocks, hooks)
+                        sm.run_block(kernel, ctx, compiled, blocks, hooks, tally)
                     except WatchdogTimeout:
                         raise
                     except DeviceException as exc:
@@ -254,6 +269,8 @@ class Device:
             if tracking:
                 tracker.launch_faulted(self)
             raise
+        if tallies is not None:
+            counter.end_launch(kernel, compiled, blocks, tallies)
         if recorder is not None:
             recorder.end_launch(
                 self, kernel.name, grid3, block3, params, shared_bytes

@@ -19,13 +19,15 @@ Three pieces:
 * :class:`ReplayLog` — the per-campaign recording, with a compact binary
   on-disk format (:func:`save_replay_log` / :func:`load_replay_log`; loads
   are cached per process so parallel campaign workers share one read-only
-  copy);
+  copy).  Beside each launch's delta the tape carries the golden run's
+  instruction counts for that launch
+  (:class:`~repro.gpusim.counts.LaunchCounts`);
 * :class:`ReplayCursor` — one per run, consulted by
   :meth:`repro.cuda.driver.CudaDriver.cuLaunchKernel`: while memory
   equals golden (the cursor's ``golden`` state) a launch applies its
   recorded delta with one vectorised numpy copy instead of simulating;
-  a launch that must simulate — the target, or any instrumented launch —
-  runs normally.
+  a launch that must simulate — the target, or an instrumented launch
+  the task's fault can reach — runs normally.
 
 **Tail fast-forward** closes the other half of the gap: masked faults
 dominate real campaigns, and a masked fault's architectural state usually
@@ -68,9 +70,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ReproError, WatchdogTimeout
+from repro.gpusim.counts import LaunchCounter, LaunchCounts
 from repro.mem.memory import PAGE_SHIFT, PAGE_SIZE
 
-_MAGIC = b"RPRL\x01\n"
+# Version 2 carries the per-launch instruction counts; a version-1 tape
+# (no counts) does not load, so a cache entry of it is a miss.
+_MAGIC = b"RPRL\x02\n"
+_MAGIC_PREFIX = b"RPRL"
 
 # Launch boundaries the divergence set may stay non-empty before the tail
 # gives up.  Masked faults that re-converge at all do so almost immediately
@@ -130,11 +136,18 @@ class ReplayLog:
     """One golden run's launch-by-launch recording."""
 
     def __init__(
-        self, mem_size: int, launches: list[LaunchDelta], workload: str = ""
+        self,
+        mem_size: int,
+        launches: list[LaunchDelta],
+        workload: str = "",
+        counts: list[LaunchCounts] | None = None,
     ) -> None:
         self.mem_size = mem_size
         self.launches = launches
         self.workload = workload
+        #: The golden run's instruction counts, one per launch, or ``None``
+        #: when the recording run did not count.
+        self.counts = counts
         #: sha256 hex digest of the serialised blob section; set by the
         #: loader (and by ``save_replay_log``) so callers such as the
         #: persistent replay cache can validate content identity.
@@ -168,10 +181,11 @@ class ReplayRecorder:
     producing a log that could replay wrong state.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, counter: LaunchCounter | None = None) -> None:
         self.launches: list[LaunchDelta] = []
         self.aborted = False
         self.workload = ""
+        self.counter = counter  # its counts go in the tape beside the deltas
         self._mem_size: int | None = None
         self._instances: dict[str, int] = {}
         self._snapshot: tuple[int, int, int, set[int]] | None = None
@@ -242,10 +256,24 @@ class ReplayRecorder:
         self._snapshot = None
 
     def log(self) -> ReplayLog | None:
-        """The finished recording, or ``None`` when nothing usable was taped."""
+        """The finished recording, or ``None`` when nothing usable was taped.
+
+        It carries the counter's counts when every taped launch was
+        counted, and none otherwise.
+        """
         if self.aborted or self._mem_size is None or not self.launches:
             return None
-        return ReplayLog(self._mem_size, self.launches, workload=self.workload)
+        counter = self.counter
+        counts = None
+        if (
+            counter is not None
+            and counter.complete
+            and len(counter.launches) == len(self.launches)
+        ):
+            counts = counter.launches
+        return ReplayLog(
+            self._mem_size, self.launches, workload=self.workload, counts=counts
+        )
 
 
 class ReplayCursor:
@@ -264,11 +292,20 @@ class ReplayCursor:
         the tape can no longer describe this run; everything simulates.
 
     One rule decides what a golden boundary does: a launch must simulate
-    when it is instrumented or is the target (``stop_launch``, a global
-    launch-sequence index; ``None`` for a targetless cursor).  A transient
-    task is the one-target case, the cached golden run the no-target case,
-    and :class:`~repro.gpusim.multifault.SweepCursor` a sorted series of
-    targets.  The transitions:
+    when it is the target (``stop_launch``, a global launch-sequence
+    index; ``None`` for a targetless cursor), or when it is instrumented
+    and the fault can reach it.  Without a ``site`` every instrumented
+    launch can.  A permanent or intermittent fault's ``site`` is
+    ``(opcode id, SM, lane)``: it can reach only a launch in which golden
+    executed that opcode on that SM with that lane in the exec mask
+    (:meth:`~repro.gpusim.counts.LaunchCounts.reaches`).  Any other
+    launch whose input memory equals golden runs exactly as golden did,
+    so it replays, and an instrumented one is charged the callbacks its
+    hooks would have cost: 5 cycles per warp-level execution of the
+    opcode plus 1 per executing thread.  A transient task is the
+    one-target case, the cached golden run and a permanent task the
+    no-target case, and :class:`~repro.gpusim.multifault.SweepCursor` a
+    sorted series of targets.  The transitions:
 
     ========  ===============================================  ========
     from      event                                            to
@@ -295,13 +332,19 @@ class ReplayCursor:
     """
 
     def __init__(
-        self, log: ReplayLog, stop_launch: int | None = None, tail: bool = False
+        self,
+        log: ReplayLog,
+        stop_launch: int | None = None,
+        tail: bool = False,
+        site: tuple[int, int, int] | None = None,
     ) -> None:
         self.log = log
         self.stop_launch = (
             stop_launch if stop_launch is None else min(stop_launch, len(log))
         )
         self.tail = tail
+        self.site = site
+        self._hook_execs: tuple[int, int] | None = None  # (W, T) to charge on apply
         self.state = GOLDEN
         self.skipped = 0
         self.tail_skipped = 0
@@ -341,9 +384,15 @@ class ReplayCursor:
             self.state = GOLDEN
             self.converged_at = seq
             self._shadow = None
-        must_simulate = instrumented or seq == self.stop_launch
+        must_simulate = seq == self.stop_launch or (
+            instrumented and self._reaches(seq)
+        )
         if self.state == GOLDEN:
             if not must_simulate:
+                if instrumented:
+                    self._hook_execs = self.log.counts[seq].executions(
+                        self.site[0]
+                    )
                 return rec
             if not self.tail:
                 self._off()
@@ -439,6 +488,13 @@ class ReplayCursor:
 
     # -- internals -------------------------------------------------------------
 
+    def _reaches(self, seq: int) -> bool:
+        """Can the fault reach launch ``seq``?  Always without a site or
+        without counts to tell."""
+        if self.site is None or self.log.counts is None:
+            return True
+        return self.log.counts[seq].reaches(*self.site)
+
     def _off(self) -> None:
         self.state = OFF
         self._shadow = None
@@ -448,11 +504,16 @@ class ReplayCursor:
     def apply(self, device, rec: LaunchDelta) -> None:
         """Fast-forward one launch: restore its write delta and counters.
 
-        The bulk counter charge goes through :meth:`Device.tick_n` — last,
-        so that when the recorded instructions push the run over its budget
-        the raised :class:`WatchdogTimeout` leaves exactly the same device
-        state (memory, launch/warp counters, skip tallies) as before.
+        A replayed instrumented launch first pays its callbacks (the
+        executions :meth:`consult` looked up).  The bulk counter charge goes
+        through :meth:`Device.tick_n` — last, so that when the recorded
+        instructions push the run over its budget the raised
+        :class:`WatchdogTimeout` leaves exactly the same device state
+        (memory, launch/warp counters, skip tallies) as before.
         """
+        hooked, self._hook_execs = self._hook_execs, None
+        if hooked is not None:
+            device.charge_instrumentation(hooked[1], callbacks=hooked[0])
         mem = device.global_mem
         if rec.pages.size:
             mem.data.reshape(-1, PAGE_SIZE)[rec.pages] = rec.data.reshape(
@@ -477,22 +538,61 @@ class ReplayCursor:
 # The JSON header carries the log-level fields plus per-launch metadata
 # (including each launch's page count); the blob section holds, for each
 # launch in order, the int64 little-endian page-index array followed by the
-# raw page contents.  Everything after the header is offset-computable, so
-# the loader is a single sequential read.
+# raw page contents, then the counts section.  Everything after the header
+# is offset-computable, so the loader is a single sequential read.
+#
+# The counts section stores every launch's LaunchCounts concatenated, as
+# seven little-endian arrays in :data:`_COUNT_ARRAYS` order: an (n, 4)
+# int64 index of (handle, reads_clock, opcodes, lane entries) per launch,
+# then the W, T, lane-mask, opcode, lane-opcode and lane-SM columns.  The
+# header's ``counts`` field gives the two column lengths; a log without
+# counts has no such field and no section.
 #
 # The header also embeds ``sha256``, the hex digest of the blob section:
 # the loader rejects a log whose blobs do not match (torn write, bit rot,
 # or a rewrite that kept the header), and the persistent replay cache uses
-# the digest as its content-identity check.  Logs written before the field
-# existed still load (no digest, no validation).
+# the digest as its content-identity check.
+
+# (LaunchCounts attribute, dtype, column) of each counts array after the index.
+_COUNT_ARRAYS = (
+    ("warp_execs", "<i8", "ops"),
+    ("thread_execs", "<i8", "ops"),
+    ("lane_masks", "<u4", "lanes"),
+    ("opcodes", "<u2", "ops"),
+    ("lane_opcodes", "<u2", "lanes"),
+    ("lane_sms", "<u2", "lanes"),
+)
+
+
+def _blobs(log: ReplayLog) -> list[bytes]:
+    """The blob section of ``log``, in file order."""
+    blobs = []
+    for rec in log.launches:
+        blobs.append(rec.pages.astype("<i8").tobytes())
+        blobs.append(rec.data.tobytes())
+    if log.counts is not None:
+        index = np.array(
+            [
+                (c.handle, c.reads_clock, c.opcodes.size, c.lane_masks.size)
+                for c in log.counts
+            ],
+            dtype="<i8",
+        ).reshape(-1, 4)
+        blobs.append(index.tobytes())
+        for attr, dtype, _ in _COUNT_ARRAYS:
+            column = [getattr(c, attr) for c in log.counts]
+            blobs.append(
+                np.concatenate(column).astype(dtype).tobytes() if column else b""
+            )
+    return blobs
 
 
 def save_replay_log(log: ReplayLog, path: str | os.PathLike) -> None:
     """Serialise ``log`` to ``path`` (atomically, via a temp file)."""
+    blobs = _blobs(log)
     digest = hashlib.sha256()
-    for rec in log.launches:
-        digest.update(rec.pages.astype("<i8").tobytes())
-        digest.update(rec.data.tobytes())
+    for blob in blobs:
+        digest.update(blob)
     content_hash = digest.hexdigest()
     header = {
         "page_size": PAGE_SIZE,
@@ -517,6 +617,11 @@ def save_replay_log(log: ReplayLog, path: str | os.PathLike) -> None:
             for rec in log.launches
         ],
     }
+    if log.counts is not None:
+        header["counts"] = {
+            "ops": sum(c.opcodes.size for c in log.counts),
+            "lanes": sum(c.lane_masks.size for c in log.counts),
+        }
     blob = json.dumps(header, separators=(",", ":")).encode()
     # Unique per process *and* thread: `repro serve` coordinators write
     # shared-cache entries concurrently from threads of one process.
@@ -525,9 +630,8 @@ def save_replay_log(log: ReplayLog, path: str | os.PathLike) -> None:
         handle.write(_MAGIC)
         handle.write(struct.pack("<I", len(blob)))
         handle.write(blob)
-        for rec in log.launches:
-            handle.write(rec.pages.astype("<i8").tobytes())
-            handle.write(rec.data.tobytes())
+        for chunk in blobs:
+            handle.write(chunk)
     os.replace(tmp, path)
     log.content_hash = content_hash
 
@@ -535,7 +639,13 @@ def save_replay_log(log: ReplayLog, path: str | os.PathLike) -> None:
 def _read_replay_log(path: str | os.PathLike) -> ReplayLog:
     with open(path, "rb") as handle:
         raw = handle.read()
-    if raw[: len(_MAGIC)] != _MAGIC:
+    magic = raw[: len(_MAGIC)]
+    if magic != _MAGIC:
+        if magic[: len(_MAGIC_PREFIX)] == _MAGIC_PREFIX:
+            raise ReproError(
+                f"{path} is a replay log of another tape version "
+                f"({magic!r}, this build reads {_MAGIC!r})"
+            )
         raise ReproError(f"{path} is not a replay log (bad magic)")
     offset = len(_MAGIC)
     try:
@@ -559,8 +669,24 @@ def _read_replay_log(path: str | os.PathLike) -> ReplayLog:
                 f"{path} failed content validation: blob sha256 {actual} "
                 f"does not match recorded {expected_hash}"
             )
+    try:
+        launches, offset = _read_launches(raw, offset, header["launches"])
+        counts = None
+        if "counts" in header:
+            counts = _read_counts(raw, offset, header["counts"], launches)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ReproError(f"{path} has a malformed blob section: {exc}") from None
+    log = ReplayLog(
+        header["mem_size"], launches, workload=header.get("workload", ""),
+        counts=counts,
+    )
+    log.content_hash = expected_hash
+    return log
+
+
+def _read_launches(raw: bytes, offset: int, metas) -> tuple[list[LaunchDelta], int]:
     launches = []
-    for meta in header["launches"]:
+    for meta in metas:
         num_pages = meta["num_pages"]
         pages = np.frombuffer(raw, dtype="<i8", count=num_pages, offset=offset)
         offset += 8 * num_pages
@@ -584,11 +710,43 @@ def _read_replay_log(path: str | os.PathLike) -> ReplayLog:
                 data=data,
             )
         )
-    log = ReplayLog(
-        header["mem_size"], launches, workload=header.get("workload", "")
+    return launches, offset
+
+
+def _read_counts(
+    raw: bytes, offset: int, sizes: dict, launches: list[LaunchDelta]
+) -> list[LaunchCounts]:
+    """The counts section: one :class:`LaunchCounts` per launch, its arrays
+    views into the concatenated columns."""
+    n = len(launches)
+    index = np.frombuffer(raw, dtype="<i8", count=4 * n, offset=offset).reshape(n, 4)
+    offset += index.nbytes
+    columns = {}
+    for attr, dtype, size in _COUNT_ARRAYS:
+        column = np.frombuffer(raw, dtype=dtype, count=sizes[size], offset=offset)
+        offset += column.nbytes
+        columns[attr] = column
+    if offset != len(raw):
+        raise ValueError(f"{len(raw) - offset} bytes past the counts section")
+    ops = np.concatenate(([0], np.cumsum(index[:, 2]))).tolist()
+    lanes = np.concatenate(([0], np.cumsum(index[:, 3]))).tolist()
+    opcodes, warps, threads = (
+        columns["opcodes"], columns["warp_execs"], columns["thread_execs"]
     )
-    log.content_hash = expected_hash
-    return log
+    lane_opcodes, lane_sms, lane_masks = (
+        columns["lane_opcodes"], columns["lane_sms"], columns["lane_masks"]
+    )
+    return [
+        LaunchCounts(
+            rec.kernel_name, handle, bool(clock),
+            opcodes[o0:o1], warps[o0:o1], threads[o0:o1],
+            lane_opcodes[l0:l1], lane_sms[l0:l1], lane_masks[l0:l1],
+        )
+        for rec, handle, clock, o0, o1, l0, l1 in zip(
+            launches, index[:, 0].tolist(), index[:, 1].tolist(),
+            ops, ops[1:], lanes, lanes[1:],
+        )
+    ]
 
 
 def _peek_content_hash(path: str | os.PathLike) -> str | None:
@@ -648,19 +806,23 @@ class ReplayRef:
     ``path`` names the on-disk log; ``stop_launch`` is the target launch's
     global sequence index: the launches before it replay, and with
     ``tail`` the launches after it replay again once state re-converges
-    with golden.  Workers thaw the reference into a live
+    with golden.  A permanent or intermittent task has no target
+    (``stop_launch=None``) and carries its fault ``site``, ``(opcode id,
+    SM, lane)``: every launch the fault cannot reach replays (see
+    :class:`ReplayCursor`).  Workers thaw the reference into a live
     :class:`ReplayCursor` via the per-process log cache; a missing or
     unreadable log degrades to full simulation instead of failing the
     task.
     """
 
     path: str
-    stop_launch: int
+    stop_launch: int | None
     tail: bool = False
+    site: tuple[int, int, int] | None = None
 
     def cursor(self) -> ReplayCursor | None:
         try:
             log = load_replay_log(self.path)
         except (OSError, ReproError):
             return None
-        return ReplayCursor(log, self.stop_launch, tail=self.tail)
+        return ReplayCursor(log, self.stop_launch, tail=self.tail, site=self.site)

@@ -74,6 +74,7 @@ class SM:
         compiled: CompiledKernel,
         blocks: list | None,
         hooks: Hooks | None,
+        tally: tuple[dict, dict] | None = None,
     ) -> None:
         """Execute one thread block to completion.
 
@@ -82,6 +83,9 @@ class SM:
         by :meth:`Device.launch`, not once per thread block.  Warps take
         turns in slices of :data:`_QUANTUM` instructions; a lone warp's
         slice is unbounded, so its blocks never step at a quantum edge.
+        ``tally`` (an uninstrumented launch of a counted run, see
+        :mod:`repro.gpusim.counts`) runs the slices through
+        :meth:`_run_slice_counting` instead.
         """
         warps = _build_warps(kernel, ctx, compiled.num_regs)
         self.device.warps_launched += len(warps)
@@ -93,7 +97,10 @@ class SM:
             for warp in warps:
                 if warp.done or warp.at_barrier:
                     continue
-                self._run_slice_fast(warp, instrs, table, blocks, hooks, quantum)
+                if tally is None:
+                    self._run_slice_fast(warp, instrs, table, blocks, hooks, quantum)
+                else:
+                    self._run_slice_counting(warp, instrs, table, blocks, quantum, tally)
                 progressed = True
             live = [w for w in warps if not w.done]
             if not live:
@@ -181,6 +188,72 @@ class SM:
                 for callback in pc_hooks[1]:
                     device.charge_instrumentation(executed)
                     callback(site)
+            budget -= 1
+
+    def _run_slice_counting(
+        self, warp: Warp, instrs, table, blocks, quantum: float,
+        tally: tuple[dict, dict],
+    ) -> None:
+        """:meth:`_run_slice_fast` for an uninstrumented launch that counts.
+
+        ``tally`` is this SM's ``(steps, runs)``: a stepped pc adds one to
+        ``steps[pc, exec mask bytes]``, a block run one to ``runs[start,
+        active bytes]``, with the predicate bytes after the run appended
+        to the key when the block is guarded.  A block that is not
+        countable steps.  :class:`repro.gpusim.counts.LaunchCounter`
+        expands the keys at the launch's end.
+        """
+        device = self.device
+        steps, runs = tally
+        num_instrs = len(instrs)
+        budget = quantum
+        while budget > 0:
+            if warp.done or warp.at_barrier:
+                return
+            pc = warp.pc
+            if pc >= num_instrs:
+                raise DeviceTrap(
+                    f"warp {warp.warp_id} fell off the end of the kernel"
+                )
+            if blocks is not None:
+                block = blocks[pc]
+                if (
+                    block is not None
+                    and block.countable
+                    and block.length <= budget
+                    and device.instructions_executed + block.length
+                        <= device.instruction_budget
+                ):
+                    active = warp.active.tobytes()
+                    block.run(warp, device)
+                    if block.guarded:
+                        key = (pc, active, warp.preds.tobytes())
+                    else:
+                        key = (pc, active)
+                    runs[key] = runs.get(key, 0) + 1
+                    device.blockc_block_hits += 1
+                    budget -= block.length
+                    continue
+            instr = instrs[pc]
+            device.tick()
+            exec_mask = warp.guard_mask(instr.guard)
+            lanes = exec_mask.tobytes()
+            key = (pc, lanes)
+            steps[key] = steps.get(key, 0) + 1
+            handler = table[pc]
+            if handler is _CONTROL:
+                CONTROL_STEPS[instr.opcode](warp, instr, exec_mask)
+                depth = len(warp.stack)
+                if depth > device.divergence_depth_high_water:
+                    device.divergence_depth_high_water = depth
+            else:
+                if lanes != NO_LANES:
+                    if handler is None:
+                        raise DeviceTrap(
+                            f"opcode {instr.opcode} has no execution semantics"
+                        )
+                    handler(warp, instr, exec_mask)
+                warp.pc += 1
             budget -= 1
 
 

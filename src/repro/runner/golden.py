@@ -18,6 +18,7 @@ def capture_golden(
     tracer=None,
     recorder=None,  # repro.gpusim.replay.ReplayRecorder | None
     replay=None,  # repro.gpusim.replay.ReplayCursor | None
+    counter=None,  # repro.gpusim.counts.LaunchCounter | None
 ) -> RunArtifacts:
     """Run the application fault-free and validate the reference artifacts.
 
@@ -26,11 +27,13 @@ def capture_golden(
     fast-forward (see :mod:`repro.gpusim.replay`).  With a ``replay``
     cursor (a cached tape from a previous campaign), every launch is
     fast-forwarded from the recording instead of simulated — the host
-    program still runs, so the reference artifacts are identical.
+    program still runs, so the reference artifacts are identical.  With a
+    ``counter``, every simulated launch counts its executions per opcode
+    (see :mod:`repro.gpusim.counts`).
     """
     golden = run_app(
         app, preload=None, config=config, tracer=tracer, recorder=recorder,
-        replay=replay,
+        replay=replay, counter=counter,
     )
     if golden.timed_out:
         raise GoldenError(

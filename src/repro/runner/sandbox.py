@@ -120,6 +120,7 @@ def run_app(
     tracer=None,  # repro.obs.Tracer | None (kept untyped: obs is optional here)
     recorder=None,  # repro.gpusim.replay.ReplayRecorder | None
     replay=None,  # repro.gpusim.replay.ReplayCursor | None
+    counter=None,  # repro.gpusim.counts.LaunchCounter | None
 ) -> RunArtifacts:
     """Run ``app`` to completion (or failure) and collect its artifacts.
 
@@ -130,7 +131,8 @@ def run_app(
     ``recorder`` attaches a golden-replay recorder to the run's device
     (every launch boundary captures its write delta); ``replay`` hands the
     driver a fast-forward cursor so launches before the injection target
-    apply the recorded golden delta instead of simulating.
+    apply the recorded golden delta instead of simulating; ``counter``
+    counts every simulated launch's executions per opcode.
     """
     if tracer is None:
         from repro.obs import NULL_TRACER
@@ -152,6 +154,7 @@ def run_app(
         if recorder is not None:
             recorder.workload = app.name
             device.replay_recorder = recorder
+        device.launch_counter = counter
         interceptor = NVBitRuntime(preload) if preload else None
         runtime = CudaRuntime(device, interceptor=interceptor, replay=replay)
         ctx = AppContext(runtime, seed=config.seed, env=config.extra_env)

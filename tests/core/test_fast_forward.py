@@ -15,6 +15,7 @@ import pytest
 import repro
 from repro.core.campaign import CampaignConfig
 from repro.core.engine import CampaignEngine, ParallelExecutor
+from repro.core.params import IntermittentParams
 from repro.core.resilience import RetryPolicy
 from repro.core.store import CampaignStore
 from repro.obs import MemorySink, MetricsRegistry, Tracer, spans
@@ -283,3 +284,89 @@ class TestReplayObservability:
         assert "engine.replay.tail_hits" not in registry.snapshot()["counters"]
         baseline = _results_csv(tmp_path, "api-baseline", True)
         assert (store.root / "results.csv").read_bytes() == baseline
+
+
+# Permanent and intermittent tasks replay every launch their fault cannot
+# reach.  Each setting must give the same per-run rows and the same
+# simulated totals.
+_FF_SETTINGS = {
+    "ff+tail": dict(fast_forward=True, tail_fast_forward=True),
+    "ff": dict(fast_forward=True, tail_fast_forward=False),
+    "full": dict(fast_forward=False),
+}
+_PERM_PROGRAMS = ("303.ostencil", "359.miniGhost", FFChaosOMriq.name)
+
+
+def _intermittent_sites(engine: CampaignEngine) -> list[IntermittentParams]:
+    """Every third permanent site, alternately random and bursty."""
+    return [
+        IntermittentParams(
+            site,
+            process="random" if i % 2 else "bursty",
+            activation_probability=0.5,
+            burst_length=3.0,
+            seed=i,
+        )
+        for i, site in enumerate(engine.select_permanent()[::3])
+    ]
+
+
+def _fault_runs(workload, setting, intermittent=False, executor=None):
+    """One permanent (or intermittent) campaign: its per-run rows and the
+    registry's counters."""
+    registry = MetricsRegistry()
+    config = CampaignConfig(
+        workload=workload, seed=_SEED,
+        retry=RetryPolicy(max_attempts=1, jitter=0.0),
+        **_FF_SETTINGS[setting],
+    )
+    engine = CampaignEngine(workload, config, executor=executor, metrics=registry)
+    if intermittent:
+        results = engine.run_intermittent(_intermittent_sites(engine))
+    else:
+        results = engine.run_permanent().results
+    rows = [
+        (r.opcode, r.outcome.outcome.value, r.outcome.symptom,
+         r.activations, r.weight)
+        for r in results
+    ]
+    return rows, registry.snapshot()["counters"]
+
+
+def _simulated(counters) -> tuple:
+    return counters["gpusim.instructions_retired"], counters["gpusim.cycles"]
+
+
+class TestPermanentParity:
+    @pytest.mark.parametrize("workload", _PERM_PROGRAMS)
+    @pytest.mark.parametrize("intermittent", [False, True],
+                             ids=["permanent", "intermittent"])
+    def test_serial(self, workload, intermittent):
+        runs = {
+            setting: _fault_runs(workload, setting, intermittent)
+            for setting in _FF_SETTINGS
+        }
+        rows, counters = runs["full"]
+        assert rows
+        for setting in ("ff+tail", "ff"):
+            assert runs[setting][0] == rows, setting
+            assert _simulated(runs[setting][1]) == _simulated(counters), setting
+        if workload != FFChaosOMriq.name:
+            # Launches the faults cannot reach really replayed.
+            replayed = runs["ff+tail"][1]
+            assert replayed.get("engine.replay.launches_skipped", 0) + (
+                replayed.get("engine.replay.tail_launches_skipped", 0)
+            ) > 0
+        assert "engine.replay.hits" not in counters
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("workload", _PERM_PROGRAMS)
+    @pytest.mark.parametrize("intermittent", [False, True],
+                             ids=["permanent", "intermittent"])
+    def test_parallel(self, workload, intermittent):
+        executor = ParallelExecutor(max_workers=2)
+        for setting in ("ff+tail", "ff"):
+            pooled = _fault_runs(workload, setting, intermittent, executor)
+            serial = _fault_runs(workload, "full", intermittent)
+            assert pooled[0] == serial[0], setting
+            assert _simulated(pooled[1]) == _simulated(serial[1]), setting

@@ -30,7 +30,7 @@ from repro.core.engine import (
 )
 from repro.core.snapshot import ReplayCache, default_cache_root
 from repro.core.store import CampaignStore
-from repro.gpusim.replay import ReplayLog, load_replay_log
+from repro.gpusim.replay import ReplayLog, load_replay_log, save_replay_log
 from repro.obs import MetricsRegistry
 from repro.runner.sandbox import SandboxConfig
 
@@ -225,7 +225,10 @@ class TestReplayCache:
         _campaign_csv(tmp_path, "seed", config=_config(replay_cache=str(cache_dir)))
         cache = ReplayCache(cache_dir)
         full = cache.lookup(_WORKLOAD, SandboxConfig())
-        short = ReplayLog(full.mem_size, full.launches[:-1], workload=_WORKLOAD)
+        short = ReplayLog(
+            full.mem_size, full.launches[:-1], workload=_WORKLOAD,
+            counts=full.counts[:-1],
+        )
         cache.store(_WORKLOAD, SandboxConfig(), short)
         registry = MetricsRegistry()
         csv = _campaign_csv(
@@ -237,6 +240,60 @@ class TestReplayCache:
         assert values["engine.cache.misses"] == 1
         assert "engine.cache.hits" not in values
         assert len(cache.lookup(_WORKLOAD, SandboxConfig())) == len(full)
+
+    def test_parent_format_entry_is_a_miss_and_rerecorded(
+        self, tmp_path, serial_csv
+    ):
+        """An entry in the previous tape format (version 1, no instruction
+        counts) at the entry's path reads as a miss; the campaign records
+        the tape again, counts included, and stores it whole."""
+        cache_dir = tmp_path / "cache"
+        _campaign_csv(tmp_path, "seed", config=_config(replay_cache=str(cache_dir)))
+        cache = ReplayCache(cache_dir)
+        path = cache.path_for(_WORKLOAD, SandboxConfig())
+        whole = path.read_bytes()
+        _write_parent_format(cache.lookup(_WORKLOAD, SandboxConfig()), path)
+        assert cache.lookup(_WORKLOAD, SandboxConfig()) is None
+        registry = MetricsRegistry()
+        csv = _campaign_csv(
+            tmp_path, "after-parent-format",
+            config=_config(replay_cache=str(cache_dir)), registry=registry,
+        )
+        assert csv == serial_csv
+        values = registry.counter_values()
+        assert values["engine.cache.misses"] == 1
+        assert "engine.cache.hits" not in values
+        assert path.read_bytes() == whole
+        assert cache.lookup(_WORKLOAD, SandboxConfig()).counts is not None
+
+    @pytest.mark.parametrize("where", ["cache", "store"])
+    def test_parent_format_tape_leaves_permanent_tasks_their_reach(
+        self, tmp_path, where
+    ):
+        """A previous-format tape in the cache or in the study directory
+        never reaches a permanent campaign: golden records a new tape, and
+        the tasks replay the launches their faults cannot reach."""
+        cache_dir = tmp_path / "cache"
+        store = CampaignStore(tmp_path / "study")
+        config = _config(replay_cache=str(cache_dir))
+        CampaignEngine(_WORKLOAD, config).run_golden()
+        cache = ReplayCache(cache_dir)
+        stale = cache.path_for(_WORKLOAD, SandboxConfig())
+        if where == "store":
+            config = _config()
+            store.root.mkdir(parents=True)
+            stale = store.replay_path()
+        _write_parent_format(
+            cache.lookup(_WORKLOAD, SandboxConfig()), stale
+        )
+        registry = MetricsRegistry()
+        engine = CampaignEngine(_WORKLOAD, config, store=store, metrics=registry)
+        engine.run_permanent()
+        assert load_replay_log(stale).counts is not None
+        values = registry.counter_values()
+        assert values.get("engine.replay.launches_skipped", 0) + values.get(
+            "engine.replay.tail_launches_skipped", 0
+        ) > 0
 
     def test_cache_plus_snapshot_compose(self, tmp_path, serial_csv):
         cache_dir = tmp_path / "cache"
@@ -254,6 +311,15 @@ class TestReplayCache:
         values = registry.counter_values()
         assert values["engine.cache.hits"] == 1
         assert values["engine.snapshot.forks"] == _N
+
+
+def _write_parent_format(log: ReplayLog, path) -> None:
+    """Write ``log`` as the previous tape format did: version 1 magic and
+    no counts section (otherwise the layout is unchanged)."""
+    save_replay_log(ReplayLog(log.mem_size, log.launches, log.workload), path)
+    raw = path.read_bytes()
+    assert raw.startswith(b"RPRL\x02\n")
+    path.write_bytes(b"RPRL\x01\n" + raw[6:])
 
 
 def _store_repeatedly(root, tape, start, rounds) -> None:

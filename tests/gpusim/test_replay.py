@@ -12,10 +12,12 @@ import pytest
 from repro.core.bitflip import BitFlipModel
 from repro.core.groups import InstructionGroup
 from repro.core.injector import TransientInjectorTool
-from repro.core.params import TransientParams
+from repro.core.params import PermanentParams, TransientParams
+from repro.core.pf_injector import PermanentInjectorTool
 from repro.errors import ReproError
 from repro.gpusim import replay
-from repro.gpusim.device import Device
+from repro.gpusim.counts import LaunchCounter
+from repro.gpusim.device import JIT_COMPILE_CYCLES, Device
 from repro.gpusim.replay import (
     ReplayCursor,
     ReplayRecorder,
@@ -26,6 +28,7 @@ from repro.gpusim.replay import (
 from repro.mem.memory import PAGE_SIZE
 from repro.runner.app import AppContext, Application
 from repro.runner.sandbox import SandboxConfig, run_app
+from repro.sass.isa import opcode_info
 
 _MODULE = """
 .kernel fill
@@ -81,10 +84,12 @@ class ReallocApp(Application):
 
 
 def _record(app, config=None) -> tuple:
-    recorder = ReplayRecorder()
-    artifacts = run_app(app, config=config, recorder=recorder)
+    counter = LaunchCounter()
+    recorder = ReplayRecorder(counter)
+    artifacts = run_app(app, config=config, recorder=recorder, counter=counter)
     log = recorder.log()
     assert log is not None
+    assert log.counts is not None
     return artifacts, log
 
 
@@ -653,12 +658,41 @@ class _TracedCursor(ReplayCursor):
 
 
 def _row(row_id, expected, app=TailApp, tape=None, keep=None, stop=1,
-         tail=True, inject=None, mem=None):
+         tail=True, inject=None, mem=None, perm=None):
     """One transition row: run ``app`` against a cursor on ``tape``'s
-    golden recording (cut to ``keep`` launches) and expect ``expected``."""
+    golden recording (cut to ``keep`` launches) and expect ``expected``.
+    ``perm`` is a permanent fault's ``(opcode, SM, lane)``: its injector
+    runs, and the cursor carries it as its site."""
     setup = dict(app=app, tape=tape or app, keep=keep, stop=stop, tail=tail,
-                 inject=inject, mem=mem)
+                 inject=inject, mem=mem, perm=perm)
     return pytest.param(setup, expected, id=row_id)
+
+
+def _perm_injector(opcode: str, sm_id: int, lane: int) -> PermanentInjectorTool:
+    """A permanent fault flipping bit 0 of every ``opcode`` result on
+    (``sm_id``, ``lane``): on ``bump``'s LDG, a silent off-by-one."""
+    return PermanentInjectorTool(PermanentParams(
+        sm_id=sm_id, lane_id=lane, bit_mask=1,
+        opcode_id=opcode_info(opcode).opcode_id,
+    ))
+
+
+class TailHalfWarpApp(TailApp):
+    """TailApp with 16-thread blocks: lanes 16..31 never execute."""
+
+    name = "replay_tail_half_warp_app"
+
+    def run(self, ctx: AppContext) -> None:
+        cuda = ctx.cuda
+        module = cuda.load_module(_MODULE)
+        fill = cuda.get_function(module, "fill")
+        bump = cuda.get_function(module, "bump")
+        buf = cuda.alloc(32, dtype=np.int32)
+        cuda.launch(fill, 2, 16, buf.address, 100)
+        for _ in range(3):
+            cuda.launch(bump, 2, 16, buf.address)
+        ctx.print("sum", int(buf.to_host().sum()))
+        buf.free()
 
 
 _SDC = {}  # the default `_injector()`: bump instance 0 (launch 1), silent
@@ -700,6 +734,23 @@ _TRANSITIONS = [
          "3S:diverged 4S:diverged read:off", inject=_SDC_LAUNCH_3),
     _row("targetless-replays-every-launch", "0R:golden 1R:golden 2R:golden "
          "3R:golden 4R:golden read:golden", stop=None),
+    # A permanent fault on bump's LDG.  Blocks 0 and 1 run on SMs 0 and 1.
+    _row("kernel-without-the-opcode-replays", "0R:golden 1S:off 2S:off "
+         "3S:off 4S:off read:off", stop=None, tail=False,
+         perm=("LDG", 0, 3)),
+    _row("instrumented-launch-on-another-sm-replays", "0R:golden 1R:golden "
+         "2R:golden 3R:golden 4R:golden read:golden", stop=None,
+         perm=("LDG", 7, 3)),
+    _row("instrumented-launch-on-another-lane-replays", "0R:golden "
+         "1R:golden 2R:golden 3R:golden read:golden", app=TailHalfWarpApp,
+         stop=None, perm=("LDG", 0, 20)),
+    # Launch 2 overwrites launch 1's corruption, so launch 3 starts from
+    # golden memory, but it is reached: it snapshots and tracks again.
+    # Launch 4 flips the same bit back, so the final read finds no
+    # divergent page.
+    _row("reached-launch-simulates-and-tracks", "0R:golden 1S:diverged "
+         "2S:diverged 3S:diverged 4S:diverged read:diverged", stop=None,
+         perm=("LDG", 0, 3)),
 ]
 
 
@@ -707,8 +758,9 @@ class TestCursorTransitions:
     """Every cursor transition, driven through real runs.
 
     ``TAIL_PATIENCE`` is 1 here, so two divergent boundaries in a row turn
-    the cursor off.  The rows of instrumented launches other than the
-    target are ones no tool produces today.
+    the cursor off.  The transient rows of instrumented launches other
+    than the target are ones no tool produces today; the permanent rows
+    are what every permanent and intermittent task does.
     """
 
     @pytest.mark.parametrize("setup, expected", _TRANSITIONS)
@@ -722,13 +774,41 @@ class TestCursorTransitions:
             config = SandboxConfig(global_mem_bytes=setup["mem"])
 
         def tools():
-            inject = setup["inject"]
+            inject, site = setup["inject"], setup["perm"]
+            if site is not None:
+                return [_perm_injector(*site)]
             return None if inject is None else [_injector(**inject)]
 
         full = run_app(setup["app"](), preload=tools(), config=config)
-        cursor = _TracedCursor(log, setup["stop"], tail=setup["tail"])
+        site = setup["perm"]
+        if site is not None:
+            site = (opcode_info(site[0]).opcode_id,) + site[1:]
+        cursor = _TracedCursor(log, setup["stop"], tail=setup["tail"], site=site)
         traced = run_app(
             setup["app"](), preload=tools(), config=config, replay=cursor
         )
         assert " ".join(cursor.trace) == expected
         _assert_run_parity(traced, full)
+
+
+class TestPermanentReplayCharge:
+    def test_replayed_instrumented_launch_pays_its_callbacks(self):
+        """A permanent fault golden never reaches: every launch replays,
+        and each instrumented (bump) launch is charged 5 cycles per warp
+        execution of LDG plus 1 per executing thread, beside the JIT
+        compile the driver charges once."""
+        golden, log = _record(TailApp())
+        ldg = opcode_info("LDG").opcode_id
+        site = (ldg, 7, 3)
+        full = run_app(TailApp(), preload=[_perm_injector("LDG", 7, 3)])
+        cursor = ReplayCursor(log, tail=True, site=site)
+        replayed = run_app(
+            TailApp(), preload=[_perm_injector("LDG", 7, 3)], replay=cursor
+        )
+        _assert_run_parity(replayed, full)
+        assert cursor.skipped == len(log) == 5
+        executions = [counts.executions(ldg) for counts in log.counts]
+        assert executions == [(0, 0), (2, 64), (0, 0), (2, 64), (2, 64)]
+        assert replayed.cycles == golden.cycles + JIT_COMPILE_CYCLES + 3 * (
+            5 * 2 + 64
+        )

@@ -49,10 +49,13 @@ class TestPhaseSpans:
         engine.run_transient()
         by_id = {s["span_id"]: s for s in spans(sink.events)}
         runs = spans(sink.events, "run")
-        # golden + profile + 2 injections
-        assert len(runs) == 4
+        # golden + 2 injections: the profile is derived from golden's
+        # counts, so its span has no run under it
+        assert len(runs) == 3
         parents = {by_id[r["parent_id"]]["name"] for r in runs}
-        assert parents == {"golden", "profile", "inject"}
+        assert parents == {"golden", "inject"}
+        (profile,) = spans(sink.events, "profile")
+        assert profile["attrs"]["derived"] is True
 
     def test_phase_spans_match_engine_metrics(self):
         engine, sink = _traced_engine(injections=2)
@@ -119,7 +122,7 @@ class TestInjectionEvents:
         )
         engine.run_transient()
         runs = spans(sink.events, "run")
-        assert len(runs) == 5  # golden + profile + 3 worker runs
+        assert len(runs) == 4  # golden + 3 worker runs (profile derived)
         by_id = {s["span_id"]: s for s in spans(sink.events)}
         inject_span = spans(sink.events, "inject")[0]
         worker_runs = [
@@ -134,7 +137,8 @@ class TestEngineMetrics:
         engine, _ = _traced_engine(injections=3)
         engine.run_transient()
         snap = engine.registry.snapshot()
-        assert snap["counters"]["sandbox.runs"] == 5  # golden+profile+3
+        # golden + 3 injections: the profile is derived from golden's counts
+        assert snap["counters"]["sandbox.runs"] == 4
         assert snap["counters"]["gpusim.instructions_retired"] > 0
         assert snap["counters"]["gpusim.warps_launched"] > 0
         assert snap["gauges"]["gpusim.divergence_depth_high_water"] >= 1

@@ -20,7 +20,8 @@ from __future__ import annotations
 import statistics
 
 from benchmarks.harness import campaign_seed, emit, workload_names
-from repro.core.campaign import Campaign, CampaignConfig
+from repro.core.campaign import CampaignConfig
+from repro.core.engine import CampaignEngine
 from repro.core.groups import instruction_in_group
 from repro.core.injector import TransientInjectorTool
 from repro.cuda.driver import CudaEvent
@@ -98,14 +99,13 @@ def _measure():
     rows = []
     ratios = {"kernel-wide": [], "whole-program": []}
     for name in workload_names():
-        campaign = Campaign(
+        engine = CampaignEngine(
             get_workload(name), CampaignConfig(seed=campaign_seed())
         )
-        campaign.run_golden()
-        campaign.run_profile()
-        site = campaign.select_sites(1)[0]
-        config = campaign._injection_config()
-        golden_cycles = campaign.golden.cycles
+        engine.run_profile()
+        site = engine.select_sites(1)[0]
+        config = engine.injection_config()
+        golden_cycles = engine.golden.cycles
 
         cycles = {}
         for label, factory in (
@@ -114,7 +114,7 @@ def _measure():
             ("whole-program", WholeProgramInjector),
         ):
             injector = factory(site)
-            artifacts = run_app(campaign.app, preload=[injector], config=config)
+            artifacts = run_app(engine.app, preload=[injector], config=config)
             assert injector.record.injected, (name, label)
             cycles[label] = artifacts.cycles / golden_cycles
         rows.append([

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from benchmarks.harness import campaign_seed, emit, num_injections, quick_mode
 from repro.core.bitflip import BitFlipModel
-from repro.core.campaign import Campaign, CampaignConfig
+from repro.core.campaign import CampaignConfig
+from repro.core.engine import CampaignEngine
 from repro.core.outcomes import Outcome
 from repro.utils.text import format_table
 from repro.workloads import get_workload
@@ -28,13 +29,13 @@ def _measure():
     for model in BitFlipModel:
         sdc = due = masked = 0.0
         for name in programs:
-            campaign = Campaign(
+            engine = CampaignEngine(
                 get_workload(name),
                 CampaignConfig(
                     model=model, num_transient=injections, seed=campaign_seed()
                 ),
             )
-            tally = campaign.engine.run_transient().tally
+            tally = engine.run_transient().tally
             sdc += tally.fraction(Outcome.SDC)
             due += tally.fraction(Outcome.DUE)
             masked += tally.fraction(Outcome.MASKED)

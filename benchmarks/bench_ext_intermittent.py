@@ -9,7 +9,8 @@ Figures 2 and 3: more activations => fewer masked outcomes.
 from __future__ import annotations
 
 from benchmarks.harness import campaign_seed, emit, quick_mode
-from repro.core.campaign import Campaign, CampaignConfig
+from repro.core.campaign import CampaignConfig
+from repro.core.engine import CampaignEngine
 from repro.core.outcomes import Outcome
 from repro.core.params import IntermittentParams
 from repro.core.report import OutcomeTally
@@ -28,23 +29,23 @@ def _measure():
     activations: dict[float, int] = {p: 0 for p in _PROBABILITIES}
     programs = _PROGRAMS[:1] if quick_mode() else _PROGRAMS
     for name in programs:
-        campaign = Campaign(get_workload(name), CampaignConfig(seed=campaign_seed()))
-        campaign.run_golden()
-        campaign.run_profile()
+        engine = CampaignEngine(get_workload(name), CampaignConfig(seed=campaign_seed()))
+        engine.run_profile()
         rng = SeedSequenceStream(campaign_seed(), path=name).child("int").generator()
         sites = select_permanent_sites(
-            campaign.profile, rng, sm_ids=campaign._active_sm_ids()
+            engine.profile, rng, sm_ids=engine.active_sm_ids()
         )
         for probability in _PROBABILITIES:
-            for index, site in enumerate(sites[:10]):
-                result = campaign.run_intermittent(
-                    IntermittentParams(
-                        site,
-                        process="random",
-                        activation_probability=probability,
-                        seed=index,
-                    )
+            results = engine.run_intermittent([
+                IntermittentParams(
+                    site,
+                    process="random",
+                    activation_probability=probability,
+                    seed=index,
                 )
+                for index, site in enumerate(sites[:10])
+            ])
+            for result in results:
                 tallies[probability].add(result.outcome)
                 activations[probability] += result.activations
     for probability in _PROBABILITIES:

@@ -11,7 +11,8 @@ overwritten (architectural masking).
 from __future__ import annotations
 
 from benchmarks.harness import campaign_seed, emit, quick_mode
-from repro.core.campaign import Campaign, CampaignConfig
+from repro.core.campaign import CampaignConfig
+from repro.core.engine import CampaignEngine
 from repro.core.injector import TransientInjectorTool
 from repro.core.outcomes import Outcome, classify
 from repro.core.propagation import trace_propagation
@@ -23,25 +24,24 @@ _PROGRAM = "303.ostencil"
 
 
 def _measure():
-    campaign = Campaign(
+    engine = CampaignEngine(
         get_workload(_PROGRAM), CampaignConfig(seed=campaign_seed())
     )
-    campaign.run_golden()
-    campaign.run_profile()
+    engine.run_profile()
     count = 8 if quick_mode() else 20
-    config = campaign._injection_config()
+    config = engine.injection_config()
 
     stats = {
         Outcome.SDC: {"n": 0, "reached": 0, "peak": 0, "final": 0, "gone": 0},
         Outcome.MASKED: {"n": 0, "reached": 0, "peak": 0, "final": 0, "gone": 0},
         Outcome.DUE: {"n": 0, "reached": 0, "peak": 0, "final": 0, "gone": 0},
     }
-    for site in campaign.select_sites(count):
+    for site in engine.select_sites(count):
         injector = TransientInjectorTool(site)
-        observed = run_app(campaign.app, preload=[injector], config=config)
-        outcome = classify(campaign.app, campaign.golden, observed).outcome
+        observed = run_app(engine.app, preload=[injector], config=config)
+        outcome = classify(engine.app, engine.golden, observed).outcome
         trace = trace_propagation(
-            campaign.app, TransientInjectorTool(site), config
+            engine.app, TransientInjectorTool(site), config
         )
         bucket = stats[outcome]
         bucket["n"] += 1

@@ -19,8 +19,7 @@ from repro.utils.text import format_histogram_row, format_table
 
 
 def _campaign_outcomes(name: str, mode: ProfilingMode) -> OutcomeTally:
-    campaign = make_campaign(name, profiling=mode)
-    return campaign.engine.run_transient().tally
+    return make_campaign(name, profiling=mode).run_transient().tally
 
 
 def _measure():

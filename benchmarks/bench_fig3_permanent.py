@@ -24,9 +24,9 @@ def _measure():
     weighted_total = OutcomeTally()
     transient_total = OutcomeTally()
     for name in workload_names():
-        campaign = make_campaign(name)
-        transient = campaign.engine.run_transient()
-        permanent = campaign.run_permanent()
+        engine = make_campaign(name)
+        transient = engine.run_transient()
+        permanent = engine.run_permanent()
         weighted_total = weighted_total.merge(permanent.tally)
         transient_total = transient_total.merge(transient.tally)
         rows.append((name, permanent, transient))

@@ -22,7 +22,8 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from repro.core.campaign import Campaign, CampaignConfig
+from repro.core.campaign import CampaignConfig
+from repro.core.engine import CampaignEngine
 from repro.core.profiler import ProfilingMode
 from repro.workloads import WORKLOAD_CLASSES, get_workload
 
@@ -54,13 +55,13 @@ def workload_names() -> list[str]:
 
 
 def make_campaign(name: str, profiling: ProfilingMode = ProfilingMode.EXACT,
-                  injections: int | None = None) -> Campaign:
+                  injections: int | None = None) -> CampaignEngine:
     config = CampaignConfig(
         num_transient=injections if injections is not None else num_injections(),
         seed=campaign_seed(),
         profiling=profiling,
     )
-    return Campaign(get_workload(name), config)
+    return CampaignEngine(get_workload(name), config)
 
 
 def output_path(path: Path) -> Path:

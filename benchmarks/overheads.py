@@ -16,7 +16,8 @@ import statistics
 from dataclasses import dataclass
 
 from benchmarks.harness import campaign_seed, workload_names
-from repro.core.campaign import Campaign, CampaignConfig
+from repro.core.campaign import CampaignConfig
+from repro.core.engine import CampaignEngine
 from repro.core.injector import TransientInjectorTool
 from repro.core.pf_injector import PermanentInjectorTool
 from repro.core.profiler import ProfilerTool, ProfilingMode
@@ -81,28 +82,28 @@ def _cycles(app, tools, config) -> int:
 
 
 def _measure_program(name: str) -> ProgramOverheads:
-    campaign = Campaign(
+    engine = CampaignEngine(
         get_workload(name),
         CampaignConfig(seed=campaign_seed(), num_transient=_SAMPLE_INJECTIONS),
     )
-    golden = campaign.run_golden()
-    config = campaign._injection_config()
-    app = campaign.app
+    golden = engine.run_golden()
+    config = engine.injection_config()
+    app = engine.app
 
     exact_cycles = _cycles(app, [ProfilerTool(ProfilingMode.EXACT)], config)
     approx_cycles = _cycles(
         app, [ProfilerTool(ProfilingMode.APPROXIMATE)], config
     )
 
-    campaign.run_profile(ProfilingMode.EXACT)
+    engine.run_profile(ProfilingMode.EXACT)
     transient_cycles = [
         _cycles(app, [TransientInjectorTool(site)], config)
-        for site in campaign.select_sites(_SAMPLE_INJECTIONS)
+        for site in engine.select_sites(_SAMPLE_INJECTIONS)
     ]
 
     rng = SeedSequenceStream(campaign_seed(), path=name).child("pf").generator()
     permanent_sites = select_permanent_sites(
-        campaign.profile, rng, sm_ids=campaign._active_sm_ids()
+        engine.profile, rng, sm_ids=engine.active_sm_ids()
     )
     permanent_cycles = [
         _cycles(app, [PermanentInjectorTool(site)], config)
@@ -117,5 +118,5 @@ def _measure_program(name: str) -> ProgramOverheads:
         median_transient_cycles=statistics.median(transient_cycles),
         median_permanent_cycles=statistics.median(permanent_cycles),
         executed_opcodes=len(permanent_sites),
-        num_dynamic_kernels=campaign.profile.num_dynamic_kernels,
+        num_dynamic_kernels=engine.profile.num_dynamic_kernels,
     )

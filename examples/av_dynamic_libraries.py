@@ -15,20 +15,20 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.core import Campaign, CampaignConfig, Outcome
+from repro.core import CampaignConfig, CampaignEngine, Outcome
 from repro.workloads import AvPipeline
 
 
 def main() -> None:
     app = AvPipeline()
-    campaign = Campaign(app, CampaignConfig(num_transient=60, seed=99))
+    engine = CampaignEngine(app, CampaignConfig(num_transient=60, seed=99))
 
     print("== golden frame pipeline ==")
-    golden = campaign.run_golden()
+    golden = engine.run_golden()
     print(golden.stdout.strip())
 
     print("\n== profiling the dynamically loaded libraries ==")
-    profile = campaign.run_profile()
+    profile = engine.run_profile()
     per_kernel = Counter()
     for kernel_profile in profile.kernels:
         per_kernel[kernel_profile.kernel_name] += kernel_profile.total()
@@ -36,7 +36,7 @@ def main() -> None:
         print(f"  {kernel:24} {instructions:8,} dynamic instructions")
 
     print("\n== 60-fault transient campaign across the pipeline ==")
-    result = campaign.engine.run_transient()
+    result = engine.run_transient()
     print(result.tally.report(samples=60))
 
     by_kernel = Counter()

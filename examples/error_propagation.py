@@ -14,8 +14,8 @@ Run:  python examples/error_propagation.py
 from __future__ import annotations
 
 from repro.core import (
-    Campaign,
     CampaignConfig,
+    CampaignEngine,
     Outcome,
     TransientInjectorTool,
     classify,
@@ -27,17 +27,15 @@ from repro.workloads import get_workload
 
 def main() -> None:
     app = get_workload("303.ostencil")
-    campaign = Campaign(app, CampaignConfig(seed=77))
-    campaign.run_golden()
-    campaign.run_profile()
-    sites = campaign.select_sites(8)
-    config = campaign._injection_config()
+    engine = CampaignEngine(app, CampaignConfig(seed=77))
+    sites = engine.select_sites(8)
+    config = engine.injection_config()
 
     print(f"tracing error propagation for 8 faults in {app.name}\n")
     for index, site in enumerate(sites):
         injector = TransientInjectorTool(site)
         observed = run_app(app, preload=[injector], config=config)
-        outcome = classify(app, campaign.golden, observed)
+        outcome = classify(app, engine.golden, observed)
 
         # A second pair of runs with the memory tracer attached.
         trace = trace_propagation(app, TransientInjectorTool(site), config)

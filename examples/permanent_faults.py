@@ -13,22 +13,21 @@ from __future__ import annotations
 
 import sys
 
-from repro.core import Campaign, CampaignConfig, IntermittentParams
+from repro.core import CampaignConfig, CampaignEngine, IntermittentParams
 from repro.workloads import get_workload
 
 
 def main() -> None:
     workload = sys.argv[1] if len(sys.argv) > 1 else "359.miniGhost"
-    campaign = Campaign(get_workload(workload), CampaignConfig(seed=7))
-    campaign.run_golden()
-    profile = campaign.run_profile()
+    engine = CampaignEngine(get_workload(workload), CampaignConfig(seed=7))
+    profile = engine.run_profile()
 
     print(f"== permanent-fault campaign on {workload} ==")
     print(f"{len(profile.executed_opcodes())} executed opcodes "
           f"(the other {171 - len(profile.executed_opcodes())} of the 171 "
           f"are skipped, as in paper Sec. IV-C)\n")
 
-    result = campaign.run_permanent()
+    result = engine.run_permanent()
     print(f"{'opcode':8} {'weight':>7} {'activations':>12}  outcome")
     for item in sorted(result.results, key=lambda r: -r.weight):
         print(f"{item.opcode:8} {item.weight:7.3f} {item.activations:12d}  "
@@ -40,19 +39,24 @@ def main() -> None:
     print(f"\n== intermittent faults on {heaviest.opcode} "
           f"(site: SM {heaviest.params.sm_id}, lane {heaviest.params.lane_id}) ==")
     print(f"{'p(active)':>10} {'process':>8} {'activations':>12}  outcome")
-    for probability in (0.05, 0.25, 1.0):
-        for process in ("random", "bursty"):
-            outcome = campaign.run_intermittent(
-                IntermittentParams(
-                    heaviest.params,
-                    process=process,
-                    activation_probability=probability,
-                    burst_length=8.0,
-                    seed=42,
-                )
-            )
-            print(f"{probability:10.2f} {process:>8} {outcome.activations:12d}  "
-                  f"{outcome.outcome.label()}")
+    sweep = [
+        (probability, process)
+        for probability in (0.05, 0.25, 1.0)
+        for process in ("random", "bursty")
+    ]
+    outcomes = engine.run_intermittent([
+        IntermittentParams(
+            heaviest.params,
+            process=process,
+            activation_probability=probability,
+            burst_length=8.0,
+            seed=42,
+        )
+        for probability, process in sweep
+    ])
+    for (probability, process), outcome in zip(sweep, outcomes):
+        print(f"{probability:10.2f} {process:>8} {outcome.activations:12d}  "
+              f"{outcome.outcome.label()}")
 
 
 if __name__ == "__main__":

@@ -31,7 +31,6 @@ Quickstart (the stable facade lives in :mod:`repro.api`)::
 from repro.api import InjectResult, inject, profile, run_campaign, select_sites
 from repro.core import (
     BitFlipModel,
-    Campaign,
     CampaignConfig,
     CampaignKind,
     FaultDictionary,
@@ -67,7 +66,6 @@ __all__ = [
     "inject",
     "run_campaign",
     "InjectResult",
-    "Campaign",
     "CampaignConfig",
     "CampaignKind",
     "InstructionGroup",

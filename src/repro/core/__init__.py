@@ -16,7 +16,6 @@ from repro.core.analysis import (
 )
 from repro.core.bitflip import BitFlipModel, apply_mask, compute_mask
 from repro.core.campaign import (
-    Campaign,
     CampaignConfig,
     PermanentCampaignResult,
     PermanentResult,
@@ -95,7 +94,6 @@ __all__ = [
     "select_transient_site",
     "select_transient_sites",
     "select_permanent_sites",
-    "Campaign",
     "CampaignConfig",
     "CampaignEngine",
     "CampaignKind",

@@ -1,4 +1,4 @@
-"""Campaign orchestration — the convenience scripts of the NVBitFI package.
+"""Campaign configuration and results — the data of the NVBitFI scripts.
 
 A campaign automates Figure 1 end-to-end for one application:
 
@@ -9,11 +9,10 @@ A campaign automates Figure 1 end-to-end for one application:
    injector tool attached,
 5. Table V classification and aggregation.
 
-The actual pipeline lives in :class:`repro.core.engine.CampaignEngine`;
-:class:`Campaign` is a facade over its phases (transient campaigns run
-through :func:`repro.api.run_campaign` or ``campaign.engine``).  Timing
-of every phase is recorded so the overhead figures (paper Figures 4 and
-5) can be regenerated.
+This module holds the campaign's knobs (:class:`CampaignConfig`) and its
+results; the pipeline itself is :class:`repro.core.engine.CampaignEngine`.
+Timing of every phase is recorded so the overhead figures (paper Figures
+4 and 5) can be regenerated.
 """
 
 from __future__ import annotations
@@ -26,14 +25,11 @@ from repro.core.bitflip import BitFlipModel
 from repro.core.groups import InstructionGroup
 from repro.core.injector import InjectionRecord
 from repro.core.outcomes import OutcomeRecord
-from repro.core.params import IntermittentParams, PermanentParams, TransientParams
-from repro.core.profile_data import ProgramProfile
+from repro.core.params import PermanentParams, TransientParams
 from repro.core.profiler import ProfilingMode
 from repro.core.report import OutcomeTally
 from repro.core.resilience import RetryPolicy
 from repro.errors import ParamError
-from repro.runner.app import Application
-from repro.runner.artifacts import RunArtifacts
 from repro.runner.sandbox import SandboxConfig
 
 
@@ -194,68 +190,6 @@ class PermanentCampaignResult:
     @property
     def total_time(self) -> float:
         return sum(r.wall_time for r in self.results)
-
-
-class Campaign:
-    """Fault-injection campaign for one application (serial engine facade)."""
-
-    def __init__(self, app: Application, config: CampaignConfig | None = None) -> None:
-        # Engine imports this module's dataclasses, so import it lazily.
-        from repro.core.engine import CampaignEngine
-
-        self.app = app
-        self.config = config or CampaignConfig()
-        self.engine = CampaignEngine(app, self.config)
-
-    # -- pipeline state (owned by the engine) -------------------------------------
-
-    @property
-    def golden(self) -> RunArtifacts | None:
-        return self.engine.golden
-
-    @property
-    def profile(self) -> ProgramProfile | None:
-        return self.engine.profile
-
-    @property
-    def golden_time(self) -> float:
-        return self.engine.golden_time
-
-    @property
-    def profile_time(self) -> float:
-        return self.engine.profile_time
-
-    # -- phases -----------------------------------------------------------------
-
-    def run_golden(self) -> RunArtifacts:
-        return self.engine.run_golden()
-
-    def run_profile(self, mode: ProfilingMode | None = None) -> ProgramProfile:
-        return self.engine.run_profile(mode)
-
-    def select_sites(self, count: int | None = None) -> list[TransientParams]:
-        return self.engine.select_sites(count)
-
-    def run_permanent(
-        self, sites: list[PermanentParams] | None = None
-    ) -> PermanentCampaignResult:
-        """One injection per executed opcode, outcomes weighted by dynamic count."""
-        return self.engine.run_permanent(sites)
-
-    def run_intermittent(self, params: IntermittentParams) -> PermanentResult:
-        """One intermittent-fault run (§V extension)."""
-        return self.engine.run_intermittent([params])[0]
-
-    # -- helpers -------------------------------------------------------------------
-
-    def _sandbox_config(self) -> SandboxConfig:
-        return self.engine._sandbox_config()
-
-    def _injection_config(self) -> SandboxConfig:
-        return self.engine._injection_config()
-
-    def _active_sm_ids(self) -> list[int]:
-        return self.engine._active_sm_ids()
 
 
 def _median(values) -> float:

@@ -2,10 +2,10 @@
 
 :class:`CampaignEngine` owns the golden → profile → select → inject →
 classify pipeline exactly once.  Serial, parallel, fork-batched and
-resumed campaigns all run through it, and every executor result —
-whether the engine runs the executor itself or a caller feeds results
-in through the v2 pump API — passes the same per-result step, so the
-execution paths cannot drift apart.
+resumed campaigns of every fault kind, adaptive batches and the service
+scheduler's shards all inject through its one loop, and every executor
+result passes the same per-result step, so the execution paths cannot
+drift apart.
 
 Orthogonal knobs plug into the engine:
 
@@ -75,7 +75,7 @@ from repro.core.outcomes import classify
 from repro.core.params import IntermittentParams, PermanentParams, TransientParams
 from repro.core.pf_injector import IntermittentInjectorTool, PermanentInjectorTool
 from repro.core.profile_data import ProgramProfile
-from repro.core.profiler import ProfilerTool, ProfilingMode, derived_profile
+from repro.core.profiler import ProfilingMode, derived_profile
 from repro.core.report import OutcomeTally
 from repro.core.resilience import (
     CampaignInterrupted,
@@ -710,9 +710,9 @@ class CampaignEngine:
         self._stream = SeedSequenceStream(self.config.seed, path=self.app.name)
         self.golden: RunArtifacts | None = None
         self.profile: ProgramProfile | None = None
-        # The cached fixed-N transient site plan (the v2 pump API draws
-        # batches against it; selection is deterministic, so caching it
-        # cannot perturb the RNG stream).
+        # The cached fixed-N transient site plan (``run_batch`` runs
+        # shards of it; selection is deterministic, so caching it cannot
+        # perturb the RNG stream).
         self._plan: list[TransientParams] | None = None
         self.golden_time = 0.0
         self.profile_time = 0.0
@@ -722,7 +722,7 @@ class CampaignEngine:
         self._replay_log = None  # repro.gpusim.replay.ReplayLog | None
         self._replay_path: str | None = None
         # The golden run's per-launch instruction counts (counted, or
-        # loaded with a cached tape); None when they are incomplete.
+        # loaded with a cached tape).
         self._launch_counts = None  # list[repro.gpusim.counts.LaunchCounts] | None
 
     def _replay_cache(self):
@@ -758,7 +758,7 @@ class CampaignEngine:
                     self.app, self._sandbox_config(), tracer=self.tracer,
                     recorder=recorder, counter=counter,
                 )
-            self._launch_counts = counter.launches if counter.complete else None
+            self._launch_counts = counter.launches
         self.golden = golden
         self.golden_time = golden.wall_time
         self._record_run_metrics(golden)
@@ -886,9 +886,9 @@ class CampaignEngine:
         (:func:`~repro.core.profiler.derived_profile`), and so do the
         device totals it would add, which are re-reported: golden's
         instructions and warps, and golden's cycles plus the profiler's
-        instrumentation and JIT charges.  The profiler still runs when
-        there are no complete counts, or when a kernel reads
-        ``SR_CLOCK``.
+        instrumentation and JIT charges.  A kernel that reads ``SR_CLOCK``
+        is no exception: the clock is the instruction count, which
+        instrumentation never charges.
         """
         if self.golden is None:
             self.run_golden()
@@ -896,18 +896,14 @@ class CampaignEngine:
         cache = self._replay_cache()
         if cache is not None and self._cached_profile(cache, mode):
             return self.profile
-        counts = self._launch_counts
         with self.tracer.span(
             "profile", workload=self.app.name, mode=mode.value
         ) as span:
-            if span is not None and cache is not None:
-                span.attrs["replay_cache"] = "miss"
-            if counts is not None and not any(c.reads_clock for c in counts):
-                profile, counters = self._derived_profile(counts, mode)
-                if span is not None:
-                    span.attrs["derived"] = True
-            else:
-                profile, counters = self._counted_profile(mode)
+            if span is not None:
+                if cache is not None:
+                    span.attrs["replay_cache"] = "miss"
+                span.attrs["derived"] = True
+            profile, counters = self._derived_profile(mode)
         self.profile = profile
         self.profile.workload = self.app.name
         if self.store is not None:
@@ -924,13 +920,11 @@ class CampaignEngine:
             )
         return self.profile
 
-    def _derived_profile(
-        self, counts, mode: ProfilingMode
-    ) -> tuple[ProgramProfile, dict]:
+    def _derived_profile(self, mode: ProfilingMode) -> tuple[ProgramProfile, dict]:
         """The profile from golden's counts, and the device totals the
         profile run would have added, re-reported into the registry."""
         started = time.perf_counter()
-        profile, hook_cycles = derived_profile(counts, mode)
+        profile, hook_cycles = derived_profile(self._launch_counts, mode)
         golden = self.golden
         counters = {
             "gpusim.instructions_retired": golden.instructions_executed,
@@ -941,27 +935,6 @@ class CampaignEngine:
             self.registry.counter(name).inc(value)
         self.profile_time = time.perf_counter() - started
         return profile, counters
-
-    def _counted_profile(self, mode: ProfilingMode) -> tuple[ProgramProfile, dict]:
-        """Run the profiler: its profile and the run's device totals."""
-        profiler = ProfilerTool(mode)
-        artifacts = run_app(
-            self.app,
-            preload=[profiler],
-            config=self._injection_config(),
-            tracer=self.tracer,
-        )
-        if artifacts.crashed or artifacts.timed_out:
-            raise RuntimeError(
-                f"profiling run failed unexpectedly: {artifacts.summary()}"
-            )
-        self.profile_time = artifacts.wall_time
-        self._record_run_metrics(artifacts)
-        return profiler.profile, {
-            "gpusim.instructions_retired": artifacts.instructions_executed,
-            "gpusim.cycles": artifacts.cycles,
-            "gpusim.warps_launched": artifacts.warps_launched,
-        }
 
     def _cached_profile(self, cache, mode: ProfilingMode) -> bool:
         """Service the profiling pass from the persistent replay cache.
@@ -1038,40 +1011,11 @@ class CampaignEngine:
             return select_permanent_sites(
                 self.profile,
                 rng,
-                sm_ids=self._active_sm_ids(),
+                sm_ids=self.active_sm_ids(),
                 num_sms=self.device_num_sms(),
             )
 
     # -- campaigns --------------------------------------------------------------
-
-    def _transient_builders(self, sites: Sequence[TransientParams]):
-        """The classify/quarantine result builders for a transient site plan.
-
-        Quarantined runs carry only deterministic fields, so campaigns
-        containing failures still produce byte-identical results.csv files
-        across serial, parallel and resumed execution.
-        """
-
-        def build(output: InjectionOutput) -> TransientResult:
-            outcome = classify(self.app, self.golden, output.artifacts)
-            return TransientResult(
-                params=sites[output.index],
-                record=output.record,
-                outcome=outcome,
-                wall_time=output.artifacts.wall_time,
-                instructions=output.artifacts.instructions_executed,
-            )
-
-        def build_failure(failure: TaskFailure) -> TransientResult:
-            return TransientResult(
-                params=sites[failure.index],
-                record=InjectionRecord(injected=False),
-                outcome=quarantine_outcome(failure),
-                wall_time=0.0,
-                instructions=0,
-            )
-
-        return build, build_failure
 
     def run_transient(
         self, sites: list[TransientParams] | None = None
@@ -1083,51 +1027,30 @@ class CampaignEngine:
             sites = self.plan_transient()
         if self.golden is None:
             self.run_golden()
-        completed = self.store.completed_injections() if self.store else []
-        return self._transient_result(
-            self._transient_batch(sites, 0, completed, [])
-        )
+        return self._transient_result(self._transient_batch(sites, 0, []))
 
     def _transient_batch(
         self,
         sites: list[TransientParams],
         start: int,
-        completed: Sequence[int],
-        done: list[TransientResult],
-        on_interrupt: Callable[[], None] | None = None,
+        earlier: list[TransientResult],
     ) -> list[TransientResult]:
         """Inject ``sites[start:]``: the batch step of both transient loops.
 
-        Stored results listed in ``completed`` are resumed rather than
-        re-run.  On an interrupt, a store gets a partial ``results.csv``
-        holding ``done`` (the earlier batches' results) plus everything
-        this batch completed; then ``on_interrupt`` runs and
-        ``KeyboardInterrupt`` propagates.
+        On an interrupt, a store gets a partial ``results.csv`` holding
+        ``earlier`` (the earlier batches' results) plus everything this
+        batch completed; then ``KeyboardInterrupt`` propagates.
         """
-        loaded = self._load_completed(
-            sites,
-            completed=[index for index in completed if index >= start],
-            load=lambda index: self.store.load_injection(index),
-        )
-        build, build_failure = self._transient_builders(sites)
+        indices = range(start, len(sites))
         try:
-            return self._inject(
-                sites,
-                kind="transient",
-                loaded=loaded,
-                build=build,
-                save=self.store.save_injection if self.store else None,
-                build_failure=build_failure,
-                start=start,
-            )
+            results = self._inject(sites, CampaignKind.TRANSIENT.value, indices)
         except CampaignInterrupted as interrupt:
             if self.store is not None:
-                by_index = dict(enumerate(done))
+                by_index = dict(enumerate(earlier))
                 by_index.update(interrupt.completed)
                 self.store.save_partial_results_csv(by_index)
-                if on_interrupt is not None:
-                    on_interrupt()
             raise KeyboardInterrupt from None
+        return [results[index] for index in indices]
 
     def _transient_result(
         self, results: list[TransientResult], adaptive=None
@@ -1148,7 +1071,7 @@ class CampaignEngine:
             self.store.save_results_csv(result)
         return result
 
-    # -- the v2 pump API (external drivers, e.g. the service scheduler) --------
+    # -- shards of a plan (the service scheduler) --------------------------------
 
     def plan_transient(self) -> list[TransientParams]:
         """The fixed-N transient site plan (golden + profile + select), cached.
@@ -1165,99 +1088,40 @@ class CampaignEngine:
                 self.run_golden()
         return self._plan
 
-    def draw_batch(
-        self, indices: Iterable[int] | None = None
-    ) -> list[InjectionTask]:
-        """Frozen, executor-ready tasks for the given plan indices.
-
-        Defaults to the whole plan.  Indices whose results are already in
-        the store are skipped (exactly the resume rule of
-        :meth:`run_transient`), and tasks are grouped by fast-forward
-        target launch so neighbours share the replay log's page cache.
-        Results are keyed by index, so the ordering cannot change
-        ``results.csv``.
-        """
-        sites = self.plan_transient()
-        if indices is None:
-            indices = range(len(sites))
-        wanted = list(indices)
-        for index in wanted:
-            if not 0 <= index < len(sites):
-                raise ReproError(
-                    f"site index {index} outside the plan "
-                    f"(0..{len(sites) - 1})"
-                )
-        completed = (
-            set(self.store.completed_injections()) if self.store else set()
-        )
-        return self._tasks(
-            sites,
-            CampaignKind.TRANSIENT.value,
-            [index for index in wanted if index not in completed],
-        )
-
-    def ingest_results(
-        self, results: Iterable[InjectionOutput | TaskFailure]
-    ) -> dict[int, TransientResult]:
-        """Classify, persist and account raw executor output, as it arrives.
-
-        The streaming half of the pump API: an external driver runs
-        :meth:`draw_batch` tasks through any executor (in-process or not)
-        and feeds the outputs here.  Each result takes the same per-result
-        step as in :meth:`run_transient` (checkpoint, ``injection`` trace
-        event, counters, inject seconds, progress hook), and failures
-        follow the configured retry policy's terminal action (quarantine
-        or raise).  Returns results keyed by plan index, in completion
-        order.
-        """
-        sites = self.plan_transient()
-        build, build_failure = self._transient_builders(sites)
-        return self._ingest(
-            results,
-            CampaignKind.TRANSIENT.value,
-            build,
-            build_failure,
-            save=self.store.save_injection if self.store else None,
-            total=len(sites),
-            into={},
-            offset=self.metrics.injections_done,
-        )
-
     def run_batch(
         self,
         indices: Iterable[int] | None = None,
         stop: "threading.Event | None" = None,
     ) -> dict[int, TransientResult]:
-        """Draw the given plan indices and pump them through the executor.
+        """Inject the given plan indices (default: the whole plan).
 
-        ``draw_batch`` + ``executor.run`` + ``ingest_results`` in one call —
-        what a scheduler worker runs per leased shard.  Already-completed
-        indices are skipped; everything else flows through the engine's
-        normal retry, fast-forward and checkpoint machinery.
+        What a scheduler worker runs per leased shard.  Indices whose
+        results are already in the store are skipped; everything else
+        flows through the engine's normal retry, fast-forward and
+        checkpoint machinery.  Returns the results by plan index, in
+        completion order.
 
         ``stop`` is a cooperative abandon signal (a ``threading.Event``):
-        once set, the completed result in flight is still ingested (it is
+        once set, the completed result in flight is still taken (it is
         already checkpointed) but no further task starts.  The scheduler
         sets it when a worker's unit lease is lost, so the worker stops
         burning duplicate work the moment it is presumed dead.
         """
-        tasks = self.draw_batch(indices)
-        self.metrics.injections_total = len(self.plan_transient())
-        kind = CampaignKind.TRANSIENT.value
-        started = time.perf_counter()
-        with self.tracer.span(
-            "inject",
-            kind=kind,
-            total=len(tasks),
-            fresh=len(tasks),
-            batch=getattr(self.executor, "batch_executor", False),
-        ):
-            runs = self._execute(tasks, kind)
-            if stop is not None:
-                runs = _stop_when(runs, stop)
-            results = self.ingest_results(runs)
-        self._phase("inject", time.perf_counter() - started)
-        return results
+        sites = self.plan_transient()
+        indices = range(len(sites)) if indices is None else list(indices)
+        for index in indices:
+            if not 0 <= index < len(sites):
+                raise ReproError(
+                    f"site index {index} outside the plan "
+                    f"(0..{len(sites) - 1})"
+                )
+        try:
+            return self._inject(
+                sites, CampaignKind.TRANSIENT.value, indices, stop=stop,
+                resume=False,
+            )
+        except CampaignInterrupted:
+            raise KeyboardInterrupt from None
 
     def snapshot_order(self, indices: Iterable[int]) -> list[int]:
         """Order plan indices so launch-coherent sites sit contiguously.
@@ -1281,6 +1145,7 @@ class CampaignEngine:
             return (stop if stop is not None else -1, index)
 
         return sorted(indices, key=key)
+
 
     def _adaptive_enabled(self) -> bool:
         """Any adaptive knob set? Both ``None`` keeps the fixed-N fast path."""
@@ -1323,7 +1188,6 @@ class CampaignEngine:
         checkpoint = AdaptiveCheckpoint(fingerprint)
         checkpoint.batches = state.batches  # shared: grows with the tape
         tape: AdaptiveCheckpoint | None = None
-        completed: list[int] = []
         if self.store is not None:
             stored = self.store.load_adaptive_state()
             if stored is not None:
@@ -1334,7 +1198,6 @@ class CampaignEngine:
                         "(plan, rule, budget or seed); use a fresh study "
                         "directory"
                     )
-            completed = self.store.completed_injections()
 
         rng = self._stream.child("sites").generator()
         sites: list[TransientParams] = []
@@ -1380,15 +1243,11 @@ class CampaignEngine:
                             "the re-derived decision sequence; use a fresh "
                             "study directory"
                         )
-                batch_results = self._transient_batch(
-                    sites,
-                    start,
-                    completed,
-                    results,
-                    on_interrupt=lambda: self.store.save_adaptive_state(
-                        checkpoint.to_dict()
-                    ),
-                )
+                if self.store is not None:
+                    # Before the batch runs: an interrupted campaign's tape
+                    # already holds the batch it stopped in.
+                    self.store.save_adaptive_state(checkpoint.to_dict())
+                batch_results = self._transient_batch(sites, start, results)
                 results.extend(batch_results)
                 for site, item in zip(batch, batch_results):
                     state.record(site.kernel_name, item.outcome)
@@ -1414,11 +1273,11 @@ class CampaignEngine:
                 should_stop = state.should_stop()
                 if should_stop and len(sites) < budget:
                     stopped_early_at = len(sites)
-                checkpoint.stopped_early_at = stopped_early_at
-                if self.store is not None:
-                    self.store.save_adaptive_state(checkpoint.to_dict())
                 if should_stop:
                     break
+            checkpoint.stopped_early_at = stopped_early_at
+            if self.store is not None:
+                self.store.save_adaptive_state(checkpoint.to_dict())
             saved = budget - len(sites)
             if saved:
                 self.registry.counter(
@@ -1452,53 +1311,13 @@ class CampaignEngine:
             self.run_profile()
         if sites is None:
             sites = self.select_permanent()
-        total_dynamic = max(self.profile.total_count(), 1)
-
-        loaded = self._load_completed(
-            sites,
-            completed=(
-                self.store.completed_permanent_injections() if self.store else []
-            ),
-            load=lambda index: self.store.load_permanent_injection(index),
-        )
-
-        def build(output: InjectionOutput) -> PermanentResult:
-            params = sites[output.index]
-            opcode = opcode_by_id(params.opcode_id).name
-            outcome = classify(self.app, self.golden, output.artifacts)
-            return PermanentResult(
-                params=params,
-                opcode=opcode,
-                weight=self.profile.opcode_count(opcode) / total_dynamic,
-                activations=output.activations,
-                outcome=outcome,
-                wall_time=output.artifacts.wall_time,
-            )
-
-        def build_failure(failure: TaskFailure) -> PermanentResult:
-            params = sites[failure.index]
-            opcode = opcode_by_id(params.opcode_id).name
-            return PermanentResult(
-                params=params,
-                opcode=opcode,
-                weight=self.profile.opcode_count(opcode) / total_dynamic,
-                activations=0,
-                outcome=quarantine_outcome(failure),
-                wall_time=0.0,
-            )
-
+        indices = range(len(sites))
         try:
-            results = self._inject(
-                sites,
-                kind="permanent",
-                loaded=loaded,
-                build=build,
-                save=self.store.save_permanent_injection if self.store else None,
-                build_failure=build_failure,
-            )
+            by_index = self._inject(sites, CampaignKind.PERMANENT.value, indices)
         except CampaignInterrupted:
             # Per-injection checkpoints are already on disk; exit cleanly.
             raise KeyboardInterrupt from None
+        results = [by_index[index] for index in indices]
         tally = OutcomeTally()
         for item in results:
             tally.add(item.outcome, weight=item.weight)
@@ -1515,38 +1334,9 @@ class CampaignEngine:
         """Intermittent-fault runs (§V extension), through the same executor."""
         if self.golden is None:
             self.run_golden()
-
-        def build(output: InjectionOutput) -> PermanentResult:
-            params = sites[output.index]
-            outcome = classify(self.app, self.golden, output.artifacts)
-            return PermanentResult(
-                params=params.permanent,
-                opcode=opcode_by_id(params.permanent.opcode_id).name,
-                weight=1.0,
-                activations=output.activations,
-                outcome=outcome,
-                wall_time=output.artifacts.wall_time,
-            )
-
-        def build_failure(failure: TaskFailure) -> PermanentResult:
-            params = sites[failure.index]
-            return PermanentResult(
-                params=params.permanent,
-                opcode=opcode_by_id(params.permanent.opcode_id).name,
-                weight=1.0,
-                activations=0,
-                outcome=quarantine_outcome(failure),
-                wall_time=0.0,
-            )
-
-        return self._inject(
-            sites,
-            kind="intermittent",
-            loaded={},
-            build=build,
-            save=None,
-            build_failure=build_failure,
-        )
+        indices = range(len(sites))
+        results = self._inject(sites, CampaignKind.INTERMITTENT.value, indices)
+        return [results[index] for index in indices]
 
     # -- the one injection loop -------------------------------------------------
 
@@ -1554,67 +1344,189 @@ class CampaignEngine:
         self,
         sites: Sequence,
         kind: str,
-        loaded: dict[int, object],
-        build: Callable[[InjectionOutput], object],
-        save: Callable[[int, object], None] | None,
-        build_failure: Callable[[TaskFailure], object],
-        start: int = 0,
-    ) -> list:
-        """Run every site not already in ``loaded``; return results in site order.
+        indices: Sequence[int],
+        stop: threading.Event | None = None,
+        resume: bool = True,
+    ) -> dict[int, object]:
+        """Run the ``indices`` of ``sites``; return their results by index.
 
-        ``start`` supports the adaptive drive loop: ``sites`` is the full
-        accumulated plan, but only indices ``>= start`` (the current batch)
-        are run — everything before was completed by earlier batches.  The
-        returned list covers exactly ``sites[start:]``.
+        Every entry point injects through this loop.  Indices whose
+        results are already stored do not run again.  A campaign
+        (``resume``) runs the tail ``range(start, len(sites))`` of its
+        plan: it loads those stored results, emits their ``injection``
+        events with ``resumed`` set, and reports progress as ``start``
+        plus its results so far.  A shard (``resume=False``) skips
+        them, and its progress goes on from the injections this engine
+        has already run.
 
-        Every injection — resumed and quarantined ones included — emits
-        one ``injection`` trace event, so the events in a trace sum to the
-        campaign's final tally exactly.  Results go through
-        :meth:`_ingest` as they arrive, so an interrupted campaign loses at
-        most the runs in flight: ``KeyboardInterrupt`` raises :class:`CampaignInterrupted`
-        carrying everything completed so far.
+        Each run's result is classified, saved, counted and traced as it
+        arrives, so an interrupted campaign loses at most the runs in
+        flight: ``KeyboardInterrupt`` raises :class:`CampaignInterrupted`
+        carrying the results so far.  Once ``stop`` is set, no further
+        task starts.  Tasks the harness could not complete (worker
+        raised, died or hung past every retry) arrive as
+        :class:`TaskFailure` records; per ``config.retry.on_failure``
+        they abort the campaign or are *quarantined*: a synthesized DUE
+        result, saved like any other (so a resume skips it) and surfaced
+        by an ``injection_quarantined`` event and the
+        ``engine.quarantined`` counter.
         """
+        stored, load, save = self._stored(kind)
         tasks = self._tasks(
-            sites,
-            kind,
-            [index for index in range(start, len(sites)) if index not in loaded],
+            sites, kind, [index for index in indices if index not in stored]
         )
-        by_index: dict[int, object] = dict(loaded)
+        results: dict[int, object] = {}
         self.metrics.injections_total = len(sites)
-        self.metrics.injections_loaded += len(loaded)
+        if resume:
+            for index in indices:
+                if index in stored:
+                    results[index] = load(index)
+                    if results[index].params != sites[index]:
+                        raise ReproError(
+                            f"stored injection {index} was produced by "
+                            "different campaign parameters; use a fresh "
+                            "study directory"
+                        )
+            self.metrics.injections_loaded += len(results)
+            done, total = len(sites) - len(indices), len(sites)
+        else:
+            done, total = self.metrics.injections_done, len(tasks)
+        policy = self.config.retry
+        base_seconds = self.metrics.inject_seconds
         started = time.perf_counter()
         with self.tracer.span(
             "inject",
             kind=kind,
-            total=len(sites),
+            total=total,
             fresh=len(tasks),
             batch=getattr(self.executor, "batch_executor", False),
         ):
-            for index in sorted(loaded):
-                item = loaded[index]
-                self.metrics.tally.add(
-                    item.outcome, weight=getattr(item, "weight", 1.0)
+            for index in sorted(results):
+                self._count_outcome(results[index])
+                self._emit_injection_event(
+                    index, results[index], kind, resumed=True
                 )
-                self._count_outcome(item)
-                self._emit_injection_event(index, item, kind, resumed=True)
+            runs = self.executor.run(
+                tasks,
+                app=self.app,
+                tracer=self.tracer,
+                retry=policy,
+                on_retry=self._make_on_retry(kind),
+            )
+            if stop is not None:
+                runs = _stop_when(runs, stop)
             try:
-                self._ingest(
-                    self._execute(tasks, kind),
-                    kind,
-                    build,
-                    build_failure,
-                    save=save,
-                    total=len(sites),
-                    into=by_index,
-                    offset=start,
-                )
+                for output in runs:
+                    index = output.index
+                    instructions = 0
+                    if isinstance(output, InjectionOutput):
+                        instructions = output.artifacts.instructions_executed
+                        self.tracer.ingest(output.events)
+                        self._record_run_metrics(
+                            output.artifacts,
+                            injection=True,
+                            batch=output.batch,
+                            batch_shared=output.batch_shared,
+                        )
+                    elif policy.on_failure == "raise":
+                        raise ReproError(
+                            f"injection task {index} failed after "
+                            f"{output.attempts} attempt(s) "
+                            f"[{output.reason}]: {output.error}"
+                        )
+                    else:
+                        self.registry.counter("engine.quarantined").inc()
+                        if self.tracer.enabled:
+                            self.tracer.event(
+                                "injection_quarantined",
+                                index=index,
+                                kind=kind,
+                                attempts=output.attempts,
+                                reason=output.reason,
+                                error=output.error,
+                            )
+                    item = results[index] = self._result(kind, sites[index], output)
+                    if save is not None:
+                        save(index, item)
+                    self._emit_injection_event(index, item, kind, instructions)
+                    self._count_outcome(item)
+                    self.metrics.injections_done += 1
+                    self.metrics.inject_seconds = (
+                        base_seconds + time.perf_counter() - started
+                    )
+                    self.hooks.on_injection(
+                        index,
+                        item.outcome,
+                        done + len(results),
+                        len(sites),
+                        self.metrics.tally,
+                    )
             except KeyboardInterrupt:
-                # Everything in ``by_index`` is already checkpointed (``save``
-                # runs per completion); hand the partial state to the caller
-                # so it can write a clean partial results.csv and re-raise.
-                raise CampaignInterrupted(by_index, len(sites)) from None
+                # Everything in ``results`` is already checkpointed; hand it
+                # to the caller, which may write a partial results.csv.
+                raise CampaignInterrupted(results, len(sites)) from None
         self._phase("inject", time.perf_counter() - started)
-        return [by_index[index] for index in range(start, len(sites))]
+        return results
+
+    def _stored(self, kind: str) -> tuple[set[int], Callable | None, Callable | None]:
+        """The store's completed indices of ``kind``, and its load and save.
+
+        Intermittent runs are never stored.
+        """
+        store = self.store
+        if store is None or kind == CampaignKind.INTERMITTENT.value:
+            return set(), None, None
+        if kind == CampaignKind.TRANSIENT.value:
+            return (
+                set(store.completed_injections()),
+                store.load_injection,
+                store.save_injection,
+            )
+        return (
+            set(store.completed_permanent_injections()),
+            store.load_permanent_injection,
+            store.save_permanent_injection,
+        )
+
+    def _result(
+        self, kind: str, site, output: InjectionOutput | TaskFailure
+    ) -> TransientResult | PermanentResult:
+        """The result of one run of ``site``, of any kind.
+
+        A task that failed gets the quarantine outcome and only
+        deterministic fields, so campaigns containing failures still
+        produce byte-identical results.csv files across serial, parallel
+        and resumed execution.
+        """
+        failed = isinstance(output, TaskFailure)
+        if failed:
+            outcome, wall_time = quarantine_outcome(output), 0.0
+        else:
+            outcome = classify(self.app, self.golden, output.artifacts)
+            wall_time = output.artifacts.wall_time
+        if kind == CampaignKind.TRANSIENT.value:
+            return TransientResult(
+                params=site,
+                record=InjectionRecord(injected=False) if failed else output.record,
+                outcome=outcome,
+                wall_time=wall_time,
+                instructions=0 if failed else output.artifacts.instructions_executed,
+            )
+        fault = getattr(site, "permanent", site)  # an intermittent site's fault
+        opcode = opcode_by_id(fault.opcode_id).name
+        weight = 1.0
+        if kind == CampaignKind.PERMANENT.value:
+            weight = self.profile.opcode_count(opcode) / max(
+                self.profile.total_count(), 1
+            )
+        return PermanentResult(
+            params=fault,
+            opcode=opcode,
+            weight=weight,
+            activations=0 if failed else output.activations,
+            outcome=outcome,
+            wall_time=wall_time,
+        )
 
     def _tasks(
         self, sites: Sequence, kind: str, indices: Iterable[int]
@@ -1648,90 +1560,6 @@ class CampaignEngine:
         )
         return tasks
 
-    def _execute(
-        self, tasks: list[InjectionTask], kind: str
-    ) -> Iterator[InjectionOutput | TaskFailure]:
-        return self.executor.run(
-            tasks,
-            app=self.app,
-            tracer=self.tracer,
-            retry=self.config.retry,
-            on_retry=self._make_on_retry(kind),
-        )
-
-    def _ingest(
-        self,
-        runs: Iterable[InjectionOutput | TaskFailure],
-        kind: str,
-        build: Callable[[InjectionOutput], object],
-        build_failure: Callable[[TaskFailure], object],
-        save: Callable[[int, object], None] | None,
-        total: int,
-        into: dict[int, object],
-        offset: int = 0,
-    ) -> dict[int, object]:
-        """The one per-result step: classify, persist and account each result.
-
-        Tasks the harness could not complete (worker raised, died or hung
-        past every retry) arrive as :class:`TaskFailure` records; per
-        ``config.retry.on_failure`` they either abort the campaign or are
-        *quarantined* — turned into synthesized DUE results by
-        ``build_failure``, persisted like any other result (so a resume
-        skips them) and surfaced via ``injection_quarantined`` events and
-        the ``engine.quarantined`` counter.
-
-        Results land in ``into`` by index.  The progress hook reports
-        ``offset + len(into)`` completed of ``total``, and
-        ``engine.inject.seconds`` accumulates the time spent here.
-        """
-        policy = self.config.retry
-        base_seconds = self.metrics.inject_seconds
-        started = time.perf_counter()
-        for output in runs:
-            if isinstance(output, TaskFailure):
-                if policy.on_failure == "raise":
-                    raise ReproError(
-                        f"injection task {output.index} failed after "
-                        f"{output.attempts} attempt(s) "
-                        f"[{output.reason}]: {output.error}"
-                    )
-                item = self._quarantine(output, build_failure, kind)
-            else:
-                item = build(output)
-                self.tracer.ingest(output.events)
-                self._record_run_metrics(
-                    output.artifacts,
-                    injection=True,
-                    batch=output.batch,
-                    batch_shared=output.batch_shared,
-                )
-            index = output.index
-            into[index] = item
-            if save is not None:
-                save(index, item)
-            self._emit_injection_event(
-                index,
-                item,
-                kind,
-                output=output if isinstance(output, InjectionOutput) else None,
-            )
-            self._count_outcome(item)
-            self.metrics.injections_done += 1
-            self.metrics.inject_seconds = (
-                base_seconds + time.perf_counter() - started
-            )
-            self.metrics.tally.add(
-                item.outcome, weight=getattr(item, "weight", 1.0)
-            )
-            self.hooks.on_injection(
-                index,
-                item.outcome,
-                offset + len(into),
-                total,
-                self.metrics.tally,
-            )
-        return into
-
     def _make_on_retry(self, kind: str) -> OnRetry:
         """The retry-accounting callback handed to the executor."""
 
@@ -1750,45 +1578,6 @@ class CampaignEngine:
 
         return on_retry
 
-    def _quarantine(
-        self,
-        failure: TaskFailure,
-        build_failure: Callable[[TaskFailure], object],
-        kind: str,
-    ) -> object:
-        """Synthesize the quarantined (harness-DUE) result for a failed task."""
-        self.registry.counter("engine.quarantined").inc()
-        if self.tracer.enabled:
-            self.tracer.event(
-                "injection_quarantined",
-                index=failure.index,
-                kind=kind,
-                attempts=failure.attempts,
-                reason=failure.reason,
-                error=failure.error,
-            )
-        return build_failure(failure)
-
-    def _load_completed(
-        self,
-        sites: Sequence,
-        completed: Iterable[int],
-        load: Callable[[int], object],
-    ) -> dict[int, object]:
-        """Resume support: pull stored results whose params match the plan."""
-        loaded: dict[int, object] = {}
-        for index in completed:
-            if index >= len(sites):
-                continue
-            stored = load(index)
-            if stored.params != sites[index]:
-                raise ReproError(
-                    f"stored injection {index} was produced by different "
-                    "campaign parameters; use a fresh study directory"
-                )
-            loaded[index] = stored
-        return loaded
-
     # -- observability plumbing --------------------------------------------------
 
     def _emit_injection_event(
@@ -1796,17 +1585,16 @@ class CampaignEngine:
         index: int,
         item,
         kind: str,
-        output: InjectionOutput | None = None,
+        instructions: int = 0,
         resumed: bool = False,
     ) -> None:
-        """One point event per classified injection (params + outcome + count)."""
+        """One point event per classified injection (params + outcome + count).
+
+        ``instructions`` is the run's count, for results that do not
+        carry their own (permanent ones).
+        """
         if not self.tracer.enabled:
             return
-        instructions = getattr(item, "instructions", None)
-        if instructions is None:
-            instructions = (
-                output.artifacts.instructions_executed if output is not None else 0
-            )
         attrs = {
             "index": index,
             "kind": kind,
@@ -1815,7 +1603,7 @@ class CampaignEngine:
             "symptom": item.outcome.symptom,
             "potential_due": item.outcome.potential_due,
             "weight": getattr(item, "weight", 1.0),
-            "instructions": instructions,
+            "instructions": getattr(item, "instructions", instructions),
         }
         attrs.update(_params_attrs(getattr(item, "params", None)))
         record = getattr(item, "record", None)
@@ -1828,7 +1616,9 @@ class CampaignEngine:
         self.tracer.event("injection", **attrs)
 
     def _count_outcome(self, item) -> None:
+        """Add one result to the running tally and the outcome counters."""
         weight = getattr(item, "weight", 1.0)
+        self.metrics.tally.add(item.outcome, weight=weight)
         self.registry.counter(
             f"campaign.outcome.{item.outcome.outcome.value}"
         ).inc(weight)
@@ -1908,7 +1698,9 @@ class CampaignEngine:
     def _sandbox_config(self) -> SandboxConfig:
         return self.config.sandbox.clone()
 
-    def _injection_config(self) -> SandboxConfig:
+    def injection_config(self) -> SandboxConfig:
+        """The sandbox of an injection run: the campaign's, with the hang
+        budget scaled from the golden run once there is one."""
         config = self._sandbox_config()
         if self.golden is not None:
             config.instruction_budget = hang_budget(
@@ -1917,9 +1709,9 @@ class CampaignEngine:
         return config
 
     def _injection_spec(self) -> SandboxSpec:
-        return self._injection_config().spec()
+        return self.injection_config().spec()
 
-    def _active_sm_ids(self) -> list[int]:
+    def active_sm_ids(self) -> list[int]:
         """SMs that actually ran blocks in the golden run.
 
         A permanent fault pinned to an idle SM can never activate; real

@@ -17,14 +17,21 @@ be stopped, resumed, audited or re-analysed later:
 
 ``results.csv`` contains only deterministic fields (simulated instruction
 counts rather than host wall-clock), so serial, parallel and resumed runs
-of the same campaign produce byte-identical files.  Unrecognised entries
-under ``injections/`` are skipped with a warning instead of crashing the
-resume scan.
+of the same campaign produce byte-identical files.
+
+``outcome.txt`` is a run's completion marker: it is written last, under
+a temporary name that is then renamed into place, and the resume scan
+counts a run as done only when its marker holds every key its kind
+writes.  A damaged marker (torn, truncated or emptied) is reported with a
+warning and its run runs again; unrecognised entries under
+``injections/`` are skipped with a warning too, instead of crashing the
+scan.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 import warnings
 from pathlib import Path
@@ -45,6 +52,13 @@ from repro.errors import ReproError
 from repro.runner.artifacts import RunArtifacts
 
 _RUN_DIR = re.compile(r"^run_(\d+)$")
+
+# The ``key=value`` lines each kind's ``outcome.txt`` holds after its two
+# positional lines (outcome and symptom).
+_TRANSIENT_KEYS = ("kind", "potential_due", "wall_time", "instructions")
+_PERMANENT_KEYS = (
+    "kind", "potential_due", "wall_time", "opcode", "weight", "activations",
+)
 
 
 class CampaignStore:
@@ -132,16 +146,17 @@ class CampaignStore:
         run_dir.mkdir(parents=True, exist_ok=True)
         (run_dir / "params.txt").write_text(result.params.to_text())
         (run_dir / "record.txt").write_text(result.record.to_text())
-        (run_dir / "outcome.txt").write_text(
+        self._write_marker(
+            run_dir,
             f"{result.outcome.outcome.value}\n{result.outcome.symptom}\n"
             f"kind={CampaignKind.TRANSIENT.value}\n"
             f"potential_due={result.outcome.potential_due}\n"
             f"wall_time={result.wall_time!r}\n"
-            f"instructions={result.instructions}\n"
+            f"instructions={result.instructions}\n",
         )
 
     def completed_injections(self) -> list[int]:
-        return self._scan_runs(self.root / "injections")
+        return self._scan_runs(self.root / "injections", _TRANSIENT_KEYS)
 
     def load_injection(self, index: int) -> TransientResult:
         run_dir = self.root / "injections" / f"run_{index:05d}"
@@ -158,18 +173,19 @@ class CampaignStore:
         run_dir = self.root / "permanent" / f"run_{index:05d}"
         run_dir.mkdir(parents=True, exist_ok=True)
         (run_dir / "params.txt").write_text(result.params.to_text())
-        (run_dir / "outcome.txt").write_text(
+        self._write_marker(
+            run_dir,
             f"{result.outcome.outcome.value}\n{result.outcome.symptom}\n"
             f"kind={CampaignKind.PERMANENT.value}\n"
             f"potential_due={result.outcome.potential_due}\n"
             f"wall_time={result.wall_time!r}\n"
             f"opcode={result.opcode}\n"
             f"weight={result.weight!r}\n"
-            f"activations={result.activations}\n"
+            f"activations={result.activations}\n",
         )
 
     def completed_permanent_injections(self) -> list[int]:
-        return self._scan_runs(self.root / "permanent")
+        return self._scan_runs(self.root / "permanent", _PERMANENT_KEYS)
 
     def load_permanent_injection(self, index: int) -> PermanentResult:
         run_dir = self.root / "permanent" / f"run_{index:05d}"
@@ -191,8 +207,21 @@ class CampaignStore:
     # -- shared run-directory plumbing -------------------------------------------
 
     @staticmethod
-    def _scan_runs(runs_dir: Path) -> list[int]:
-        """Indices of completed runs, skipping (with a warning) stray entries."""
+    def _write_marker(run_dir: Path, text: str) -> None:
+        """Write a run's ``outcome.txt`` whole: to a temporary name, then
+        renamed into place, so a killed writer never leaves it torn."""
+        tmp = run_dir / "outcome.txt.tmp"
+        tmp.write_text(text)
+        os.replace(tmp, run_dir / "outcome.txt")
+
+    @staticmethod
+    def _scan_runs(runs_dir: Path, keys: tuple[str, ...]) -> list[int]:
+        """Indices of completed runs: those whose ``outcome.txt`` is whole.
+
+        A whole marker ends its last line and holds every one of ``keys``.
+        Stray entries are skipped, and runs with a damaged marker left to
+        run again, each with a warning.
+        """
         if not runs_dir.exists():
             return []
         indices = []
@@ -204,8 +233,22 @@ class CampaignStore:
                     stacklevel=3,
                 )
                 continue
-            if (run_dir / "outcome.txt").exists():
-                indices.append(int(match.group(1)))
+            marker = run_dir / "outcome.txt"
+            if not marker.exists():
+                continue
+            text = marker.read_text()
+            written = {
+                line.split("=", 1)[0]
+                for line in text.splitlines()[2:]
+                if "=" in line
+            }
+            if not text.endswith("\n") or not written >= set(keys):
+                warnings.warn(
+                    f"{marker} is incomplete; its run will run again",
+                    stacklevel=3,
+                )
+                continue
+            indices.append(int(match.group(1)))
         return indices
 
     @staticmethod

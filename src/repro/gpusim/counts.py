@@ -13,9 +13,10 @@ tallies, per launch and opcode:
 * per SM, the OR of the lanes that executed.
 
 A stepped instruction tallies its own exec mask.  A compiled block tallies
-once per run (``SM._run_slice_counting``): ``warp.active`` before the run,
-which is constant inside a block because only the op that ends it can
-change it, and, when it holds a guarded pc, the predicates after the run.
+once per run (``SM._run_slice_fast``, given a tally): ``warp.active``
+before the run, which is constant inside a block because only the op
+that ends it can change it, and, when it holds a guarded pc, the
+predicates after the run.
 A block is only counted this way when no pc at or after a guarded pc
 writes that pc's predicate (:attr:`repro.gpusim.blockc.Block.countable`);
 any other block steps.  The tallies are keyed by mask bytes; they are
@@ -36,7 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.gpusim.exec_units import reads_clock
 from repro.sass.isa import WARP_SIZE, opcode_by_id
 
 _FULL_MASK = (1 << WARP_SIZE) - 1
@@ -51,13 +51,11 @@ class LaunchCounts:
     one entry per (opcode, SM) on which some lane executed that opcode:
     the OR of those exec masks, bit ``l`` for lane ``l``.  ``handle`` is
     the first-launch ordinal of the function handle that launched it (two
-    module loads of one image are two handles); ``reads_clock`` flags a
-    kernel holding an ``SR_CLOCK`` reader.
+    module loads of one image are two handles).
     """
 
     kernel_name: str
     handle: int
-    reads_clock: bool
     opcodes: np.ndarray  # uint16
     warp_execs: np.ndarray  # int64
     thread_execs: np.ndarray  # int64
@@ -111,7 +109,7 @@ class LaunchCounter:
         self._function = None
         self._handles: dict[int, int] = {}
         self._held: list = []  # noted handles, kept alive so ids stay unique
-        # CompiledKernel -> (reads clock, step expansions, run expansions):
+        # CompiledKernel -> (step expansions, run expansions):
         # a tally key expands the same way in every launch of its kernel,
         # and a launch whose tallies equal an earlier one's (a kernel
         # relaunched on the same shape) shares its count arrays.
@@ -140,12 +138,8 @@ class LaunchCounter:
             self._held.append(owner)
         known = self._kernels.get(compiled)
         if known is None:
-            known = self._kernels[compiled] = (
-                any(reads_clock(instr) for instr in compiled.instructions),
-                {},
-                {},
-            )
-        clock, step_cache, run_cache = known
+            known = self._kernels[compiled] = ({}, {})
+        step_cache, run_cache = known
         seen = (compiled, tuple(
             (sm_id, tuple(steps.items()), tuple(runs.items()))
             for sm_id, (steps, runs) in tallies.items()
@@ -156,7 +150,7 @@ class LaunchCounter:
                 compiled, blocks, tallies, step_cache, run_cache
             )
         self.launches.append(
-            LaunchCounts(kernel.name, handle, clock, *arrays)
+            LaunchCounts(kernel.name, handle, *arrays)
         )
 
     def _expand(self, compiled, blocks, tallies, step_cache, run_cache) -> tuple:

@@ -73,9 +73,9 @@ from repro.errors import ReproError, WatchdogTimeout
 from repro.gpusim.counts import LaunchCounter, LaunchCounts
 from repro.mem.memory import PAGE_SHIFT, PAGE_SIZE
 
-# Version 2 carries the per-launch instruction counts; a version-1 tape
-# (no counts) does not load, so a cache entry of it is a miss.
-_MAGIC = b"RPRL\x02\n"
+# Version 3 carries the per-launch instruction counts.  A tape of another
+# version does not load, so a cache entry of it is a miss.
+_MAGIC = b"RPRL\x03\n"
 _MAGIC_PREFIX = b"RPRL"
 
 # Launch boundaries the divergence set may stay non-empty before the tail
@@ -542,8 +542,8 @@ class ReplayCursor:
 # is offset-computable, so the loader is a single sequential read.
 #
 # The counts section stores every launch's LaunchCounts concatenated, as
-# seven little-endian arrays in :data:`_COUNT_ARRAYS` order: an (n, 4)
-# int64 index of (handle, reads_clock, opcodes, lane entries) per launch,
+# seven little-endian arrays in :data:`_COUNT_ARRAYS` order: an (n, 3)
+# int64 index of (handle, opcodes, lane entries) per launch,
 # then the W, T, lane-mask, opcode, lane-opcode and lane-SM columns.  The
 # header's ``counts`` field gives the two column lengths; a log without
 # counts has no such field and no section.
@@ -572,12 +572,9 @@ def _blobs(log: ReplayLog) -> list[bytes]:
         blobs.append(rec.data.tobytes())
     if log.counts is not None:
         index = np.array(
-            [
-                (c.handle, c.reads_clock, c.opcodes.size, c.lane_masks.size)
-                for c in log.counts
-            ],
+            [(c.handle, c.opcodes.size, c.lane_masks.size) for c in log.counts],
             dtype="<i8",
-        ).reshape(-1, 4)
+        ).reshape(-1, 3)
         blobs.append(index.tobytes())
         for attr, dtype, _ in _COUNT_ARRAYS:
             column = [getattr(c, attr) for c in log.counts]
@@ -719,7 +716,7 @@ def _read_counts(
     """The counts section: one :class:`LaunchCounts` per launch, its arrays
     views into the concatenated columns."""
     n = len(launches)
-    index = np.frombuffer(raw, dtype="<i8", count=4 * n, offset=offset).reshape(n, 4)
+    index = np.frombuffer(raw, dtype="<i8", count=3 * n, offset=offset).reshape(n, 3)
     offset += index.nbytes
     columns = {}
     for attr, dtype, size in _COUNT_ARRAYS:
@@ -728,8 +725,8 @@ def _read_counts(
         columns[attr] = column
     if offset != len(raw):
         raise ValueError(f"{len(raw) - offset} bytes past the counts section")
-    ops = np.concatenate(([0], np.cumsum(index[:, 2]))).tolist()
-    lanes = np.concatenate(([0], np.cumsum(index[:, 3]))).tolist()
+    ops = np.concatenate(([0], np.cumsum(index[:, 1]))).tolist()
+    lanes = np.concatenate(([0], np.cumsum(index[:, 2]))).tolist()
     opcodes, warps, threads = (
         columns["opcodes"], columns["warp_execs"], columns["thread_execs"]
     )
@@ -738,13 +735,12 @@ def _read_counts(
     )
     return [
         LaunchCounts(
-            rec.kernel_name, handle, bool(clock),
+            rec.kernel_name, handle,
             opcodes[o0:o1], warps[o0:o1], threads[o0:o1],
             lane_opcodes[l0:l1], lane_sms[l0:l1], lane_masks[l0:l1],
         )
-        for rec, handle, clock, o0, o1, l0, l1 in zip(
-            launches, index[:, 0].tolist(), index[:, 1].tolist(),
-            ops, ops[1:], lanes, lanes[1:],
+        for rec, handle, o0, o1, l0, l1 in zip(
+            launches, index[:, 0].tolist(), ops, ops[1:], lanes, lanes[1:],
         )
     ]
 

@@ -12,8 +12,8 @@ service backed by one SQLite database:
 * :mod:`repro.service.scheduler` — turns a
   :class:`~repro.core.campaign.CampaignConfig` into shardable work units
   leased to N worker processes (heartbeat leases, requeue-on-death),
-  reusing the engine's executor/retry/fast-forward machinery through the
-  pump API (``plan_transient`` / ``draw_batch`` / ``ingest_results``);
+  reusing the engine's executor/retry/fast-forward machinery through
+  ``plan_transient`` and ``run_batch``;
 * :mod:`repro.service.server` — ``repro serve``: a stdlib-HTTP front end
   with submit/status/live-progress/results endpoints, supporting
   concurrent campaigns against one FaultDB.

@@ -10,7 +10,8 @@ from repro.core.analysis import (
     per_opcode_breakdown,
     permanent_avf_by_opcode,
 )
-from repro.core.campaign import Campaign, CampaignConfig
+from repro.core.campaign import CampaignConfig
+from repro.core.engine import CampaignEngine
 from repro.core.groups import InstructionGroup
 from repro.core.outcomes import Outcome, OutcomeRecord
 from repro.core.report import OutcomeTally
@@ -52,9 +53,9 @@ class TestEstimate:
 class TestBreakdowns:
     @pytest.fixture(scope="class")
     def result(self):
-        campaign = Campaign(get_workload("314.omriq"),
-                            CampaignConfig(num_transient=15, seed=9))
-        return campaign.engine.run_transient()
+        campaign = CampaignEngine(get_workload("314.omriq"),
+                                  CampaignConfig(num_transient=15, seed=9))
+        return campaign.run_transient()
 
     def test_per_kernel_totals_sum_to_campaign(self, result):
         breakdown = per_kernel_breakdown(result)
@@ -86,7 +87,7 @@ class TestBreakdowns:
 
 class TestPermanentAnalysis:
     def test_rows_cover_all_opcodes(self):
-        campaign = Campaign(get_workload("360.ilbdc"), CampaignConfig(seed=2))
+        campaign = CampaignEngine(get_workload("360.ilbdc"), CampaignConfig(seed=2))
         campaign.run_golden()
         campaign.run_profile()
         permanent = campaign.run_permanent()

@@ -10,7 +10,8 @@ import pytest
 
 import repro
 from repro import api
-from repro.core.campaign import Campaign, CampaignConfig
+from repro.core.campaign import CampaignConfig
+from repro.core.engine import CampaignEngine
 from repro.core.params import PermanentParams
 from repro.core.store import CampaignStore
 from repro.errors import ReproError
@@ -41,7 +42,7 @@ class TestProfile:
 class TestSelectSites:
     def test_matches_engine_selection_exactly(self):
         config = CampaignConfig(num_transient=6, seed=11)
-        campaign = Campaign(get_workload(WORKLOAD), config)
+        campaign = CampaignEngine(get_workload(WORKLOAD), config)
         engine_sites = campaign.select_sites()
 
         profile = api.profile(WORKLOAD)
@@ -89,10 +90,10 @@ class TestRunCampaign:
         api_store = CampaignStore(tmp_path / "api")
         api_result = api.run_campaign(config, store=api_store)
 
-        # The Campaign facade's engine, run without a store; the study is
-        # saved afterwards in one call.
-        legacy = Campaign(get_workload(WORKLOAD), config)
-        legacy_result = legacy.engine.run_transient()
+        # The engine run without a store; the study is saved afterwards in
+        # one call.
+        legacy = CampaignEngine(get_workload(WORKLOAD), config)
+        legacy_result = legacy.run_transient()
         CampaignStore(tmp_path / "legacy").save_campaign(
             legacy.golden, legacy.profile, legacy_result
         )

@@ -217,8 +217,8 @@ class TestNeverReachedTargets:
 
     def _grouped_tasks(self):
         engine = CampaignEngine(_WORKLOAD, _config())
-        engine.plan_transient()
-        tasks = engine.draw_batch()
+        sites = engine.plan_transient()
+        tasks = engine._tasks(sites, "transient", range(len(sites)))
         groups: dict[tuple, list] = {}
         for task in tasks:
             groups.setdefault(

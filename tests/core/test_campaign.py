@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.campaign import Campaign, CampaignConfig
+from repro.core.campaign import CampaignConfig
+from repro.core.engine import CampaignEngine
 from repro.core.outcomes import Outcome
 from repro.core.params import IntermittentParams, PermanentParams
 from repro.runner.golden import GoldenError
@@ -13,7 +14,7 @@ from repro.workloads import get_workload
 @pytest.fixture(scope="module")
 def campaign():
     config = CampaignConfig(num_transient=12, seed=11)
-    instance = Campaign(get_workload("314.omriq"), config)
+    instance = CampaignEngine(get_workload("314.omriq"), config)
     instance.run_golden()
     instance.run_profile()
     return instance
@@ -37,8 +38,8 @@ class TestPhases:
 
     def test_different_seeds_give_different_sites(self):
         app = get_workload("314.omriq")
-        a = Campaign(app, CampaignConfig(seed=1))
-        b = Campaign(app, CampaignConfig(seed=2))
+        a = CampaignEngine(app, CampaignConfig(seed=1))
+        b = CampaignEngine(app, CampaignConfig(seed=2))
         a.run_golden(); a.run_profile()
         b.run_golden(); b.run_profile()
         assert a.select_sites(5) != b.select_sites(5)
@@ -46,7 +47,7 @@ class TestPhases:
 
 class TestTransientCampaign:
     def test_full_run(self, campaign):
-        result = campaign.engine.run_transient()
+        result = campaign.run_transient()
         assert len(result.results) == 12
         assert result.tally.total == 12
         fractions = result.tally.fractions()
@@ -55,18 +56,18 @@ class TestTransientCampaign:
         assert result.total_time > result.profile_time
 
     def test_every_result_has_outcome_and_record(self, campaign):
-        result = campaign.engine.run_transient(campaign.select_sites(4))
+        result = campaign.run_transient(campaign.select_sites(4))
         for item in result.results:
             assert item.outcome.outcome in Outcome
             assert item.params.kernel_name in ("computePhiMag", "computeQ")
 
     def test_reproducible_outcomes(self):
         def run():
-            instance = Campaign(
+            instance = CampaignEngine(
                 get_workload("360.ilbdc"),
                 CampaignConfig(num_transient=6, seed=5),
             )
-            result = instance.engine.run_transient()
+            result = instance.run_transient()
             return [r.outcome.outcome for r in result.results]
 
         assert run() == run()
@@ -92,7 +93,7 @@ class TestIntermittentRun:
         site = PermanentParams(sm_id=0, lane_id=0, bit_mask=1 << 3, opcode_id=24)
         params = IntermittentParams(site, process="random",
                                     activation_probability=0.2, seed=1)
-        result = campaign.run_intermittent(params)
+        result = campaign.run_intermittent([params])[0]
         assert result.outcome.outcome in Outcome
 
 
@@ -106,7 +107,7 @@ class TestGoldenValidation:
             def run(self, ctx):
                 ctx.exit(1)
 
-        campaign = Campaign(BrokenApp(), CampaignConfig())
+        campaign = CampaignEngine(BrokenApp(), CampaignConfig())
         with pytest.raises(GoldenError, match="status 1"):
             campaign.run_golden()
 
@@ -114,7 +115,7 @@ class TestGoldenValidation:
         config = CampaignConfig(
             sandbox=SandboxConfig(instruction_budget=100)
         )
-        campaign = Campaign(get_workload("314.omriq"), config)
+        campaign = CampaignEngine(get_workload("314.omriq"), config)
         with pytest.raises(GoldenError, match="budget"):
             campaign.run_golden()
 

@@ -64,25 +64,51 @@ class TwoLoadsApp(Application):
         ctx.print("sum", int(out.to_host().sum()))
 
 
+# A loop whose per-thread trip count is the kernel's second parameter
+# plus two bits of (SR_CLOCK + thread id), and a guarded add on a third
+# bit: which branches a thread takes depends on the clock it reads.
+_CLOCKED = """
+.kernel clocked
+.params 2
+    S2R R1, SR_TID.X ;
+    S2R R2, SR_CLOCK ;
+    IADD R2, R2, R1 ;
+    LOP.AND R3, R2, 3 ;
+    MOV R4, c[0x0][0x4] ;
+    IADD R4, R4, R3 ;
+    MOV R5, RZ ;
+    PBK DONE ;
+TOP:
+    ISETP.GE P0, R5, R4 ;
+@P0 BRK ;
+    IADD R5, R5, 1 ;
+    BRA TOP ;
+DONE:
+    LOP.AND R6, R2, 4 ;
+    ISETP.NE P1, R6, RZ ;
+@P1 IADD R5, R5, 100 ;
+    MOV R7, c[0x0][0x0] ;
+    ISCADD R8, R1, R7, 2 ;
+    STG [R8], R5 ;
+    EXIT ;
+"""
+
+
 class ClockApp(Application):
-    """A kernel that reads ``SR_CLOCK``: its profile is counted, not derived."""
+    """A kernel that branches on ``SR_CLOCK``, launched five times with a
+    different mix each time: its profile is derived like any other."""
 
     name = "clock_app"
 
     def run(self, ctx: AppContext) -> None:
         cuda = ctx.cuda
-        module = cuda.load_module(
-            ".kernel clocked\n.params 1\n"
-            "    S2R R1, SR_CLOCK ;\n"
-            "    S2R R2, SR_TID.X ;\n"
-            "    MOV R4, c[0x0][0x0] ;\n"
-            "    ISCADD R5, R2, R4, 2 ;\n"
-            "    STG [R5], R1 ;\n"
-            "    EXIT ;\n"
-        )
-        out = cuda.alloc(32, np.uint32)
-        cuda.launch(cuda.get_function(module, "clocked"), 1, 32, out)
-        ctx.print("first", int(out.to_host()[0]))
+        func = cuda.get_function(cuda.load_module(_CLOCKED), "clocked")
+        out = cuda.alloc(64, np.uint32)
+        for blocks, threads, trips in (
+            (1, 48, 2), (2, 32, 0), (1, 64, 3), (3, 16, 1), (1, 40, 5)
+        ):
+            cuda.launch(func, blocks, threads, out, trips)
+            ctx.print("sum", int(out.to_host().sum()))
 
 
 _TOTALS = ("gpusim.instructions_retired", "gpusim.cycles", "gpusim.warps_launched")
@@ -100,8 +126,7 @@ def _derived(app, mode: ProfilingMode, tmp_path):
     before = registry.snapshot()["counters"]
     engine.run_profile()
     after = registry.snapshot()["counters"]
-    runs = after["sandbox.runs"] - before["sandbox.runs"]
-    assert runs == (1 if isinstance(app, ClockApp) else 0)  # the profile run
+    assert after["sandbox.runs"] == before["sandbox.runs"]  # no profile run
     totals = tuple(int(after[name] - before[name]) for name in _TOTALS)
     return engine, (store.root / "profile.txt").read_text(), totals
 
@@ -109,7 +134,7 @@ def _derived(app, mode: ProfilingMode, tmp_path):
 def _counted(engine, app, mode: ProfilingMode):
     """profile.txt and the device totals of a real profile run."""
     profiler = ProfilerTool(mode)
-    artifacts = run_app(app, preload=[profiler], config=engine._injection_config())
+    artifacts = run_app(app, preload=[profiler], config=engine.injection_config())
     profiler.profile.workload = app.name
     totals = (
         artifacts.instructions_executed, artifacts.cycles,
@@ -142,7 +167,11 @@ def test_two_module_loads_keep_their_handles(mode, tmp_path):
         assert flags == ["="] * 4
 
 
-def test_a_clock_reader_keeps_the_profile_run(tmp_path):
+@pytest.mark.parametrize("mode", _MODES, ids=lambda m: m.value)
+def test_a_clock_reader_is_derived(mode, tmp_path):
+    """The clock is the device's instruction count, which instrumentation
+    never charges, so a profile run reads the golden run's clock values
+    and takes its branches."""
     app = ClockApp()
-    engine, text, totals = _derived(app, ProfilingMode.EXACT, tmp_path)
-    assert (text, totals) == _counted(engine, app, ProfilingMode.EXACT)
+    engine, text, totals = _derived(app, mode, tmp_path)
+    assert (text, totals) == _counted(engine, app, mode)

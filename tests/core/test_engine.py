@@ -125,7 +125,7 @@ class TestHooksAndMetrics:
 
 
 class TestPumpMatchesRunTransient:
-    """The v2 pump and ``run_transient`` share one per-result step."""
+    """``run_batch`` and ``run_transient`` share one injection loop."""
 
     @staticmethod
     def _engine(seen):

@@ -244,9 +244,9 @@ class TestReplayCache:
     def test_parent_format_entry_is_a_miss_and_rerecorded(
         self, tmp_path, serial_csv
     ):
-        """An entry in the previous tape format (version 1, no instruction
-        counts) at the entry's path reads as a miss; the campaign records
-        the tape again, counts included, and stores it whole."""
+        """An entry in the previous tape format (version 2) at the entry's
+        path reads as a miss; the campaign records the tape again, counts
+        included, and stores it whole."""
         cache_dir = tmp_path / "cache"
         _campaign_csv(tmp_path, "seed", config=_config(replay_cache=str(cache_dir)))
         cache = ReplayCache(cache_dir)
@@ -314,12 +314,15 @@ class TestReplayCache:
 
 
 def _write_parent_format(log: ReplayLog, path) -> None:
-    """Write ``log`` as the previous tape format did: version 1 magic and
-    no counts section (otherwise the layout is unchanged)."""
-    save_replay_log(ReplayLog(log.mem_size, log.launches, log.workload), path)
+    """Write ``log`` under the previous tape format's magic (version 2).
+
+    Version 2 also indexed each launch's counts by an ``SR_CLOCK`` flag;
+    the loader rejects a tape by its magic before it reads the layout, so
+    the magic is what has to differ."""
+    save_replay_log(log, path)
     raw = path.read_bytes()
-    assert raw.startswith(b"RPRL\x02\n")
-    path.write_bytes(b"RPRL\x01\n" + raw[6:])
+    assert raw.startswith(b"RPRL\x03\n")
+    path.write_bytes(b"RPRL\x02\n" + raw[6:])
 
 
 def _store_repeatedly(root, tape, start, rounds) -> None:

@@ -3,18 +3,20 @@
 import pytest
 
 import repro
-from repro.core.campaign import Campaign, CampaignConfig
+from repro.core.campaign import CampaignConfig
+from repro.core.engine import CampaignEngine
 from repro.core.outcomes import Outcome
 from repro.core.store import CampaignStore
 from repro.errors import ReproError
+from repro.obs import MetricsRegistry
 from repro.workloads import get_workload
 
 
 @pytest.fixture(scope="module")
 def campaign_result():
-    campaign = Campaign(get_workload("314.omriq"),
-                        CampaignConfig(num_transient=5, seed=3))
-    result = campaign.engine.run_transient()
+    campaign = CampaignEngine(get_workload("314.omriq"),
+                              CampaignConfig(num_transient=5, seed=3))
+    result = campaign.run_transient()
     return campaign, result
 
 
@@ -158,3 +160,77 @@ class TestErrors:
         store.save_injection(0, result.results[0])
         (tmp_path / "injections" / "run_00001").mkdir()  # no outcome.txt yet
         assert store.completed_injections() == [0]
+
+
+def _stored_bytes(root) -> dict:
+    """Every file of a study, its ``wall_time`` (host seconds) masked."""
+    files = {}
+    for path in sorted(root.rglob("*")):
+        if path.is_file():
+            lines = path.read_bytes().splitlines(keepends=True)
+            files[str(path.relative_to(root))] = b"".join(
+                b"wall_time=X\n" if line.startswith(b"wall_time=") else line
+                for line in lines
+            )
+    return files
+
+
+def _damage(marker, damage: str) -> None:
+    """Drop the last line of a run's ``outcome.txt``, or every line."""
+    if damage == "truncated":
+        lines = marker.read_text().splitlines(keepends=True)
+        marker.write_text("".join(lines[:-1]))
+    else:
+        marker.write_text("")
+
+
+class TestDamagedMarker:
+    """A run whose ``outcome.txt`` is damaged runs again on resume, and the
+    study ends with the uninterrupted campaign's bytes."""
+
+    @pytest.mark.parametrize("damage", ["truncated", "empty"])
+    def test_transient_run_runs_again(self, tmp_path, damage):
+        config = CampaignConfig(workload="314.omriq", num_transient=4, seed=3)
+        repro.run_campaign(config, store=CampaignStore(tmp_path / "whole"))
+        store = CampaignStore(tmp_path / "damaged")
+        repro.run_campaign(config, store=store)
+        _damage(store.root / "injections" / "run_00001" / "outcome.txt", damage)
+        with pytest.warns(UserWarning, match="incomplete"):
+            assert store.completed_injections() == [0, 2, 3]
+
+        registry = MetricsRegistry()
+        with pytest.warns(UserWarning, match="incomplete"):
+            repro.run_campaign(config, store=store, metrics=registry)
+        values = registry.counter_values()
+        assert (values["engine.injections.loaded"],
+                values["engine.injections.done"]) == (3, 1)
+        assert _stored_bytes(store.root) == _stored_bytes(tmp_path / "whole")
+
+    @pytest.mark.parametrize("damage", ["truncated", "empty"])
+    def test_permanent_run_runs_again(self, tmp_path, damage):
+        def run(store, registry=None):
+            engine = CampaignEngine(
+                "314.omriq", CampaignConfig(seed=7), store=store,
+                metrics=registry,
+            )
+            return engine.run_permanent(engine.select_permanent()[:3])
+
+        whole = run(CampaignStore(tmp_path / "whole"))
+        store = CampaignStore(tmp_path / "damaged")
+        run(store)
+        _damage(store.root / "permanent" / "run_00001" / "outcome.txt", damage)
+        with pytest.warns(UserWarning, match="incomplete"):
+            assert store.completed_permanent_injections() == [0, 2]
+
+        registry = MetricsRegistry()
+        with pytest.warns(UserWarning, match="incomplete"):
+            resumed = run(store, registry)
+        values = registry.counter_values()
+        assert (values["engine.injections.loaded"],
+                values["engine.injections.done"]) == (2, 1)
+        rows = [
+            [(r.opcode, r.outcome, r.weight, r.activations) for r in c.results]
+            for c in (whole, resumed)
+        ]
+        assert rows[0] == rows[1]
+        assert _stored_bytes(store.root) == _stored_bytes(tmp_path / "whole")

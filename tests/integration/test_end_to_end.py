@@ -3,7 +3,8 @@
 import numpy as np
 
 from repro.core.bitflip import BitFlipModel
-from repro.core.campaign import Campaign, CampaignConfig
+from repro.core.campaign import CampaignConfig
+from repro.core.engine import CampaignEngine
 from repro.core.groups import InstructionGroup
 from repro.core.injector import TransientInjectorTool
 from repro.core.outcomes import Outcome, classify
@@ -101,8 +102,8 @@ class TestOutcomeDiversity:
             seed=17,
             model=BitFlipModel.RANDOM_VALUE,
         )
-        campaign = Campaign(get_workload("356.sp"), config)
-        result = campaign.engine.run_transient()
+        campaign = CampaignEngine(get_workload("356.sp"), config)
+        result = campaign.run_transient()
         fractions = result.tally.fractions()
         assert fractions["SDC"] > 0
         assert fractions["Masked"] > 0
@@ -112,7 +113,7 @@ class TestOutcomeDiversity:
         """Bit 0 flips of FP32 values should be overwhelmingly tolerated by
         SpecACCEL-style tolerance checks."""
         app = get_workload("363.swim")
-        campaign = Campaign(app, CampaignConfig(seed=5))
+        campaign = CampaignEngine(app, CampaignConfig(seed=5))
         campaign.run_golden()
         campaign.run_profile()
         from repro.core.params import TransientParams
@@ -131,7 +132,7 @@ class TestOutcomeDiversity:
             )
             injector = TransientInjectorTool(low_bit)
             observed = run_app(app, preload=[injector],
-                               config=campaign._injection_config())
+                               config=campaign.injection_config())
             record = classify(app, campaign.golden, observed)
             if record.outcome is Outcome.MASKED:
                 masked += 1

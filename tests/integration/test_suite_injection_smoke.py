@@ -6,7 +6,8 @@ machinery silently stops reaching it (e.g. kernel renames, group droughts).
 
 import pytest
 
-from repro.core.campaign import Campaign, CampaignConfig
+from repro.core.campaign import CampaignConfig
+from repro.core.engine import CampaignEngine
 from repro.core.groups import InstructionGroup
 from repro.core.outcomes import Outcome
 from repro.workloads import WORKLOAD_CLASSES
@@ -14,8 +15,8 @@ from repro.workloads import WORKLOAD_CLASSES
 
 @pytest.mark.parametrize("cls", WORKLOAD_CLASSES, ids=lambda c: c.name)
 def test_one_injection_lands(cls):
-    campaign = Campaign(cls(), CampaignConfig(num_transient=1, seed=31))
-    result = campaign.engine.run_transient()
+    campaign = CampaignEngine(cls(), CampaignConfig(num_transient=1, seed=31))
+    result = campaign.run_transient()
     item = result.results[0]
     assert item.record.injected, item.params
     assert item.outcome.outcome in Outcome
@@ -31,6 +32,6 @@ def test_fp32_group_reachable(cls):
     config = CampaignConfig(
         num_transient=1, seed=5, group=InstructionGroup.G_FP32
     )
-    campaign = Campaign(cls(), config)
-    result = campaign.engine.run_transient()
+    campaign = CampaignEngine(cls(), config)
+    result = campaign.run_transient()
     assert result.results[0].record.injected

@@ -7,7 +7,8 @@ NVBitFI profiles and injects into them transparently.
 
 
 from repro.core.bitflip import BitFlipModel
-from repro.core.campaign import Campaign, CampaignConfig
+from repro.core.campaign import CampaignConfig
+from repro.core.engine import CampaignEngine
 from repro.core.groups import InstructionGroup
 from repro.core.injector import TransientInjectorTool
 from repro.core.outcomes import Outcome, classify
@@ -74,8 +75,8 @@ class TestInjectionIntoLibrary:
         assert record.outcome in (Outcome.SDC, Outcome.MASKED, Outcome.DUE)
 
     def test_full_campaign_over_library_app(self):
-        campaign = Campaign(AvPipeline(), CampaignConfig(num_transient=6, seed=4))
-        result = campaign.engine.run_transient()
+        campaign = CampaignEngine(AvPipeline(), CampaignConfig(num_transient=6, seed=4))
+        result = campaign.run_transient()
         assert len(result.results) == 6
         injected_kernels = {
             r.record.kernel_name for r in result.results if r.record.injected

@@ -150,7 +150,7 @@ def inject(
         workload=engine.app.name,
         kind=kind,
         params=params,
-        sandbox=engine._injection_spec(),
+        sandbox=engine.injection_config(),
     )
     with engine.tracer.span("inject", kind=kind, total=1, fresh=1):
         output: InjectionOutput = execute_task(

@@ -379,7 +379,7 @@ class BatchExecutor:
             artifacts = run_app(
                 app,
                 preload=[injector],
-                config=chain[0][0].sandbox.config(),
+                config=chain[0][0].sandbox,
                 tracer=Tracer(sink=buffer),
                 replay=cursor,
             )

@@ -33,7 +33,7 @@ from repro.errors import ParamError
 from repro.runner.sandbox import SandboxConfig
 
 
-@dataclass
+@dataclass(frozen=True)
 class CampaignConfig:
     """Knobs of one campaign.
 

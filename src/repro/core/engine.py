@@ -12,7 +12,7 @@ Orthogonal knobs plug into the engine:
 * an **executor** — :class:`SerialExecutor` runs injections in-process;
   :class:`ParallelExecutor` fans frozen, picklable work items out over a
   ``ProcessPoolExecutor``, one task per flight, carrying the *full*
-  :class:`~repro.runner.sandbox.SandboxSpec` to every worker;
+  frozen :class:`~repro.runner.sandbox.SandboxConfig` to every worker;
   :class:`~repro.core.batch_injector.BatchExecutor` forks same-launch
   faults off one shared counting pass; :func:`choose_executor` picks one
   from the config;
@@ -111,7 +111,7 @@ from repro.obs import (
 from repro.runner.app import Application
 from repro.runner.artifacts import RunArtifacts
 from repro.runner.golden import capture_golden, hang_budget
-from repro.runner.sandbox import SandboxConfig, SandboxSpec, run_app
+from repro.runner.sandbox import SandboxConfig, run_app
 from repro.sass.isa import opcode_by_id
 from repro.utils.rng import SeedSequenceStream
 from repro.workloads import WORKLOADS, get_workload
@@ -119,7 +119,7 @@ from repro.workloads import WORKLOADS, get_workload
 # -- work items (what crosses the process boundary) ---------------------------
 
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,7 @@ class InjectionTask:
 
     ``workload`` is a registry name so workers rebuild the application
     without pickling live device state; ``sandbox`` is the *complete*
-    sandbox snapshot.  ``replay`` (when fast-forward is on) points at the
+    sandbox configuration.  ``replay`` (when fast-forward is on) points at the
     campaign's golden replay log and the task's target launch; workers thaw
     it into a live cursor through a shared per-process cache.
     """
@@ -137,7 +137,7 @@ class InjectionTask:
     workload: str
     kind: str  # "transient" | "permanent" | "intermittent"
     params: TransientParams | PermanentParams | IntermittentParams
-    sandbox: SandboxSpec
+    sandbox: SandboxConfig
     replay: ReplayRef | None = None
 
 
@@ -174,7 +174,7 @@ def execute_task(
 
     Classification happens in the parent, which holds the golden run; the
     worker only reruns the app with the right injector attached, on a
-    sandbox rebuilt from the task's full :class:`SandboxSpec`.  With no
+    sandbox built from the task's full :class:`SandboxConfig`.  With no
     ``tracer`` (the cross-process case), run spans are buffered into the
     output's ``events`` for the parent to ingest; with a parent tracer
     (serial execution), spans go straight into the live trace.
@@ -202,7 +202,7 @@ def execute_task(
     artifacts = run_app(
         app,
         preload=[injector],
-        config=task.sandbox.config(),
+        config=task.sandbox,
         tracer=tracer,
         replay=cursor,
     )
@@ -724,6 +724,8 @@ class CampaignEngine:
         # The golden run's per-launch instruction counts (counted, or
         # loaded with a cached tape).
         self._launch_counts = None  # list[repro.gpusim.counts.LaunchCounts] | None
+        # Planned injections per kind, as added to engine.injections.total.
+        self._planned: dict[str, int] = {}
 
     def _replay_cache(self):
         """The persistent cross-campaign replay cache, if configured.
@@ -755,7 +757,7 @@ class CampaignEngine:
                 if span is not None and cache is not None:
                     span.attrs["replay_cache"] = "miss"
                 golden = capture_golden(
-                    self.app, self._sandbox_config(), tracer=self.tracer,
+                    self.app, self.config.sandbox, tracer=self.tracer,
                     recorder=recorder, counter=counter,
                 )
             self._launch_counts = counter.launches
@@ -783,14 +785,14 @@ class CampaignEngine:
         unchanged cache key) still yields correct artifacts — the cursor
         degraded to simulation — but must be re-recorded.
         """
-        log = cache.lookup(self.app.name, self._sandbox_config())
+        log = cache.lookup(self.app.name, self.config.sandbox)
         if log is not None:
             cursor = ReplayCursor(log)
             with self.tracer.span("golden", workload=self.app.name) as span:
                 if span is not None:
                     span.attrs["replay_cache"] = "hit"
                 golden = capture_golden(
-                    self.app, self._sandbox_config(), tracer=self.tracer,
+                    self.app, self.config.sandbox, tracer=self.tracer,
                     replay=cursor,
                 )
             if cursor.state == GOLDEN and cursor.skipped == len(log):
@@ -798,7 +800,7 @@ class CampaignEngine:
                 self._replay_log = log
                 self._launch_counts = log.counts
                 self._replay_path = str(
-                    cache.path_for(self.app.name, self._sandbox_config())
+                    cache.path_for(self.app.name, self.config.sandbox)
                 )
                 return golden
         self.registry.counter("engine.cache.misses").inc()
@@ -834,7 +836,7 @@ class CampaignEngine:
         ) as span:
             if cache is not None:
                 path = str(
-                    cache.store(self.app.name, self._sandbox_config(), log)
+                    cache.store(self.app.name, self.config.sandbox, log)
                 )
                 if span is not None:
                     span.attrs["replay_cache"] = "store"
@@ -912,7 +914,7 @@ class CampaignEngine:
         if cache is not None and self._replay_log is not None:
             cache.store_profile(
                 self.app.name,
-                self._sandbox_config(),
+                self.config.sandbox,
                 mode.value,
                 self._replay_log.content_hash,
                 self.profile,
@@ -953,7 +955,7 @@ class CampaignEngine:
         started = time.perf_counter()
         cached = cache.lookup_profile(
             self.app.name,
-            self._sandbox_config(),
+            self.config.sandbox,
             mode.value,
             self._replay_log.content_hash,
         )
@@ -1376,7 +1378,11 @@ class CampaignEngine:
             sites, kind, [index for index in indices if index not in stored]
         )
         results: dict[int, object] = {}
-        self.metrics.injections_total = len(sites)
+        # The total adds up per campaign, as ``injections_done`` does: this
+        # engine's plan of each kind counts once, however many batches or
+        # shards run it, beside other engines sharing the registry.
+        self.metrics.injections_total += len(sites) - self._planned.get(kind, 0)
+        self._planned[kind] = len(sites)
         if resume:
             for index in indices:
                 if index in stored:
@@ -1538,14 +1544,14 @@ class CampaignEngine:
         share the replay log's page cache.  Results are keyed by index, so
         the ordering cannot change results.csv.
         """
-        spec = self._injection_spec()
+        sandbox = self.injection_config()
         tasks = [
             InjectionTask(
                 index,
                 self.app.name,
                 kind,
                 sites[index],
-                spec,
+                sandbox,
                 replay=self._replay_ref_for(sites[index]),
             )
             for index in indices
@@ -1695,21 +1701,15 @@ class CampaignEngine:
             return sandbox.num_sms
         return arch_by_name(sandbox.family).num_sms
 
-    def _sandbox_config(self) -> SandboxConfig:
-        return self.config.sandbox.clone()
-
     def injection_config(self) -> SandboxConfig:
         """The sandbox of an injection run: the campaign's, with the hang
         budget scaled from the golden run once there is one."""
-        config = self._sandbox_config()
+        config = self.config.sandbox
         if self.golden is not None:
-            config.instruction_budget = hang_budget(
+            config = replace(config, instruction_budget=hang_budget(
                 self.golden, factor=self.config.hang_budget_factor
-            )
+            ))
         return config
-
-    def _injection_spec(self) -> SandboxSpec:
-        return self.injection_config().spec()
 
     def active_sm_ids(self) -> list[int]:
         """SMs that actually ran blocks in the golden run.

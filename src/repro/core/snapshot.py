@@ -19,8 +19,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import threading
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from repro.errors import ReproError
@@ -32,6 +32,7 @@ from repro.gpusim.replay import (
 )
 from repro.runner.sandbox import SandboxConfig
 from repro.runner.sandbox import run_app  # noqa: F401  (perfbench patch point)
+from repro.utils.atomic import write_atomic
 
 #: Bump when the cache key derivation or tape semantics change in a way
 #: that must invalidate previously cached entries.
@@ -89,12 +90,7 @@ class ReplayCache:
             __version__,
             str(PAGE_SIZE),
             workload,
-            str(config.seed),
-            str(config.instruction_budget),
-            config.family,
-            str(config.num_sms),
-            str(config.global_mem_bytes),
-            json.dumps(sorted((config.extra_env or {}).items())),
+            *config.outcome_fields(),
         ]
         return hashlib.sha256("\x1f".join(parts).encode()).hexdigest()[:32]
 
@@ -128,9 +124,7 @@ class ReplayCache:
         save_replay_log(log, path)
         meta = {
             "workload": workload,
-            "seed": config.seed,
-            "family": config.family,
-            "num_sms": config.num_sms,
+            "sandbox": asdict(config),
             "launches": len(log),
             "sha256": log.content_hash,
             "created": time.time(),
@@ -217,10 +211,4 @@ class ReplayCache:
 
     @staticmethod
     def _write_json(path: Path, payload: dict) -> None:
-        # Unique per process *and* thread: `repro serve` coordinators
-        # write shared-cache entries concurrently from threads of one
-        # process.
-        tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-        os.replace(tmp, path)
+        write_atomic(path, json.dumps(payload, indent=2, sort_keys=True).encode())

@@ -19,19 +19,20 @@ be stopped, resumed, audited or re-analysed later:
 counts rather than host wall-clock), so serial, parallel and resumed runs
 of the same campaign produce byte-identical files.
 
-``outcome.txt`` is a run's completion marker: it is written last, under
-a temporary name that is then renamed into place, and the resume scan
-counts a run as done only when its marker holds every key its kind
-writes.  A damaged marker (torn, truncated or emptied) is reported with a
-warning and its run runs again; unrecognised entries under
-``injections/`` are skipped with a warning too, instead of crashing the
-scan.
+Every file is written whole (:func:`repro.utils.atomic.write_atomic`:
+a temporary name, then a rename), so a killed writer never leaves one
+torn, and a temporary file it leaves behind is never read as data.
+``outcome.txt`` is a run's completion marker: it is written last, and the
+resume scan counts a run as done only when its marker holds every key
+its kind writes.  A damaged marker (torn, truncated or emptied) is
+reported with a warning and its run runs again; unrecognised entries
+under ``injections/`` are skipped with a warning too, instead of
+crashing the scan.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import re
 import warnings
 from pathlib import Path
@@ -50,6 +51,7 @@ from repro.core.profile_data import ProgramProfile
 from repro.core.report import OutcomeTally
 from repro.errors import ReproError
 from repro.runner.artifacts import RunArtifacts
+from repro.utils.atomic import is_temp, write_atomic
 
 _RUN_DIR = re.compile(r"^run_(\d+)$")
 
@@ -72,9 +74,9 @@ class CampaignStore:
     def save_golden(self, golden: RunArtifacts) -> None:
         golden_dir = self.root / "golden"
         (golden_dir / "files").mkdir(parents=True, exist_ok=True)
-        (golden_dir / "stdout.txt").write_text(golden.stdout)
+        write_atomic(golden_dir / "stdout.txt", golden.stdout.encode())
         for name, payload in golden.files.items():
-            (golden_dir / "files" / name).write_bytes(payload)
+            write_atomic(golden_dir / "files" / name, payload)
 
     def load_golden(self) -> RunArtifacts:
         golden_dir = self.root / "golden"
@@ -83,6 +85,7 @@ class CampaignStore:
         files = {
             path.name: path.read_bytes()
             for path in sorted((golden_dir / "files").iterdir())
+            if not is_temp(path.name)
         }
         return RunArtifacts(
             stdout=(golden_dir / "stdout.txt").read_text(), files=files
@@ -111,8 +114,8 @@ class CampaignStore:
         silently re-sizing the campaign.
         """
         self.root.mkdir(parents=True, exist_ok=True)
-        (self.root / "adaptive.json").write_text(
-            json.dumps(state, indent=2) + "\n"
+        write_atomic(
+            self.root / "adaptive.json", (json.dumps(state, indent=2) + "\n").encode()
         )
 
     def load_adaptive_state(self) -> dict | None:
@@ -131,7 +134,7 @@ class CampaignStore:
 
     def save_profile(self, profile: ProgramProfile) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
-        (self.root / "profile.txt").write_text(profile.to_text())
+        write_atomic(self.root / "profile.txt", profile.to_text().encode())
 
     def load_profile(self) -> ProgramProfile:
         path = self.root / "profile.txt"
@@ -144,15 +147,15 @@ class CampaignStore:
     def save_injection(self, index: int, result: TransientResult) -> None:
         run_dir = self.root / "injections" / f"run_{index:05d}"
         run_dir.mkdir(parents=True, exist_ok=True)
-        (run_dir / "params.txt").write_text(result.params.to_text())
-        (run_dir / "record.txt").write_text(result.record.to_text())
-        self._write_marker(
-            run_dir,
+        write_atomic(run_dir / "params.txt", result.params.to_text().encode())
+        write_atomic(run_dir / "record.txt", result.record.to_text().encode())
+        write_atomic(
+            run_dir / "outcome.txt",
             f"{result.outcome.outcome.value}\n{result.outcome.symptom}\n"
             f"kind={CampaignKind.TRANSIENT.value}\n"
             f"potential_due={result.outcome.potential_due}\n"
             f"wall_time={result.wall_time!r}\n"
-            f"instructions={result.instructions}\n",
+            f"instructions={result.instructions}\n".encode(),
         )
 
     def completed_injections(self) -> list[int]:
@@ -172,16 +175,16 @@ class CampaignStore:
     def save_permanent_injection(self, index: int, result: PermanentResult) -> None:
         run_dir = self.root / "permanent" / f"run_{index:05d}"
         run_dir.mkdir(parents=True, exist_ok=True)
-        (run_dir / "params.txt").write_text(result.params.to_text())
-        self._write_marker(
-            run_dir,
+        write_atomic(run_dir / "params.txt", result.params.to_text().encode())
+        write_atomic(
+            run_dir / "outcome.txt",
             f"{result.outcome.outcome.value}\n{result.outcome.symptom}\n"
             f"kind={CampaignKind.PERMANENT.value}\n"
             f"potential_due={result.outcome.potential_due}\n"
             f"wall_time={result.wall_time!r}\n"
             f"opcode={result.opcode}\n"
             f"weight={result.weight!r}\n"
-            f"activations={result.activations}\n",
+            f"activations={result.activations}\n".encode(),
         )
 
     def completed_permanent_injections(self) -> list[int]:
@@ -205,14 +208,6 @@ class CampaignStore:
         )
 
     # -- shared run-directory plumbing -------------------------------------------
-
-    @staticmethod
-    def _write_marker(run_dir: Path, text: str) -> None:
-        """Write a run's ``outcome.txt`` whole: to a temporary name, then
-        renamed into place, so a killed writer never leaves it torn."""
-        tmp = run_dir / "outcome.txt.tmp"
-        tmp.write_text(text)
-        os.replace(tmp, run_dir / "outcome.txt")
 
     @staticmethod
     def _scan_runs(runs_dir: Path, keys: tuple[str, ...]) -> list[int]:
@@ -297,7 +292,7 @@ class CampaignStore:
 
     def _write_results_csv(self, rows) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
-        (self.root / "results.csv").write_text(render_results_csv(rows))
+        write_atomic(self.root / "results.csv", render_results_csv(rows).encode())
 
     def load_tally(self) -> OutcomeTally:
         """Rebuild the outcome tally from stored per-injection records."""

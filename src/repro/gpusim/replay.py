@@ -72,6 +72,7 @@ import numpy as np
 from repro.errors import ReproError, WatchdogTimeout
 from repro.gpusim.counts import LaunchCounter, LaunchCounts
 from repro.mem.memory import PAGE_SHIFT, PAGE_SIZE
+from repro.utils.atomic import write_atomic
 
 # Version 3 carries the per-launch instruction counts.  A tape of another
 # version does not load, so a cache entry of it is a miss.
@@ -620,16 +621,7 @@ def save_replay_log(log: ReplayLog, path: str | os.PathLike) -> None:
             "lanes": sum(c.lane_masks.size for c in log.counts),
         }
     blob = json.dumps(header, separators=(",", ":")).encode()
-    # Unique per process *and* thread: `repro serve` coordinators write
-    # shared-cache entries concurrently from threads of one process.
-    tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
-    with open(tmp, "wb") as handle:
-        handle.write(_MAGIC)
-        handle.write(struct.pack("<I", len(blob)))
-        handle.write(blob)
-        for chunk in blobs:
-            handle.write(chunk)
-    os.replace(tmp, path)
+    write_atomic(path, _MAGIC, struct.pack("<I", len(blob)), blob, *blobs)
     log.content_hash = content_hash
 
 

@@ -12,8 +12,9 @@ The sandbox plays the role of the campaign scripts' process management:
 
 from __future__ import annotations
 
+import json
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 
 from repro.cuda.runtime import CudaRuntime
 from repro.errors import DeviceException, ReproError, WatchdogTimeout
@@ -28,9 +29,17 @@ EXIT_TIMEOUT = 124  # the `timeout` utility's kill status
 EXIT_CRASH = 134  # SIGABRT
 
 
-@dataclass
+@dataclass(frozen=True)
 class SandboxConfig:
-    """Per-run environment configuration."""
+    """Per-run environment configuration, frozen and picklable.
+
+    Campaign workers receive this very record, so every field — including
+    ``family``, ``num_sms``, ``global_mem_bytes`` and ``extra_env`` —
+    crosses the process boundary.  (The historical parallel runner rebuilt
+    configs from ``seed`` + ``instruction_budget`` only, silently running
+    non-default sandboxes on a default device.)  A variant is
+    ``dataclasses.replace(config, **changes)``.
+    """
 
     seed: int = 0
     instruction_budget: int = DEFAULT_INSTRUCTION_BUDGET
@@ -40,77 +49,30 @@ class SandboxConfig:
     # Block-compiled interpreter (repro.gpusim.blockc) for every launch
     # (instrumented ones step their hooked pcs).  Byte-identical results
     # either way; the knob exists for differential testing and
-    # benchmarking.  Deliberately NOT part of the replay-cache key: a tape
-    # recorded under either setting is valid for both.
+    # benchmarking.  Deliberately NOT an outcome field: a tape recorded
+    # under either setting is valid for both.
     block_compile: bool = True
-    extra_env: dict[str, str] = field(default_factory=dict)
-
-    def clone(self, **overrides) -> "SandboxConfig":
-        """An independent copy (every field, including ``extra_env``).
-
-        Override names are validated against the dataclass fields: a
-        misspelled keyword used to ``setattr`` a dead attribute silently,
-        leaving the caller running the default configuration.
-        """
-        known = {f.name for f in fields(self)}
-        unknown = sorted(set(overrides) - known)
-        if unknown:
-            raise ReproError(
-                f"unknown SandboxConfig field(s) in clone(): {unknown}; "
-                f"valid fields: {sorted(known)}"
-            )
-        copy = replace(self, extra_env=dict(self.extra_env))
-        for name, value in overrides.items():
-            setattr(copy, name, value)
-        return copy
-
-    def spec(self, instruction_budget: int | None = None) -> "SandboxSpec":
-        """Freeze into a picklable :class:`SandboxSpec` for worker processes."""
-        return SandboxSpec(
-            seed=self.seed,
-            instruction_budget=(
-                self.instruction_budget
-                if instruction_budget is None
-                else instruction_budget
-            ),
-            family=self.family,
-            num_sms=self.num_sms,
-            global_mem_bytes=self.global_mem_bytes,
-            block_compile=self.block_compile,
-            extra_env=tuple(sorted(self.extra_env.items())),
-        )
-
-
-@dataclass(frozen=True)
-class SandboxSpec:
-    """A frozen, picklable snapshot of a :class:`SandboxConfig`.
-
-    Campaign workers rebuild their sandbox from this record, so every field
-    — including ``family``, ``num_sms``, ``global_mem_bytes`` and
-    ``extra_env`` — crosses the process boundary.  (The historical parallel
-    runner rebuilt configs from ``seed`` + ``instruction_budget`` only,
-    silently running non-default sandboxes on a default device.)
-    """
-
-    seed: int = 0
-    instruction_budget: int = DEFAULT_INSTRUCTION_BUDGET
-    family: str = "volta"
-    num_sms: int | None = None
-    global_mem_bytes: int = 64 * 1024 * 1024
-    block_compile: bool = True
+    # The program's environment, as sorted ``(name, value)`` pairs so the
+    # config hashes; a mapping is accepted and converted.
     extra_env: tuple[tuple[str, str], ...] = ()
 
-    def config(self) -> SandboxConfig:
-        """Thaw back into the mutable config the sandbox consumes."""
-        return SandboxConfig(
-            seed=self.seed,
-            instruction_budget=self.instruction_budget,
-            family=self.family,
-            num_sms=self.num_sms,
-            global_mem_bytes=self.global_mem_bytes,
-            block_compile=self.block_compile,
-            extra_env=dict(self.extra_env),
-        )
+    def __post_init__(self) -> None:
+        pairs = tuple(sorted(dict(self.extra_env).items()))
+        object.__setattr__(self, "extra_env", pairs)
+
+    def outcome_fields(self) -> list[str]:
+        """The fields that decide a run's outcome, as strings.
+
+        Every field but ``block_compile``, in declaration order, with the
+        environment as JSON.  The replay-cache key and the FaultDB
+        fingerprint both hash this list.
+        """
+        return [
+            json.dumps(self.extra_env) if f.name == "extra_env"
+            else str(getattr(self, f.name))
+            for f in fields(self)
+            if f.name != "block_compile"
+        ]
 
 
 def run_app(

@@ -17,6 +17,8 @@ defaults and are dropped.
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 from repro.core.adaptive import SamplingPlan, StoppingRule
 from repro.core.bitflip import BitFlipModel
 from repro.core.campaign import CampaignConfig
@@ -42,10 +44,13 @@ def config_to_dict(config: CampaignConfig) -> dict:
         "tail_fast_forward": config.tail_fast_forward,
         "batch_launch": config.batch_launch,
         "replay_cache": config.replay_cache,
-        "sandbox": _sandbox_to_dict(config.sandbox),
-        "retry": _retry_to_dict(config.retry),
+        "sandbox": {
+            **asdict(config.sandbox),
+            "extra_env": dict(config.sandbox.extra_env),
+        },
+        "retry": asdict(config.retry),
         "stopping": _stopping_to_dict(config.stopping),
-        "sampling": _sampling_to_dict(config.sampling),
+        "sampling": None if config.sampling is None else asdict(config.sampling),
     }
 
 
@@ -147,33 +152,8 @@ def _decode_replay_cache(value: bool | str | None) -> bool | str | None:
     )
 
 
-def _sandbox_to_dict(sandbox: SandboxConfig) -> dict:
-    return {
-        "seed": sandbox.seed,
-        "instruction_budget": sandbox.instruction_budget,
-        "family": sandbox.family,
-        "num_sms": sandbox.num_sms,
-        "global_mem_bytes": sandbox.global_mem_bytes,
-        "block_compile": sandbox.block_compile,
-        "extra_env": dict(sandbox.extra_env),
-    }
-
-
 def _sandbox_from_dict(payload: dict) -> SandboxConfig:
     return SandboxConfig(**payload)
-
-
-def _retry_to_dict(retry: RetryPolicy) -> dict:
-    return {
-        "max_attempts": retry.max_attempts,
-        "backoff_base": retry.backoff_base,
-        "backoff_factor": retry.backoff_factor,
-        "backoff_max": retry.backoff_max,
-        "jitter": retry.jitter,
-        "seed": retry.seed,
-        "task_timeout": retry.task_timeout,
-        "on_failure": retry.on_failure,
-    }
 
 
 def _retry_from_dict(payload: dict) -> RetryPolicy:
@@ -198,12 +178,6 @@ def _stopping_from_dict(payload: dict | None) -> StoppingRule | None:
     if "target_outcome" in payload:
         payload["target_outcome"] = Outcome(payload["target_outcome"])
     return StoppingRule(**payload)
-
-
-def _sampling_to_dict(sampling: SamplingPlan | None) -> dict | None:
-    if sampling is None:
-        return None
-    return {"mode": sampling.mode, "batch_size": sampling.batch_size}
 
 
 def _sampling_from_dict(payload: dict | None) -> SamplingPlan | None:

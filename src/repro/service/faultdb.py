@@ -132,18 +132,12 @@ def fault_fingerprint(
     ``results.csv`` is byte-identical across them, so they cannot change
     the outcome.
     """
-    sandbox = config.sandbox
     parts = [
         workload,
         CampaignKind.coerce(kind).value,
         params.to_text(),
         str(config.hang_budget_factor),
-        str(sandbox.seed),
-        str(sandbox.instruction_budget),
-        sandbox.family,
-        str(sandbox.num_sms),
-        str(sandbox.global_mem_bytes),
-        json.dumps(sorted(sandbox.extra_env.items())),
+        *config.sandbox.outcome_fields(),
     ]
     return hashlib.sha256("\x1f".join(parts).encode()).hexdigest()
 

@@ -185,9 +185,9 @@ class TestPermanentEngine:
 class TestGuards:
     def test_parallel_requires_registry_workload(self):
         from repro.core.engine import InjectionTask
-        from repro.runner.sandbox import SandboxSpec
+        from repro.runner.sandbox import SandboxConfig
 
-        task = InjectionTask(0, "not-registered", "transient", None, SandboxSpec())
+        task = InjectionTask(0, "not-registered", "transient", None, SandboxConfig())
         with pytest.raises(ReproError, match="registry"):
             list(ParallelExecutor(max_workers=2).run([task]))
 

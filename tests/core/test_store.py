@@ -154,6 +154,17 @@ class TestErrors:
         with pytest.warns(UserWarning, match="unrecognised"):
             assert store.completed_injections() == [0, 2]
 
+    def test_stray_temp_file_is_not_a_golden_output(self, tmp_path,
+                                                    campaign_result):
+        """A writer killed before its rename leaves its temporary file;
+        loading the golden run must not take it for an output file."""
+        campaign, _ = campaign_result
+        store = CampaignStore(tmp_path)
+        store.save_golden(campaign.golden)
+        files = tmp_path / "golden" / "files"
+        (files / "out.bin.tmp.4242.139872").write_bytes(b"torn")
+        assert store.load_golden().files == campaign.golden.files
+
     def test_incomplete_run_dir_not_listed(self, tmp_path, campaign_result):
         _, result = campaign_result
         store = CampaignStore(tmp_path)

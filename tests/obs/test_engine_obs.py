@@ -175,3 +175,44 @@ class TestEngineMetrics:
         from repro.obs import NULL_TRACER
 
         assert engine.tracer is NULL_TRACER
+
+
+class TestInjectionTotals:
+    """``engine.injections.total`` adds up per campaign, as ``done`` does."""
+
+    def test_two_engines_sharing_a_registry_add_up(self):
+        registry = MetricsRegistry()
+        transient = CampaignEngine(
+            WORKLOAD, CampaignConfig(num_transient=2, seed=7), metrics=registry
+        )
+        transient.run_transient()
+        permanent = CampaignEngine(
+            WORKLOAD, CampaignConfig(seed=7), metrics=registry
+        )
+        permanent.run_permanent(permanent.select_permanent()[:3])
+        metrics = permanent.metrics
+        assert metrics.injections_done == metrics.injections_total == 5
+        assert "ran=5/5 " in metrics.summary()
+
+    def test_shards_of_one_plan_count_it_once(self):
+        engine = CampaignEngine(
+            WORKLOAD, CampaignConfig(num_transient=3, seed=7),
+            metrics=MetricsRegistry(),
+        )
+        engine.run_batch([0])
+        engine.run_batch([2, 1])
+        assert engine.metrics.injections_done == 3
+        assert engine.metrics.injections_total == 3
+
+    def test_adaptive_batches_count_the_sites_drawn(self):
+        from repro.core.adaptive import SamplingPlan
+
+        engine = CampaignEngine(
+            WORKLOAD,
+            CampaignConfig(
+                num_transient=4, seed=7, sampling=SamplingPlan(batch_size=2)
+            ),
+        )
+        result = engine.run_transient()
+        assert len(result.results) == 4
+        assert engine.metrics.injections_total == 4

@@ -1,5 +1,7 @@
 """Sandbox tests: artifact capture for every Table V signal."""
 
+import dataclasses
+
 import pytest
 
 from repro.runner.app import AppContext, Application
@@ -142,47 +144,56 @@ class TestSeeding:
         assert plain.stdout == "default\n"
 
 
-class TestConfigCloning:
-    def test_clone_copies_every_field(self):
-        config = SandboxConfig(
-            seed=7, family="turing", num_sms=4,
-            global_mem_bytes=1 << 20, extra_env={"A": "1"},
-        )
-        copy = config.clone()
-        assert copy == config
-        copy.extra_env["B"] = "2"
-        assert "B" not in config.extra_env  # deep-copied env
+class TestFrozenConfig:
+    def test_extra_env_mapping_is_kept_as_sorted_pairs(self):
+        class EnvApp(Application):
+            name = "env"
 
-    def test_clone_applies_overrides(self):
-        config = SandboxConfig(seed=7)
-        copy = config.clone(seed=9, family="turing")
-        assert (copy.seed, copy.family) == (9, "turing")
-        assert (config.seed, config.family) == (7, "volta")
+            def run(self, ctx):
+                ctx.print(ctx.getenv("B"), ctx.getenv("A"))
 
-    def test_clone_rejects_unknown_fields(self):
-        # A misspelled override used to setattr a dead attribute silently,
-        # leaving the caller on the default configuration.
-        from repro.errors import ReproError
+        config = SandboxConfig(extra_env={"B": "2", "A": "1"})
+        assert config.extra_env == (("A", "1"), ("B", "2"))
+        assert run_app(EnvApp(), config=config).stdout == "2 1\n"
 
-        with pytest.raises(ReproError, match="instruction_budge"):
-            SandboxConfig().clone(instruction_budge=5)
-        with pytest.raises(ReproError, match="valid fields"):
-            SandboxConfig().clone(extra_environment={"A": "1"})
+    def test_equal_configs_hash_equal(self):
+        one = SandboxConfig(seed=7, extra_env={"A": "1", "B": "2"})
+        two = SandboxConfig(seed=7, extra_env={"B": "2", "A": "1"})
+        assert one == two
+        assert hash(one) == hash(two)
+        assert len({one, two, SandboxConfig(seed=8)}) == 2
 
-    def test_spec_round_trips_through_pickle(self):
+    def test_pickle_keeps_every_field(self):
         import pickle
 
         config = SandboxConfig(
-            seed=7, family="turing", num_sms=4,
-            global_mem_bytes=1 << 20, extra_env={"A": "1", "B": "2"},
+            seed=7, instruction_budget=123, family="turing", num_sms=4,
+            global_mem_bytes=1 << 20, block_compile=False,
+            extra_env={"A": "1", "B": "2"},
         )
-        spec = config.spec(instruction_budget=123)
-        thawed = pickle.loads(pickle.dumps(spec)).config()
-        assert thawed.family == "turing"
-        assert thawed.num_sms == 4
-        assert thawed.global_mem_bytes == 1 << 20
-        assert thawed.extra_env == {"A": "1", "B": "2"}
-        assert thawed.instruction_budget == 123
+        thawed = pickle.loads(pickle.dumps(config))
+        assert thawed == config
+        assert thawed.block_compile is False
+        assert dataclasses.asdict(thawed) == dataclasses.asdict(config)
+
+    def test_fields_cannot_be_assigned(self):
+        config = SandboxConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.instruction_budget = 5
+        from repro.core.campaign import CampaignConfig
+
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            CampaignConfig().seed = 5
+
+    def test_replace_applies_overrides(self):
+        config = SandboxConfig(seed=7)
+        copy = dataclasses.replace(config, seed=9, family="turing")
+        assert (copy.seed, copy.family) == (9, "turing")
+        assert (config.seed, config.family) == (7, "volta")
+
+    def test_replace_names_a_misspelled_field(self):
+        with pytest.raises(TypeError, match="instruction_budge"):
+            dataclasses.replace(SandboxConfig(), instruction_budge=5)
 
 
 class TestGoldenHelpers:

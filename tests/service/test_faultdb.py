@@ -144,6 +144,49 @@ def test_fingerprint_changes_with_outcome_determining_knobs(reference):
     )
 
 
+def test_cache_key_and_fingerprint_digests_are_pinned(tmp_path):
+    """Cached tapes and stored FaultDB rows keep their digests: these
+    values were computed by the release that wrote the sandbox fields out
+    by hand in both places (``repro.__version__`` 1.0.0)."""
+    import dataclasses
+
+    from repro.core.snapshot import ReplayCache
+    from repro.runner.sandbox import SandboxConfig
+
+    assert repro.__version__ == "1.0.0"
+    rich = SandboxConfig(
+        seed=4, num_sms=2, instruction_budget=123456,
+        global_mem_bytes=1 << 20, family="turing",
+        extra_env={"X": "1", "A": "z"},
+    )
+    cache = ReplayCache(tmp_path)
+    assert cache.key("370.bt", SandboxConfig()) == (
+        "43243e801b9c55245bb4ae390f8a0434"
+    )
+    assert cache.key("303.ostencil", rich) == "58aeb6b2afe3e2d36d4b124397cb8cb5"
+    site = CampaignEngine(
+        "303.ostencil",
+        repro.CampaignConfig(workload="303.ostencil", num_transient=2, seed=3),
+    ).plan_transient()[0]
+    plain = repro.CampaignConfig(workload="303.ostencil")
+    assert fault_fingerprint("303.ostencil", "transient", site, plain) == (
+        "6f69aa215b34dada16dcfeadfa4f7ad3a6193a8071f1a1bea11aeead29dd23f1"
+    )
+    custom = repro.CampaignConfig(
+        workload="303.ostencil", hang_budget_factor=12, sandbox=rich
+    )
+    assert fault_fingerprint("303.ostencil", "transient", site, custom) == (
+        "2a4ee8d78433a90f584baf6601bc4220fd8f0e7a2cfbc31113a62753f1cd8a53"
+    )
+    # block_compile only changes speed: neither digest sees it.
+    stepped = dataclasses.replace(rich, block_compile=False)
+    assert cache.key("303.ostencil", stepped) == cache.key("303.ostencil", rich)
+    assert fault_fingerprint(
+        "303.ostencil", "transient", site,
+        dataclasses.replace(custom, sandbox=stepped),
+    ) == fault_fingerprint("303.ostencil", "transient", site, custom)
+
+
 def test_concurrent_writers_from_threads(db, reference):
     result, _ = reference
     config = make_config()

@@ -138,7 +138,17 @@ def test_worker_abandons_unit_when_lease_is_lost(db, monkeypatch):
     def lost_first_beat(self, campaign_id, unit_id, worker, lease_seconds):
         beats.append(unit_id)
         if len(beats) == 1:
-            return False  # simulate lease expiry mid-unit
+            # Simulate lease expiry mid-unit.  The lease is expired in the
+            # database too, so the unit is runnable again however soon the
+            # in-flight injection ends: an injection shorter than the lease
+            # left it leased to w0, which then found nothing to lease.
+            with self._lock:
+                self._conn.execute(
+                    "UPDATE units SET lease_expires = 0 "
+                    "WHERE campaign_id = ? AND unit_id = ?",
+                    (campaign_id, unit_id),
+                )
+            return False
         return real_heartbeat(self, campaign_id, unit_id, worker, lease_seconds)
 
     monkeypatch.setattr(FaultDB, "heartbeat_unit", lost_first_beat)
